@@ -14,10 +14,10 @@ from .expr import (ExpressionError, parse_expression, evaluate,
                    format_expression)
 from .field import (ScalarField, OperatorField, OperatorEval, SingularEntry,
                     operator_eval)
-from .construct import (DegeneratePointError, companion_matrix, jacobi_matrix,
+from .construct import (DegeneratePointError, companion_matrix,
                         build_diff_nondegenerate, build_2d,
                         build_regular_family, build_morse_canonical,
-                        verify_conjugation, conjugation_residual)
+                        conjugation_residual)
 from .torsion import (TorsionValue, torsion_coordinate, torsion_bracket_fd,
                       verify_zero_torsion)
 from .invariants import charpoly, verify_sigma_coords, verify_sigma_fields
@@ -39,9 +39,9 @@ __all__ = [
     "ExpressionError", "parse_expression", "evaluate", "format_expression",
     "ScalarField", "OperatorField", "OperatorEval", "SingularEntry",
     "operator_eval",
-    "DegeneratePointError", "companion_matrix", "jacobi_matrix",
+    "DegeneratePointError", "companion_matrix",
     "build_diff_nondegenerate", "build_2d", "build_regular_family",
-    "build_morse_canonical", "verify_conjugation", "conjugation_residual",
+    "build_morse_canonical", "conjugation_residual",
     "TorsionValue", "torsion_coordinate", "torsion_bracket_fd",
     "verify_zero_torsion",
     "charpoly", "verify_sigma_coords", "verify_sigma_fields",

@@ -571,15 +571,15 @@ def _conjugation_sweep(ctx: _OperatorContext, bounds, samples, seed, tol,
     L = ctx.op if ctx.kind in ("theorem1", "theorem2") else build_regular_family(f, n)
     points = sample_box(bounds, n, samples, seed)
 
-    def eval_point(p):
-        raw, scale = conjugation_residual(f, n, p, L=L)
+    def eval_chunk(P):
+        raw, scale = conjugation_residual(f, n, P, L=L)
         return raw, raw / scale, {}
 
-    def guard(p):
-        return abs(f(p).gradient[-1])
+    def guard(P):
+        return abs(f(P).gradient[..., -1])
 
     return run_sweep(
-        points, eval_point, tol,
+        points, eval_chunk, tol,
         subject=f"conjugation identity for f={f.label}",
         params={"n": n, "f": f.label, "samples": samples, "seed": seed,
                 "tol": tol},

@@ -16,6 +16,9 @@ them. Concretely:
   singularity diagnostics.
 - ``build_morse_canonical``: the polynomial family that extends the regular
   family of f = sign*y^2 smoothly across y = 0 (n > 2).
+
+Family rules, guards and ``conjugation_residual`` take one point (n,) or an
+array of points (..., n), as the field contract in ``field.py`` describes.
 """
 
 from __future__ import annotations
@@ -24,19 +27,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .jet import Jet2, SingularPointError, DenominatorVanishes, coordinate_jet
-from .field import ScalarField, OperatorField, SingularEntry, operator_eval
+from .jet import (Jet2, SingularPointError, DenominatorVanishes,
+                  coordinate_jet, stack_jets)
+from .field import (ScalarField, OperatorField, SingularEntry, as_jet,
+                    operator_eval)
 from .linalg import plu_det, invert_with_det, matmul, NumericallySingular
 
 __all__ = [
     "DegeneratePointError",
     "companion_matrix",
-    "jacobi_matrix",
     "build_diff_nondegenerate",
     "build_2d",
     "build_regular_family",
     "build_morse_canonical",
-    "verify_conjugation",
     "conjugation_residual",
     "EPS_DET_PER_DIM",
 ]
@@ -47,30 +50,41 @@ EPS_DET_PER_DIM = 1e-10
 
 
 class DegeneratePointError(SingularPointError):
-    """The Jacobi matrix of the coefficient fields is singular at the point."""
+    """The Jacobi matrix of the coefficient fields is singular at the point.
 
-    def __init__(self, point, det: float):
-        self.point = np.asarray(point, dtype=float)
-        self.det = float(det)
+    With a mask (batched evaluation), ``point`` and ``det`` hold the
+    failing points and their determinants.
+    """
+
+    def __init__(self, point, det, mask=None):
+        point = np.asarray(point, dtype=float)
+        det = np.asarray(det, dtype=float)
+        if mask is not None and np.ndim(mask):
+            point, det = point[mask], det[mask]
+        self.mask = mask
+        self.point = point
+        self.det = det[()]
+        where = "point" if point.ndim == 1 else "points"
         super().__init__(
-            f"differentially degenerate at point {self.point.tolist()} "
-            f"(det J = {self.det:.6e})")
+            f"differentially degenerate at {where} {point.tolist()} "
+            f"(det J = {det.flat[0]:.6e})")
 
 
 def companion_matrix(sigma_values: Sequence[float]) -> np.ndarray:
     """First-column companion matrix of coefficient values.
 
     Column 1 holds (-sigma_1, ..., -sigma_n); the superdiagonal of the first
-    n-1 rows is 1; everything else is 0.
+    n-1 rows is 1; everything else is 0. Values of shape (..., n) give
+    matrices of shape (..., n, n).
     """
     sigma = np.asarray(sigma_values, dtype=float)
-    n = sigma.shape[0]
+    n = sigma.shape[-1] if sigma.ndim else 0
     if n < 2:
         raise ValueError(f"companion matrix needs n >= 2, got n={n}")
-    M = np.zeros((n, n))
-    M[:, 0] = -sigma
+    M = np.zeros(sigma.shape + (n,))
+    M[..., :, 0] = -sigma
     for i in range(n - 1):
-        M[i, i + 1] = 1.0
+        M[..., i, i + 1] = 1.0
     return M
 
 
@@ -99,16 +113,6 @@ def _check_sigma(sigma: Sequence[ScalarField]) -> int:
     return n
 
 
-def jacobi_matrix(sigma: Sequence[ScalarField], p: Sequence[float]) -> np.ndarray:
-    """Jacobi matrix J with row i = gradient of sigma_i at p."""
-    n = _check_sigma(sigma)
-    p = np.asarray(p, dtype=float)
-    J = np.empty((n, n))
-    for i, s in enumerate(sigma):
-        J[i, :] = s(p).gradient
-    return J
-
-
 def build_diff_nondegenerate(sigma: Sequence[ScalarField],
                              label: str = "diffnondeg") -> OperatorField:
     """Operator field J^(-1) Ltilde J from n coefficient fields.
@@ -117,17 +121,13 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField],
     raises DegeneratePointError below that. The conjugation is carried out
     in jet arithmetic so entry gradients come out exact; entry Hessians are
     truncated (J's entries only know the coefficient Hessians) and are never
-    consumed downstream.
+    consumed downstream. The determinant check runs on the whole batch; the
+    pivoted jet inverse runs point by point.
     """
     sigma = list(sigma)
     n = _check_sigma(sigma)
 
-    def rule(p):
-        jets = [s(p) for s in sigma]
-        Jvals = np.array([jt.gradient for jt in jets])
-        det = plu_det(Jvals)
-        if abs(det) < EPS_DET_PER_DIM * n:
-            raise DegeneratePointError(p, det)
+    def at_point(p, jets, det):
         Jjets = [[Jet2(jt.gradient[j], jt.hessian[j]) for j in range(n)]
                  for jt in jets]
         Ltilde = _companion_jets(jets)
@@ -136,6 +136,20 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField],
         except NumericallySingular:
             raise DegeneratePointError(p, det) from None
         return matmul(Jinv, matmul(Ltilde, Jjets))
+
+    def rule(p):
+        jets = [s(p) for s in sigma]
+        det = plu_det(np.stack([jt.gradient for jt in jets], axis=-2))
+        bad = np.abs(det) < EPS_DET_PER_DIM * n
+        if bad.any():
+            raise DegeneratePointError(p, det, mask=bad)
+        batch = p.shape[:-1]
+        if not batch:
+            return at_point(p, jets, det)
+        cells = [at_point(p[idx], [jt.at(idx) for jt in jets], det[idx])
+                 for idx in np.ndindex(batch)]
+        return [[stack_jets([as_jet(c[i][j], n) for c in cells], batch)
+                 for j in range(n)] for i in range(n)]
 
     return OperatorField(n, rule, label=label)
 
@@ -148,7 +162,8 @@ def _partials(fj: Jet2):
     values and gradients, so the truncation never surfaces.
     """
     n = fj.dim
-    parts = [Jet2(fj.gradient[k], fj.hessian[k]) for k in range(n)]
+    parts = [Jet2(fj.gradient[..., k], fj.hessian[..., k, :])
+             for k in range(n)]
     return parts[:-1], parts[-1]
 
 
@@ -172,7 +187,7 @@ def build_2d(f: ScalarField, label: str = "2d") -> OperatorField:
         return [[x - fx, -fy], [low, fx]]
 
     def guard(p):
-        return abs(f(p).gradient[-1])
+        return abs(f(p).gradient[..., -1])
 
     return OperatorField(2, rule, label=label, guard=guard)
 
@@ -228,7 +243,7 @@ def build_regular_family(f: ScalarField, n: int,
         return rows
 
     def guard(p):
-        return abs(f(p).gradient[-1])
+        return abs(f(p).gradient[..., -1])
 
     return OperatorField(n, rule, label=label, guard=guard)
 
@@ -269,30 +284,29 @@ def build_morse_canonical(n: int, sign: int,
 
 
 def conjugation_residual(f: ScalarField, n: int, p: Sequence[float],
-                         L: OperatorField | None = None) -> tuple[float, float]:
+                         L: OperatorField | None = None) -> tuple:
     """Residual and magnitude scale of the identity J L = Ltilde J at p.
 
     J here is the specialized Jacobi matrix of (x_1, ..., x_(n-1), f): an
     identity block over the gradient row of f. Ltilde is the companion
     matrix of (p_1, ..., p_(n-1), f(p)). L defaults to the regular family
     of f. Returns (max |J L - Ltilde J|, 1 + max entry magnitude of the
-    two products).
+    two products), each of the batch shape p.shape[:-1].
     """
     if L is None:
         L = build_regular_family(f, n)
     p = np.asarray(p, dtype=float)
     fj = f(p)
     Lv = operator_eval(L, p).values
-    J = np.eye(n)
-    J[n - 1, :] = fj.gradient
-    Ltilde = companion_matrix(np.append(p[:n - 1], fj.value))
+    J = np.zeros(p.shape[:-1] + (n, n))
+    J[...] = np.eye(n)
+    J[..., n - 1, :] = fj.gradient
+    Ltilde = companion_matrix(
+        np.concatenate([p[..., :n - 1], fj.value[..., None]], axis=-1))
     left = J @ Lv
     right = Ltilde @ J
-    resid = float(np.max(np.abs(left - right)))
-    scale = 1.0 + float(max(np.max(np.abs(left)), np.max(np.abs(right))))
-    return resid, scale
-
-
-def verify_conjugation(f: ScalarField, n: int, p: Sequence[float]) -> float:
-    """Max-abs residual of J L - Ltilde J at p (see conjugation_residual)."""
-    return conjugation_residual(f, n, p)[0]
+    axes = (-2, -1)
+    resid = np.max(np.abs(left - right), axis=axes)
+    scale = 1.0 + np.maximum(np.max(np.abs(left), axis=axes),
+                             np.max(np.abs(right), axis=axes))
+    return resid[()], scale[()]

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .jet import Jet2, coordinate_jet, constant_jet
+from .jet import Jet2, _constant, broadcast_jet, coordinate_jet
 
 __all__ = [
     "ExpressionError",
@@ -269,33 +269,37 @@ def parse_expression(text: str, n: int) -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 def evaluate(e: Expr, p: Sequence[float]) -> Jet2:
-    """Evaluate the 2-jet of e at point p (len(p) = n)."""
+    """Evaluate the 2-jet of e at point p (shape (n,)) or at every point of
+    an array p of shape (..., n); the jet's batch shape is p.shape[:-1]."""
     p = np.asarray(p, dtype=float)
-    n = p.shape[0]
+    return broadcast_jet(_evaluate(e, p, {}), p.shape[:-1])
 
-    def ev(node) -> Jet2:
-        if isinstance(node, Const):
-            return constant_jet(node.value, n)
-        if isinstance(node, Var):
-            return coordinate_jet(node.index, p)
-        if isinstance(node, Add):
-            return ev(node.left) + ev(node.right)
-        if isinstance(node, Sub):
-            return ev(node.left) - ev(node.right)
-        if isinstance(node, Mul):
-            return ev(node.left) * ev(node.right)
-        if isinstance(node, Div):
-            return ev(node.left) / ev(node.right)
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Pow):
-            return ev(node.base) ** node.exponent
-        if isinstance(node, Call):
-            u = ev(node.arg)
-            return getattr(u, node.func)()
-        raise TypeError(f"not an expression node: {node!r}")
 
-    return ev(e)
+def _evaluate(node, p: np.ndarray, coords: dict) -> Jet2:
+    # A module-level recursion (not a closure over itself), so a failed
+    # evaluation leaves no reference cycle holding its jets.
+    if isinstance(node, Const):
+        return _constant(node.value, p.shape[-1])
+    if isinstance(node, Var):
+        jet = coords.get(node.index)
+        if jet is None:
+            jet = coords[node.index] = coordinate_jet(node.index, p)
+        return jet
+    if isinstance(node, Add):
+        return _evaluate(node.left, p, coords) + _evaluate(node.right, p, coords)
+    if isinstance(node, Sub):
+        return _evaluate(node.left, p, coords) - _evaluate(node.right, p, coords)
+    if isinstance(node, Mul):
+        return _evaluate(node.left, p, coords) * _evaluate(node.right, p, coords)
+    if isinstance(node, Div):
+        return _evaluate(node.left, p, coords) / _evaluate(node.right, p, coords)
+    if isinstance(node, Neg):
+        return -_evaluate(node.operand, p, coords)
+    if isinstance(node, Pow):
+        return _evaluate(node.base, p, coords) ** node.exponent
+    if isinstance(node, Call):
+        return getattr(_evaluate(node.arg, p, coords), node.func)()
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- formatting ----------------------------------------------------------------

@@ -27,24 +27,37 @@ class NumericallySingular(ArithmeticError):
             f"matrix numerically singular (best pivot {pivot_magnitude:.6e})")
 
 
-def plu_det(M: np.ndarray) -> float:
-    """Determinant of a float matrix by partial-pivot LU elimination."""
-    a = np.array(M, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+def plu_det(M: np.ndarray):
+    """Determinant of a float matrix by partial-pivot LU elimination.
+
+    M may be one matrix (n, n) or a stack (..., n, n); the result has the
+    stack's shape. Each matrix is eliminated with its own pivots, exactly
+    as it would be alone.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1] if M.ndim else 0
+    if M.ndim < 2 or M.shape[-2] != n:
         raise ValueError("matrix must be square")
-    det = 1.0
+    batch = M.shape[:-2]
+    a = M.reshape(-1, n, n).copy()
+    stack = np.arange(a.shape[0])
+    det = np.ones(a.shape[0])
+    dead = np.zeros(a.shape[0], dtype=bool)   # a zero pivot: det is 0
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        det *= a[k, k]
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        dead |= a[stack, piv, k] == 0.0
+        swap = np.flatnonzero(piv != k)
+        if swap.size:
+            rows = a[swap, k].copy()
+            a[swap, k] = a[swap, piv[swap]]
+            a[swap, piv[swap]] = rows
+            det[swap] = -det[swap]
+        pivot = np.where(dead, 1.0, a[:, k, k])
+        det *= pivot
         for r in range(k + 1, n):
-            a[r, k:] -= (a[r, k] / a[k, k]) * a[k, k:]
-    return det
+            a[:, r, k:] -= (a[:, r, k] / pivot)[:, None] * a[:, k, k:]
+    det[dead] = 0.0
+    return det.reshape(batch)[()]
 
 
 def _magnitude(x) -> float:

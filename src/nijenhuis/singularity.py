@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .jet import Jet2
+from .jet import Jet2, stack_jets
 from .expr import Call, Const, Neg, Pow, Var, parse_expression
 from .field import ScalarField
 from .report import (VerificationReport, CheckResult, normalize_box,
@@ -247,7 +247,7 @@ def morse_reduce(f: ScalarField, n: int, x: Sequence[float],
             if abs(fyy) < EPS_MORSE:
                 raise NonMorseError(x, y, fyy)
             sign = 1 if fyy > 0 else -1
-            return MorseData(x=x, c=y, R=jet.value, sign=sign,
+            return MorseData(x=x, c=y, R=float(jet.value), sign=sign,
                              newton_iters=it, fyy=fyy)
         if abs(fyy) < EPS_MORSE:
             # not at a root of f_y, yet the Newton divisor has vanished
@@ -272,7 +272,7 @@ def quadratic_factor(f: ScalarField, data: MorseData, y: float) -> float:
     d = float(y) - data.c
     base = data.x
     if abs(d) >= DELTA_TAYLOR:
-        value = f(np.append(base, y)).value
+        value = float(f(np.append(base, y)).value)
         return (value - data.R) / (d * d)
     probe = data.c + d / 3.0
     jet = f(np.append(base, probe))
@@ -316,7 +316,7 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
         for y in y_axis:
             p = np.append(data.x, y)
             ytil = morse_coordinate(f, data, y)
-            value = f(p).value
+            value = float(f(p).value)
             defect = abs(value - (data.sign * ytil * ytil + data.R))
             count += 1
             if worst is None or defect > max_defect:
@@ -350,6 +350,9 @@ def morse_remainder_field(f: ScalarField, n: int,
     m = n - 1
 
     def rule(x):
+        if x.ndim > 1:
+            batch = x.shape[:-1]
+            return stack_jets([rule(xi) for xi in x.reshape(-1, m)], batch)
         data = morse_reduce(f, n, x, y0=y0)
         jet = f(np.append(x, data.c))
         grad = jet.gradient[:m].copy()
@@ -367,15 +370,16 @@ def verify_pde(R: ScalarField, n: int, points, tol: float = 1e-10,
     """Sweep of the remainder system over base points.
 
     Gate is the absolute system max (the residuals are polynomial in the
-    jet outputs); factor2 rides along as a non-gating check.
+    jet outputs); factor2 rides along as a non-gating check. Each chunk is
+    evaluated point by point, since R may run a Newton reduction per point.
     """
-    def eval_point(x):
-        res = pde_residuals(R, n, x)
-        raw = res.system_max()
-        return raw, raw, {"factor2": res.factor2}
+    def eval_chunk(X):
+        res = [pde_residuals(R, n, x) for x in X]
+        raw = np.array([r.system_max() for r in res])
+        return raw, raw, {"factor2": np.array([r.factor2 for r in res])}
 
     return run_sweep(
-        points, eval_point, tol,
+        points, eval_chunk, tol,
         subject=subject or f"remainder system sweep for R={R.label or '<rule>'}",
         params=params if params is not None else
         {"dim": n, "R": R.label, "tol": tol},

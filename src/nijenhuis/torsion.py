@@ -11,6 +11,10 @@ constant coordinate fields (so [u,v] = 0) and computes the remaining Lie
 brackets by central finite differences of operator VALUES only. The two
 routes share no derivative code, which is what makes their agreement a
 meaningful check.
+
+Operator evaluations carry a leading points axis (see ``field.py``):
+``torsion_from_eval`` contracts every point of a batch at once, and the
+sweep evaluates its samples chunk by chunk.
 """
 
 from __future__ import annotations
@@ -54,15 +58,17 @@ def torsion_from_eval(ev: OperatorEval) -> np.ndarray:
 
     Grouped as (t1 - t2) + (t4 - t3) where each parenthesized pair is an
     exact (j,k)-antisymmetric array, so the result is antisymmetric to the
-    last bit, not just to rounding.
+    last bit, not just to rounding. Values (..., n, n) and gradients
+    (..., n, n, n) give components (..., n, n, n).
     """
     L = ev.values
-    G = ev.entry_grads  # G[i, j, l] = dL^i_j / dx^l
-    t1 = np.einsum("lj,ikl->ijk", L, G)
-    t2 = np.einsum("lk,ijl->ijk", L, G)
-    t3 = np.einsum("il,lkj->ijk", L, G)
-    t4 = np.einsum("il,ljk->ijk", L, G)
-    return (t1 - t2) + (t4 - t3)
+    G = ev.entry_grads  # G[..., i, j, l] = dL^i_j / dx^l
+    N = np.einsum("...lj,...ikl->...ijk", L, G)
+    N -= np.einsum("...lk,...ijl->...ijk", L, G)
+    t43 = np.einsum("...il,...ljk->...ijk", L, G)
+    t43 -= np.einsum("...il,...lkj->...ijk", L, G)
+    N += t43
+    return N
 
 
 def torsion_coordinate(L: OperatorField, p: Sequence[float]) -> TorsionValue:
@@ -75,45 +81,26 @@ def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
                        h: float = 1e-4) -> TorsionValue:
     """Torsion at p from the bracket definition with central differences.
 
-    Uses only operator values at the 2n+1 stencil points; entry derivatives
-    never enter, so this is an independent oracle for torsion_coordinate
-    with O(h^2) truncation error.
+    Uses only operator values at the 2n+1 stencil points, evaluated as one
+    batch; entry derivatives never enter, so this is an independent oracle
+    for torsion_coordinate with O(h^2) truncation error.
     """
     p = np.asarray(p, dtype=float)
     n = L.dim
     if h <= 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
-
-    def values_at(q):
-        return operator_eval(L, q).values
-
-    Lp = values_at(p)
+    step = h * np.eye(n)
+    V = operator_eval(L, np.concatenate([p[None], p + step, p - step])).values
+    Lp = V[0]
     # D[i, j, l] ~ d L^i_j / dx^l by central differences.
-    D = np.empty((n, n, n))
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = h
-        D[:, :, l] = (values_at(p + e) - values_at(p - e)) / (2.0 * h)
-
-    N = np.zeros((n, n, n))
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            for i in range(n):
-                bracket = 0.0
-                for l in range(n):
-                    # [L d_j, L d_k]^i with X = L d_j, Y = L d_k:
-                    # sum_l (X^l d_l Y^i - Y^l d_l X^i)
-                    bracket += Lp[l, j] * D[i, k, l] - Lp[l, k] * D[i, j, l]
-                corr = 0.0
-                for m in range(n):
-                    # -L[u, Lv] - L[Lu, v] with constant u = d_j, v = d_k:
-                    # [d_j, L d_k]^m = d_j (L d_k)^m and [L d_j, d_k]^m
-                    # = -d_k (L d_j)^m.
-                    corr += Lp[i, m] * (D[m, j, k] - D[m, k, j])
-                N[i, j, k] = bracket + corr
-    return TorsionValue(N, p)
+    D = np.moveaxis((V[1:n + 1] - V[n + 1:]) / (2.0 * h), 0, -1)
+    # With constant u = d_j, v = d_k (so [u, v] = 0):
+    # [Lu, Lv]^i = sum_l (L^l_j d_l L^i_k - L^l_k d_l L^i_j), and
+    # -L[u, Lv]^i - L[Lu, v]^i = sum_m L^i_m (d_k L^m_j - d_j L^m_k).
+    LD = np.einsum("lj,ikl->ijk", Lp, D)
+    bracket = LD - LD.transpose(0, 2, 1)
+    corr = np.einsum("im,mjk->ijk", Lp, D - D.transpose(0, 2, 1))
+    return TorsionValue(bracket + corr, p)
 
 
 def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
@@ -129,15 +116,14 @@ def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
     """
     points = sample_box(domain, L.dim, samples, seed)
 
-    def eval_point(p):
-        ev = operator_eval(L, p)
-        N = torsion_from_eval(ev)
-        raw = float(np.max(np.abs(N)))
-        scale = 1.0 + float(np.max(np.abs(ev.values)))
+    def eval_chunk(P):
+        ev = operator_eval(L, P)
+        raw = np.max(np.abs(torsion_from_eval(ev)), axis=(-3, -2, -1))
+        scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
         return raw, raw / scale, {}
 
     return run_sweep(
-        points, eval_point, tol,
+        points, eval_chunk, tol,
         subject=f"zero-torsion sweep of {L.label or 'operator'}",
         params={"dim": L.dim, "samples": samples, "seed": seed, "tol": tol,
                 "min_denominator": min_denominator},

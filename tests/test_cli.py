@@ -235,6 +235,15 @@ def test_reports_are_deterministic(capsys):
     assert strip_wall(out1) == strip_wall(out2)
 
 
+def test_overflow_exits_three_naming_the_overflow(capsys):
+    # once misfiled as "domain entirely singular"
+    code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
+                            "--n", "2", "--f", "1e200*y*y*1e200 + y",
+                            "--samples", "20")
+    assert code == 3
+    assert "overflow" in doc["error"]
+
+
 def test_verify_csv_collects_rows(capsys):
     code, out = invoke(capsys, "verify", "--family", "theorem2", "--n", "3",
                        "--samples", "25", "--format", "csv")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nijenhuis.report import (CheckResult, VerificationReport, normalize_box,
-                              sample_box)
+                              run_sweep, sample_box)
 
 
 def test_normalize_box_uniform():
@@ -50,3 +50,19 @@ def test_report_dict_field_order():
                               "rejected", "max_residual", "worst_point",
                               "checks", "pass", "wall_ms"]
     assert d["checks"][0] == {"name": "gate", "max": 0.5, "pass": True}
+
+
+def test_nonfinite_relative_residual_fails_the_gate():
+    # a NaN after a finite residual once slipped past `rel > max_rel`
+    points = np.array([[0.0], [1.0], [2.0]])
+
+    def evaluate(P):
+        rel = np.where(P[..., 0] > 0.5, np.nan, 1e-20)
+        return np.abs(rel), rel, {}
+
+    rep = run_sweep(points, evaluate, 1e-10, subject="nan probe", params={},
+                    gate_name="probe")
+    assert not rep.passed
+    assert not rep.checks[0].passed
+    assert np.isnan(rep.checks[0].max)
+    assert rep.worst_point.tolist() == [1.0]

@@ -104,6 +104,58 @@ def test_bracket_oracle_quadratic_convergence():
     assert checked > 0
 
 
+def _bracket_fd_by_index(L, p, h):
+    """The bracket oracle written out index by index: the reference for the
+    contracted form in torsion_bracket_fd."""
+    n = L.dim
+    Lp = operator_eval(L, p).values
+    D = np.empty((n, n, n))
+    for l in range(n):
+        e = np.zeros(n)
+        e[l] = h
+        D[:, :, l] = (operator_eval(L, p + e).values
+                      - operator_eval(L, p - e).values) / (2.0 * h)
+    N = np.zeros((n, n, n))
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            for i in range(n):
+                bracket = 0.0
+                for l in range(n):
+                    bracket += Lp[l, j] * D[i, k, l] - Lp[l, k] * D[i, j, l]
+                corr = 0.0
+                for m in range(n):
+                    corr += Lp[i, m] * (D[m, j, k] - D[m, k, j])
+                N[i, j, k] = bracket + corr
+    return N
+
+
+def test_bracket_oracle_matches_index_loop():
+    rng = np.random.default_rng(SEED + 4)
+    operators = [diag_operator(), build_morse_canonical(4, -1)]
+    for n in (3, 5):
+        f = ScalarField.from_expression("y^3 + y + x1*y^2 + sin(x2)", n)
+        operators.append(build_regular_family(f, n))
+    for L in operators:
+        for _ in range(4):
+            p = rng.uniform(-0.5, 0.5, size=L.dim)
+            ref = _bracket_fd_by_index(L, p, 1e-4)
+            got = torsion_bracket_fd(L, p, h=1e-4).components
+            assert np.max(np.abs(got - ref)) <= 1e-12, (L.label, p)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.6, 0.7)])
+def test_overflowing_f_never_passes(lo, hi):
+    # on [0.6, 0.7] only the Hessian of exp(1000*y) overflows; that once
+    # went through as inf entries and a passing sweep
+    f = ScalarField.from_expression("exp(1000*y)+y", 2)
+    L = build_regular_family(f, 2)
+    with pytest.raises(ArithmeticError, match="overflow"):
+        verify_zero_torsion(L, np.array([[lo, hi]] * 2), samples=200,
+                            seed=3, tol=1e-10)
+
+
 def test_bracket_oracle_rejects_bad_step():
     with pytest.raises(ValueError):
         torsion_bracket_fd(diag_operator(), np.array([1.0, 2.0]), h=0.0)
