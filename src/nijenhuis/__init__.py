@@ -15,12 +15,13 @@ from .expr import (ExpressionError, parse_expression, evaluate,
 from .field import (ScalarField, OperatorField, OperatorEval, SingularEntry,
                     operator_eval)
 from .construct import (DegeneratePointError, companion_matrix,
-                        build_diff_nondegenerate, build_2d,
+                        build_companion, build_diff_nondegenerate, build_2d,
                         build_regular_family, build_morse_canonical,
                         conjugation_residual)
 from .torsion import (TorsionValue, torsion_coordinate, torsion_bracket_fd,
                       verify_zero_torsion)
-from .invariants import charpoly, verify_sigma_coords, verify_sigma_fields
+from .invariants import (charpoly, coordinate_sigma, verify_sigma_coords,
+                         verify_sigma_fields)
 from .singularity import (FractionDiagnostic, PdeResiduals, MorseData,
                           NonMorseError, NewtonDivergenceError,
                           smoothness_numerators, remainder_from_expression,
@@ -39,12 +40,13 @@ __all__ = [
     "ExpressionError", "parse_expression", "evaluate", "format_expression",
     "ScalarField", "OperatorField", "OperatorEval", "SingularEntry",
     "operator_eval",
-    "DegeneratePointError", "companion_matrix",
+    "DegeneratePointError", "companion_matrix", "build_companion",
     "build_diff_nondegenerate", "build_2d", "build_regular_family",
     "build_morse_canonical", "conjugation_residual",
     "TorsionValue", "torsion_coordinate", "torsion_bracket_fd",
     "verify_zero_torsion",
-    "charpoly", "verify_sigma_coords", "verify_sigma_fields",
+    "charpoly", "coordinate_sigma", "verify_sigma_coords",
+    "verify_sigma_fields",
     "FractionDiagnostic", "PdeResiduals", "MorseData", "NonMorseError",
     "NewtonDivergenceError", "smoothness_numerators",
     "remainder_from_expression", "pde_residuals",

@@ -16,26 +16,21 @@ import csv
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .jet import SingularPointError
-from .expr import ExpressionError
 from .field import ScalarField, OperatorField, operator_eval
-from .construct import (build_2d, build_diff_nondegenerate,
+from .construct import (build_2d, build_companion, build_diff_nondegenerate,
                         build_morse_canonical, build_regular_family,
-                        conjugation_residual, _companion_jets)
+                        conjugation_residual)
 from .torsion import (DEFAULT_MIN_DENOMINATOR, torsion_from_eval,
                       torsion_bracket_fd, verify_zero_torsion)
-from .invariants import charpoly, verify_sigma_coords, verify_sigma_fields
-from .singularity import (NewtonDivergenceError, NonMorseError,
-                          morse_reduce, morse_remainder_field,
+from .invariants import charpoly, coordinate_sigma, verify_sigma_fields
+from .singularity import (morse_reduce, morse_remainder_field,
                           remainder_from_expression, smoothness_numerators,
                           verify_morse_normal_form, verify_pde)
-from .report import (DomainEntirelySingular, VerificationReport,
-                     normalize_box, sample_box, run_sweep)
-from .linalg import NumericallySingular
+from .report import VerificationReport, normalize_box, sample_box, run_sweep
 
 __all__ = ["main", "run", "UsageError"]
 
@@ -92,6 +87,11 @@ def _add_operator_flags(sp):
                     help="sign of the Morse canonical family (+1 or -1)")
 
 
+def _add_point_flag(sp, help="evaluation point (repeatable)", **kwargs):
+    sp.add_argument("--point", action="append", nargs="+", type=float,
+                    metavar="V", help=help, **kwargs)
+
+
 def _add_sweep_flags(sp, samples_default=1000):
     sp.add_argument("--box", type=float, nargs="+", metavar="B",
                     help="box bounds: 'lo hi' for every axis, or one pair "
@@ -113,15 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct", help="evaluate a family at points")
     _add_operator_flags(sp)
-    sp.add_argument("--point", action="append", nargs="+", type=float,
-                    metavar="V", help="evaluation point (repeatable)")
+    _add_point_flag(sp)
     _add_output_flags(sp)
     sp.set_defaults(handler=handle_construct)
 
     sp = sub.add_parser("torsion", help="evaluate torsion at points")
     _add_operator_flags(sp)
-    sp.add_argument("--point", action="append", nargs="+", type=float,
-                    metavar="V", help="evaluation point (repeatable)")
+    _add_point_flag(sp)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOLS["torsion"],
                     help="relative pass tolerance (default 1e-10)")
     sp.add_argument("--fd-step", type=float, default=None, metavar="H",
@@ -145,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("charpoly",
                         help="characteristic coefficients at points")
     _add_operator_flags(sp)
-    sp.add_argument("--point", action="append", nargs="+", type=float,
-                    metavar="V", help="evaluation point (repeatable)")
+    _add_point_flag(sp)
     _add_output_flags(sp)
     sp.set_defaults(handler=handle_charpoly)
 
@@ -154,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="smoothness-fraction diagnostics of f")
     sp.add_argument("--f", metavar="EXPR", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--point", action="append", nargs="+", type=float,
-                    metavar="V", required=True,
-                    help="diagnostic point (repeatable)")
+    _add_point_flag(sp, "diagnostic point (repeatable)", required=True)
     _add_output_flags(sp)
     sp.set_defaults(handler=handle_diagnose)
 
@@ -165,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", metavar="EXPR", required=True,
                     help="remainder expression in x1..x(n-1)")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--point", action="append", nargs="+", type=float,
-                    metavar="V", help="base point with n-1 coordinates "
-                                      "(repeatable; default: sampled box)")
+    _add_point_flag(sp, "base point with n-1 coordinates "
+                        "(repeatable; default: sampled box)")
     _add_sweep_flags(sp)
     _add_output_flags(sp)
     sp.set_defaults(handler=handle_pde_check)
@@ -177,9 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "defect grid over a box")
     sp.add_argument("--f", metavar="EXPR", required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--point", action="append", nargs="+", type=float,
-                    metavar="V", help="base point with n-1 coordinates "
-                                      "(repeatable)")
+    _add_point_flag(sp, "base point with n-1 coordinates (repeatable)")
     sp.add_argument("--box", type=float, nargs="+", metavar="B",
                     help="run the defect grid over this n-axis box instead")
     sp.add_argument("--samples", type=int, default=21,
@@ -231,8 +223,6 @@ def _field(text: str, dim: int) -> ScalarField:
     return ScalarField.from_expression(text, dim)
 
 
-
-
 def _sigma_fields(text: str, n: Optional[int]) -> list:
     parts = [s.strip() for s in text.split(",")]
     _require(all(parts), "--sigma has an empty expression")
@@ -270,38 +260,30 @@ def _matrix_operator(spec: str, n_flag: Optional[int]) -> OperatorField:
     return OperatorField.from_entries(grid, label="matrix")
 
 
-class _OperatorContext:
-    """Operator plus whatever coefficient data the family implies."""
+class _Context(NamedTuple):
+    """An operator and what its family knows about it.
 
-    def __init__(self, op: OperatorField, kind: str, n: int,
-                 f: Optional[ScalarField] = None,
-                 f_text: Optional[str] = None,
-                 sigma: Optional[list] = None,
-                 sigma_text: Optional[str] = None,
-                 signs: Optional[tuple] = None,
-                 sign: Optional[int] = None):
-        self.op = op
-        self.kind = kind
-        self.n = n
-        self.f = f
-        self.f_text = f_text
-        self.sigma = sigma
-        self.sigma_text = sigma_text
-        self.signs = signs
-        self.sign = sign
+    sigma maps points (..., n) to the expected characteristic coefficients
+    (..., n); f is the determinant coefficient; conjugated is the operator
+    the conjugation identity J L = Ltilde J is stated for; checks are the
+    checks that `--check all` runs.
+    """
 
-    def params(self) -> dict:
-        out = {"family": self.kind, "n": self.n}
-        if self.f_text is not None:
-            out["f"] = self.f_text
-        if self.sigma_text is not None:
-            out["sigma"] = self.sigma_text
-        if self.sign is not None:
-            out["sign"] = self.sign
-        return out
+    op: OperatorField
+    params: dict
+    sigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f: Optional[ScalarField] = None
+    conjugated: Optional[OperatorField] = None
+    checks: tuple = ("torsion",)
 
 
-def _build_context(args) -> _OperatorContext:
+def _fields_sigma(fields: list):
+    """Expected coefficients: the values of the coefficient fields."""
+    return lambda P: np.stack([s(P).value for s in fields], axis=-1)
+
+
+def _build_context(args) -> _Context:
+    """The operator that --family or --matrix names, with its family data."""
     family = getattr(args, "family", None)
     matrix = getattr(args, "matrix", None)
     _require(not (family and matrix), "choose either --family or --matrix")
@@ -309,14 +291,19 @@ def _build_context(args) -> _OperatorContext:
 
     if matrix:
         op = _matrix_operator(matrix, args.n)
-        return _OperatorContext(op, "matrix", op.dim)
+        return _Context(op, {"family": "matrix", "n": op.dim})
 
     if family == "2d":
         _require(args.f is not None, "--family 2d requires --f")
         _require(args.n in (None, 2), "--family 2d fixes --n 2")
         f = _field(args.f, 2)
-        return _OperatorContext(build_2d(f), "2d", 2, f=f, f_text=args.f,
-                                signs=(-1.0,))
+        # The conjugation identity is stated for the sigma_i = +x_i
+        # convention, so the planar family (sigma_1 = -x1) is checked
+        # against the regular-family form of the same f.
+        return _Context(build_2d(f), {"family": "2d", "n": 2, "f": args.f},
+                        coordinate_sigma(f, 2, (-1.0,)), f,
+                        build_regular_family(f, 2),
+                        ("torsion", "sigma", "conjugation"))
 
     _require(args.n is not None, f"--family {family} requires --n")
     n = args.n
@@ -326,8 +313,9 @@ def _build_context(args) -> _OperatorContext:
         _require(args.f is not None, "--family theorem1 requires --f")
         f = _field(args.f, n)
         op = build_regular_family(f, n)
-        return _OperatorContext(op, "theorem1", n, f=f, f_text=args.f,
-                                signs=tuple(1.0 for _ in range(n - 1)))
+        return _Context(op, {"family": "theorem1", "n": n, "f": args.f},
+                        coordinate_sigma(f, n, np.ones(n - 1)), f, op,
+                        ("torsion", "sigma", "conjugation"))
 
     if family == "theorem2":
         _require(n >= 3, "--family theorem2 requires --n > 2")
@@ -335,30 +323,27 @@ def _build_context(args) -> _OperatorContext:
         f_text = "y^2" if sign > 0 else "-y^2"
         f = _field(f_text, n)
         op = build_morse_canonical(n, sign)
-        return _OperatorContext(op, "theorem2", n, f=f, f_text=f_text,
-                                signs=tuple(1.0 for _ in range(n - 1)),
-                                sign=sign)
+        return _Context(op, {"family": "theorem2", "n": n, "f": f_text,
+                             "sign": sign},
+                        coordinate_sigma(f, n, np.ones(n - 1)), f, op,
+                        ("torsion", "sigma", "conjugation", "pde"))
 
     if family == "companion":
         if args.sigma is None:
             sigma_text = ",".join([f"x{i}" for i in range(1, n)] + ["y"])
         else:
             sigma_text = args.sigma
-        sigma = _sigma_fields(sigma_text, n)
-
-        def rule(p):
-            return _companion_jets([s(p) for s in sigma])
-
-        op = OperatorField(n, rule, label="companion")
-        return _OperatorContext(op, "companion", n, sigma=sigma,
-                                sigma_text=sigma_text)
+        fields = _sigma_fields(sigma_text, n)
+        return _Context(build_companion(fields),
+                        {"family": "companion", "n": n, "sigma": sigma_text},
+                        _fields_sigma(fields), checks=("torsion", "sigma"))
 
     if family == "diffnondeg":
         _require(args.sigma is not None, "--family diffnondeg requires --sigma")
-        sigma = _sigma_fields(args.sigma, n)
-        op = build_diff_nondegenerate(sigma)
-        return _OperatorContext(op, "diffnondeg", n, sigma=sigma,
-                                sigma_text=args.sigma)
+        fields = _sigma_fields(args.sigma, n)
+        return _Context(build_diff_nondegenerate(fields),
+                        {"family": "diffnondeg", "n": n, "sigma": args.sigma},
+                        _fields_sigma(fields), checks=("torsion", "sigma"))
 
     raise UsageError(f"unknown family {family!r}")
 
@@ -427,19 +412,13 @@ def _default_text(payload: dict) -> list:
     return lines
 
 
-def _report_payload(subject: str, params: dict, report: VerificationReport) -> dict:
-    payload = report.to_dict()
-    payload["subject"] = subject
-    payload["params"] = params
-    return payload
-
-
 # -- handlers ------------------------------------------------------------------
+# Each handler returns (payload, csv_table[, text_lines]); run() times it,
+# emits the report and derives the exit code.
 
-def handle_construct(args) -> int:
-    t0 = time.perf_counter()
+def handle_construct(args) -> tuple:
     ctx = _build_context(args)
-    points = _point_list(args, ctx.n)
+    points = _point_list(args, ctx.op.dim)
     results = []
     rows = []
     for p in points:
@@ -448,29 +427,26 @@ def handle_construct(args) -> int:
                         "matrix": [[float(v) for v in row] for row in values]})
         rows.append(list(map(float, p))
                     + [float(v) for v in values.reshape(-1)])
-    n = ctx.n
+    n = ctx.op.dim
     header = ([f"point_{i}" for i in range(1, n + 1)]
               + [f"L_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
     payload = {
         "schema": 1,
-        "subject": f"construct {ctx.kind}",
-        "params": ctx.params(),
+        "subject": f"construct {ctx.params['family']}",
+        "params": ctx.params,
         "results": results,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     text = [payload["subject"]]
     for r in results:
         text.append(f"point {r['point']}:")
         for row in r["matrix"]:
             text.append("  [" + ", ".join(f"{v: .12g}" for v in row) + "]")
-    _emit(args, payload, (header, rows), text)
-    return 0
+    return payload, (header, rows), text
 
 
-def handle_torsion(args) -> int:
-    t0 = time.perf_counter()
+def handle_torsion(args) -> tuple:
     ctx = _build_context(args)
-    n = ctx.n
+    n = ctx.op.dim
     points = _point_list(args, n)
     results = []
     rows = []
@@ -510,25 +486,22 @@ def handle_torsion(args) -> int:
         checks.append({"name": "fd_oracle_delta", "max": fd_max, "pass": True})
     payload = {
         "schema": 1,
-        "subject": f"torsion of {ctx.kind}",
-        "params": {**ctx.params(), "tol": args.tol,
+        "subject": f"torsion of {ctx.params['family']}",
+        "params": {**ctx.params, "tol": args.tol,
                    **({"fd_step": args.fd_step} if args.fd_step is not None else {})},
         "results": results,
         "max_residual": max_raw,
         "checks": checks,
         "pass": passed,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     header = ([f"point_{i}" for i in range(1, n + 1)]
               + ["i", "j", "k", "value"])
-    _emit(args, payload, (header, rows))
-    return 0 if passed else 1
+    return payload, (header, rows)
 
 
-def handle_charpoly(args) -> int:
-    t0 = time.perf_counter()
+def handle_charpoly(args) -> tuple:
     ctx = _build_context(args)
-    n = ctx.n
+    n = ctx.op.dim
     points = _point_list(args, n)
     results = []
     rows = []
@@ -539,122 +512,65 @@ def handle_charpoly(args) -> int:
         rows.append(list(map(float, p)) + [float(s) for s in sigma])
     payload = {
         "schema": 1,
-        "subject": f"charpoly of {ctx.kind}",
-        "params": ctx.params(),
+        "subject": f"charpoly of {ctx.params['family']}",
+        "params": ctx.params,
         "results": results,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     header = ([f"point_{i}" for i in range(1, n + 1)]
               + [f"sigma_{i}" for i in range(1, n + 1)])
-    _emit(args, payload, (header, rows))
-    return 0
+    return payload, (header, rows)
 
 
-def _applicable_checks(ctx: _OperatorContext) -> list:
-    checks = ["torsion"]
-    if ctx.kind in ("companion", "diffnondeg", "2d", "theorem1", "theorem2"):
-        checks.append("sigma")
-    if ctx.kind in ("theorem1", "2d", "theorem2"):
-        checks.append("conjugation")
-    if ctx.kind == "theorem2":
-        checks.append("pde")
-    return checks
-
-
-def _conjugation_sweep(ctx: _OperatorContext, bounds, samples, seed, tol,
-                       min_denominator, collect) -> VerificationReport:
+def _sweep(ctx: _Context, check: str, bounds: np.ndarray,
+           args) -> VerificationReport:
+    """Run one `verify` check over the box for the context's operator."""
+    tol = args.tol if args.tol is not None else DEFAULT_TOLS[check]
+    n = ctx.op.dim
+    if check == "torsion":
+        return verify_zero_torsion(ctx.op, bounds, args.samples, args.seed,
+                                   tol, min_denominator=args.min_denominator)
+    if check == "sigma":
+        _require(ctx.sigma is not None,
+                 "sigma check needs a family with known coefficients")
+        return verify_sigma_fields(ctx.op, ctx.sigma, bounds, args.samples,
+                                   args.seed, tol,
+                                   min_denominator=args.min_denominator)
     f = ctx.f
-    n = ctx.n
-    # The identity is stated for the sigma_i = +x_i convention, so the
-    # planar family (sigma_1 = -x1) is checked against the regular-family
-    # form of the same f rather than its own matrix.
-    L = ctx.op if ctx.kind in ("theorem1", "theorem2") else build_regular_family(f, n)
-    points = sample_box(bounds, n, samples, seed)
+    _require(f is not None, f"{check} check requires a family with an f "
+                            "(theorem1, 2d, or theorem2)")
+    if check == "pde":
+        base_points = sample_box(bounds[:n - 1], n - 1, args.samples,
+                                 args.seed)
+        return verify_pde(morse_remainder_field(f, n), n, base_points, tol)
 
     def eval_chunk(P):
-        raw, scale = conjugation_residual(f, n, P, L=L)
+        raw, scale = conjugation_residual(f, n, P, L=ctx.conjugated)
         return raw, raw / scale, {}
 
     def guard(P):
         return abs(f(P).gradient[..., -1])
 
     return run_sweep(
-        points, eval_chunk, tol,
+        sample_box(bounds, n, args.samples, args.seed), eval_chunk, tol,
         subject=f"conjugation identity for f={f.label}",
-        params={"n": n, "f": f.label, "samples": samples, "seed": seed,
-                "tol": tol},
+        params={"n": n, "f": f.label, "samples": args.samples,
+                "seed": args.seed, "tol": tol},
         gate_name="conjugation_relative",
-        guard=guard, min_margin=min_denominator, collect=collect)
+        guard=guard, min_margin=args.min_denominator)
 
 
-def handle_verify(args) -> int:
-    t0 = time.perf_counter()
+def handle_verify(args) -> tuple:
     ctx = _build_context(args)
-    n = ctx.n
+    n = ctx.op.dim
     bounds = _box_bounds(args, n)
-    collect = args.format == "csv"
-
-    if args.check == "all":
-        wanted = _applicable_checks(ctx)
-    else:
-        wanted = [args.check]
-        if args.check == "sigma":
-            _require(ctx.kind != "matrix",
-                     "sigma check needs a family with known coefficients")
-        if args.check == "conjugation":
-            _require(ctx.f is not None,
-                     "conjugation check requires a family with an f "
-                     "(theorem1, 2d, or theorem2)")
-        if args.check == "pde":
-            _require(ctx.f is not None,
-                     "pde check requires a family with an f "
-                     "(theorem1, 2d, or theorem2)")
-
-    reports = []
-    for check in wanted:
-        tol = args.tol if args.tol is not None else DEFAULT_TOLS[check]
-        if check == "torsion":
-            rep = verify_zero_torsion(
-                ctx.op, bounds, args.samples, args.seed, tol,
-                min_denominator=args.min_denominator, collect=collect)
-        elif check == "sigma":
-            if ctx.kind in ("companion", "diffnondeg"):
-                sigma = ctx.sigma
-
-                def expected(p, sigma=sigma):
-                    return np.asarray([s(p).value for s in sigma])
-
-                rep = verify_sigma_fields(
-                    ctx.op, expected, bounds, args.samples, args.seed, tol,
-                    min_denominator=args.min_denominator,
-                    subject=f"invariant recovery for {ctx.kind}",
-                    params={**ctx.params(), "samples": args.samples,
-                            "seed": args.seed, "tol": tol},
-                    collect=collect)
-            else:
-                rep = verify_sigma_coords(
-                    ctx.op, ctx.f, n, bounds, args.samples, args.seed, tol,
-                    signs=ctx.signs, min_denominator=args.min_denominator,
-                    collect=collect)
-        elif check == "conjugation":
-            rep = _conjugation_sweep(ctx, bounds, args.samples, args.seed,
-                                     tol, args.min_denominator, collect)
-        else:  # pde
-            R = morse_remainder_field(ctx.f, n)
-            base_points = sample_box(bounds[:n - 1], n - 1, args.samples,
-                                     args.seed)
-            rep = verify_pde(
-                R, n, base_points, tol,
-                subject=f"remainder system for f={ctx.f.label}",
-                params={**ctx.params(), "samples": args.samples,
-                        "seed": args.seed, "tol": tol},
-                collect=collect)
-        reports.append((check, rep))
+    wanted = ctx.checks if args.check == "all" else (args.check,)
+    reports = [(check, _sweep(ctx, check, bounds, args)) for check in wanted]
 
     accepted = sum(r.accepted for _, r in reports)
     rejected = sum(r.rejected for _, r in reports)
     max_residual = max(r.max_residual for _, r in reports)
     passed = all(r.passed for _, r in reports)
+
     worst_point = None
     worst_rel = -1.0
     checks_out = []
@@ -666,37 +582,35 @@ def handle_verify(args) -> int:
             worst_point = rep.worst_point
         for c in rep.checks:
             checks_out.append({"name": c.name, "max": c.max, "pass": c.passed})
-        if collect and rep.points is not None:
-            for p, raw, rel, _extras in rep.points:
-                coords = list(map(float, p)) + [""] * (n - len(p))
-                rows.append([name] + coords + [float(raw), float(rel)])
-    params = {**ctx.params(),
+        records = rep.records
+        for p, raw, rel in zip(records["point"].tolist(),
+                               records["raw"].tolist(),
+                               records["rel"].tolist()):
+            rows.append([name] + p + [""] * (n - len(p)) + [raw, rel])
+    params = {**ctx.params,
               "check": args.check,
-              "box": [[float(a), float(b)] for a, b in bounds],
+              "box": bounds.tolist(),
               "samples": args.samples, "seed": args.seed,
               "tol": args.tol,
               "min_denominator": args.min_denominator}
     payload = {
         "schema": 1,
-        "subject": f"verify {ctx.kind} [{', '.join(w for w, _ in reports)}]",
+        "subject": f"verify {ctx.params['family']} [{', '.join(wanted)}]",
         "params": params,
         "accepted": accepted,
         "rejected": rejected,
         "max_residual": max_residual,
         "worst_point": (None if worst_point is None
-                        else [float(v) for v in worst_point]),
+                        else worst_point.tolist()),
         "checks": checks_out,
         "pass": passed,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     header = (["check"] + [f"point_{i}" for i in range(1, n + 1)]
               + ["raw", "relative"])
-    _emit(args, payload, (header, rows))
-    return 0 if passed else 1
+    return payload, (header, rows)
 
 
-def handle_diagnose(args) -> int:
-    t0 = time.perf_counter()
+def handle_diagnose(args) -> tuple:
     n = args.n
     _require(n >= 2, f"--n must be at least 2, got {n}")
     f = _field(args.f, n)
@@ -718,16 +632,14 @@ def handle_diagnose(args) -> int:
         "subject": "smoothness diagnostics",
         "params": {"n": n, "f": args.f},
         "results": results,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     num_names = ["N0"] + [f"N{j}" for j in range(2, n)]
     header = ([f"point_{i}" for i in range(1, n + 1)]
               + ["denominator"] + num_names + ["verdict"])
-    _emit(args, payload, (header, rows))
-    return 0
+    return payload, (header, rows)
 
 
-def handle_pde_check(args) -> int:
+def handle_pde_check(args) -> tuple:
     n = args.n
     _require(n >= 2, f"--n must be at least 2, got {n}")
     m = n - 1
@@ -736,56 +648,33 @@ def handle_pde_check(args) -> int:
     if getattr(args, "point", None):
         points = _point_list(args, m)
     else:
-        raw = getattr(args, "box", None)
-        if raw is None:
-            bounds = normalize_box((-1.0, 1.0), m)
-        elif len(raw) == 2:
-            bounds = normalize_box(tuple(raw), m)
-        elif len(raw) == 2 * m:
-            bounds = normalize_box(
-                [(raw[2 * i], raw[2 * i + 1]) for i in range(m)], m)
-        else:
-            raise UsageError(
-                f"--box needs 2 values or {2 * m} values for the "
-                f"{m}-dimensional base, got {len(raw)}")
-        points = sample_box(bounds, m, args.samples, args.seed)
+        points = sample_box(_box_bounds(args, m), m, args.samples, args.seed)
     rep = verify_pde(R, n, points, tol,
                      subject=f"remainder system for R={args.R}",
                      params={"n": n, "R": args.R, "samples": len(points),
-                             "seed": args.seed, "tol": tol},
-                     collect=True)
-    payload = _report_payload(rep.subject, rep.params, rep)
-    rows = []
-    for p, raw, _rel, extras in rep.points:
-        rows.append(list(map(float, p))
-                    + [float(raw), float(extras["factor2"])])
+                             "seed": args.seed, "tol": tol})
+    records = rep.records
+    rows = [p + [raw, factor2] for p, raw, factor2 in
+            zip(records["point"].tolist(), records["raw"].tolist(),
+                records["factor2"].tolist())]
     header = ([f"x{i}" for i in range(1, m + 1)]
               + ["system_residual", "factor2"])
-    _emit(args, payload, (header, rows))
-    return 0 if rep.passed else 1
+    return rep.to_dict(), (header, rows)
 
 
-def handle_morse_reduce(args) -> int:
-    t0 = time.perf_counter()
+def handle_morse_reduce(args) -> tuple:
     n = args.n
     _require(n >= 2, f"--n must be at least 2, got {n}")
     f = _field(args.f, n)
     if getattr(args, "box", None) is not None:
         bounds = _box_bounds(args, n)
         rep = verify_morse_normal_form(f, n, bounds, grid=args.samples,
-                                       tol=args.tol, y0=args.y0,
-                                       collect=(args.format == "csv"))
-        payload = _report_payload(rep.subject,
-                                  {**rep.params, "box": [[float(a), float(b)]
-                                                         for a, b in bounds]},
-                                  rep)
-        rows = []
-        if rep.points is not None:
-            for p, defect, _rel, _extras in rep.points:
-                rows.append(list(map(float, p)) + [float(defect)])
+                                       tol=args.tol, y0=args.y0)
+        rep.params["box"] = bounds.tolist()
+        rows = [p + [defect] for p, defect in
+                zip(rep.records["point"].tolist(), rep.records["raw"].tolist())]
         header = ([f"point_{i}" for i in range(1, n + 1)] + ["defect"])
-        _emit(args, payload, (header, rows))
-        return 0 if rep.passed else 1
+        return rep.to_dict(), (header, rows)
     points = _point_list(args, n - 1,
                          "--point (with n-1 coordinates) or --box")
     results = []
@@ -807,12 +696,10 @@ def handle_morse_reduce(args) -> int:
         "subject": "parametric reduction",
         "params": {"n": n, "f": args.f, "y0": args.y0},
         "results": results,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
     header = ([f"x{i}" for i in range(1, n)]
               + ["c", "R", "sign", "newton_iters"])
-    _emit(args, payload, (header, rows))
-    return 0
+    return payload, (header, rows)
 
 
 # -- entry points ----------------------------------------------------------------
@@ -825,7 +712,11 @@ def _error_payload(command: str, message: str, position=None) -> dict:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv, dispatch, and return the exit code."""
+    """Parse argv, run the handler, emit its report and return the exit code.
+
+    wall_ms times the whole handler; the exit code is 1 iff the report's
+    pass flag is False.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -833,22 +724,24 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         json.dump(_error_payload("usage", str(exc)), sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 2
+    t0 = time.perf_counter()
     try:
-        return args.handler(args)
-    except ExpressionError as exc:
-        _emit(args, _error_payload(args.command, str(exc),
-                                   position=exc.position))
-        return 2
-    except UsageError as exc:
-        _emit(args, _error_payload(args.command, str(exc)))
-        return 2
-    except ValueError as exc:
-        _emit(args, _error_payload(args.command, str(exc)))
-        return 2
-    except (NonMorseError, NewtonDivergenceError, DomainEntirelySingular,
-            NumericallySingular, SingularPointError, ArithmeticError) as exc:
-        _emit(args, _error_payload(args.command, str(exc)))
-        return 3
+        payload, *sinks = args.handler(args)
+        payload["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        _emit(args, payload, *sinks)
+        return 1 if payload.get("pass") is False else 0
+    except (UsageError, ValueError) as exc:
+        # an ExpressionError carries the byte offset of the parse fault
+        error = _error_payload(args.command, str(exc),
+                               getattr(exc, "position", None))
+        code = 2
+    except ArithmeticError as exc:
+        # Newton divergence, non-Morse points, singular or degenerate
+        # evaluation, an entirely singular domain, overflow
+        error = _error_payload(args.command, str(exc))
+        code = 3
+    _emit(args, error)
+    return code
 
 
 def main() -> None:

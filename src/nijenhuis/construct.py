@@ -5,6 +5,8 @@ characteristic polynomial chi(t) = t^n + sigma_1 t^(n-1) + ... + sigma_n are
 prescribed functions of the coordinates, and the operator is recovered from
 them. Concretely:
 
+- ``build_companion``: the first-column companion matrix of n coefficient
+  fields sigma_1..sigma_n, so its coefficients are the fields themselves.
 - ``build_diff_nondegenerate``: sigma_1..sigma_n are arbitrary fields with an
   invertible Jacobi matrix J = (d sigma_i / d x_j); L = J^(-1) Ltilde J with
   Ltilde the first-column companion matrix of the sigma values.
@@ -36,6 +38,7 @@ from .linalg import plu_det, invert_with_det, matmul, NumericallySingular
 __all__ = [
     "DegeneratePointError",
     "companion_matrix",
+    "build_companion",
     "build_diff_nondegenerate",
     "build_2d",
     "build_regular_family",
@@ -111,6 +114,21 @@ def _check_sigma(sigma: Sequence[ScalarField]) -> int:
                 f"{n} coefficient fields must depend on {n} variables, "
                 f"got a field of dimension {s.dim}")
     return n
+
+
+def build_companion(sigma: Sequence[ScalarField]) -> OperatorField:
+    """Operator field whose first column is (-sigma_1, ..., -sigma_n).
+
+    The unit superdiagonal makes its characteristic coefficients the n
+    coefficient fields themselves, at every point.
+    """
+    sigma = list(sigma)
+    n = _check_sigma(sigma)
+
+    def rule(p):
+        return _companion_jets([s(p) for s in sigma])
+
+    return OperatorField(n, rule, label="companion")
 
 
 def build_diff_nondegenerate(sigma: Sequence[ScalarField],

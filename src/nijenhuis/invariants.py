@@ -18,7 +18,8 @@ from .field import OperatorField, ScalarField, operator_eval
 from .linalg import plu_det
 from .report import VerificationReport, run_sweep, sample_box
 
-__all__ = ["charpoly", "verify_sigma_fields", "verify_sigma_coords"]
+__all__ = ["charpoly", "coordinate_sigma", "verify_sigma_fields",
+           "verify_sigma_coords"]
 
 
 def charpoly(M: np.ndarray) -> np.ndarray:
@@ -56,12 +57,32 @@ def charpoly(M: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _sigma_sweep(L: OperatorField,
-                 expected: Callable[[np.ndarray], np.ndarray],
-                 points: np.ndarray, tol: float, subject: str, params: dict,
-                 min_denominator: float, collect: bool) -> VerificationReport:
-    """Sweep of charpoly(L(P)) against expected(P), both (..., n)."""
+def coordinate_sigma(f: ScalarField, n: int, signs: Sequence[float]
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """Expected coefficients (signs * (x1, ..., x(n-1)), f) of points (..., n).
 
+    signs has length n-1; a -1 covers the planar convention where the first
+    coefficient is -x1 rather than x1.
+    """
+    signs = np.asarray(signs, dtype=float)
+    if signs.shape != (n - 1,):
+        raise ValueError(f"signs must have length {n - 1}")
+    return lambda P: np.concatenate(
+        [signs * P[..., :n - 1], f(P).value[..., None]], axis=-1)
+
+
+def verify_sigma_fields(L: OperatorField,
+                        expected: Callable[[np.ndarray], np.ndarray],
+                        domain, samples: int, seed: int, tol: float,
+                        min_denominator: float = 0.0,
+                        subject: str = "",
+                        params: Optional[dict] = None) -> VerificationReport:
+    """Sweep asserting charpoly(L(p)) matches expected(p) componentwise.
+
+    expected maps points (..., n) to their coefficients (..., n). The raw
+    residual is the absolute max deviation; the pass gate divides by
+    (1 + max |L entry|) since quotient entries inflate roundoff.
+    """
     def eval_chunk(P):
         ev = operator_eval(L, P)
         sigma = charpoly(ev.values)
@@ -70,38 +91,18 @@ def _sigma_sweep(L: OperatorField,
         return raw, raw / scale, {}
 
     return run_sweep(
-        points, eval_chunk, tol, subject=subject, params=params,
-        gate_name="sigma_max_deviation",
-        guard=L.guard, min_margin=min_denominator, collect=collect)
-
-
-def verify_sigma_fields(L: OperatorField,
-                        expected: Callable[[np.ndarray], np.ndarray],
-                        domain, samples: int, seed: int, tol: float,
-                        min_denominator: float = 0.0,
-                        subject: str = "",
-                        params: Optional[dict] = None,
-                        collect: bool = False) -> VerificationReport:
-    """Sweep asserting charpoly(L(p)) matches expected(p) componentwise.
-
-    expected(p) maps one point (n,) to its n coefficients. The raw residual
-    is the absolute max deviation; the pass gate divides by
-    (1 + max |L entry|) since quotient entries inflate roundoff.
-    """
-    return _sigma_sweep(
-        L, lambda P: np.array([expected(p) for p in P], dtype=float),
-        sample_box(domain, L.dim, samples, seed), tol,
-        subject or f"invariant recovery for {L.label or 'operator'}",
-        params if params is not None else
+        sample_box(domain, L.dim, samples, seed), eval_chunk, tol,
+        subject=subject or f"invariant recovery for {L.label or 'operator'}",
+        params=params if params is not None else
         {"dim": L.dim, "samples": samples, "seed": seed, "tol": tol},
-        min_denominator, collect)
+        gate_name="sigma_max_deviation",
+        guard=L.guard, min_margin=min_denominator)
 
 
 def verify_sigma_coords(L: OperatorField, f: ScalarField, n: int,
                         domain, samples: int, seed: int, tol: float,
                         signs: Optional[Sequence[int]] = None,
-                        min_denominator: float = 0.0,
-                        collect: bool = False) -> VerificationReport:
+                        min_denominator: float = 0.0) -> VerificationReport:
     """Sweep asserting sigma_i = (+/-) p_i for i < n and sigma_n = f(p).
 
     signs (length n-1, default all +1) covers the planar convention where
@@ -109,17 +110,9 @@ def verify_sigma_coords(L: OperatorField, f: ScalarField, n: int,
     """
     if signs is None:
         signs = np.ones(n - 1)
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (n - 1,):
-        raise ValueError(f"signs must have length {n - 1}")
-
-    def expected(P):
-        return np.concatenate([signs * P[..., :n - 1], f(P).value[..., None]],
-                              axis=-1)
-
-    return _sigma_sweep(
-        L, expected, sample_box(domain, L.dim, samples, seed), tol,
-        f"coordinate invariant recovery for {L.label or 'operator'}",
-        {"dim": n, "f": f.label, "samples": samples, "seed": seed,
-         "tol": tol, "signs": [float(s) for s in signs]},
-        min_denominator, collect)
+    return verify_sigma_fields(
+        L, coordinate_sigma(f, n, signs), domain, samples, seed, tol,
+        min_denominator=min_denominator,
+        subject=f"coordinate invariant recovery for {L.label or 'operator'}",
+        params={"dim": n, "f": f.label, "samples": samples, "seed": seed,
+                "tol": tol, "signs": [float(s) for s in signs]})

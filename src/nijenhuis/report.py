@@ -66,9 +66,9 @@ class VerificationReport:
     checks: list
     passed: bool
     wall_ms: float
-    # Per-point rows (point, raw, rel, extras) kept only when a sweep is
-    # asked to collect them (CSV output); absent from the JSON form.
-    points: Optional[list] = field(default=None, repr=False)
+    # Arrays over the accepted points in sweep order: "point", "raw", "rel"
+    # and one per extra check; absent from the JSON form.
+    records: Optional[dict] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -155,8 +155,7 @@ def run_sweep(points: Sequence[np.ndarray],
               gate_name: str,
               guard: Optional[Callable[[np.ndarray], np.ndarray]] = None,
               min_margin: float = 0.0,
-              extra_checks: Sequence[str] = (),
-              collect: bool = False) -> VerificationReport:
+              extra_checks: Sequence[str] = ()) -> VerificationReport:
     """Run a point sweep chunk by chunk and reduce to a VerificationReport.
 
     eval_chunk(P) takes points P of shape (B, n) and returns (raw, rel,
@@ -167,7 +166,8 @@ def run_sweep(points: Sequence[np.ndarray],
     rejects the points its mask marks, as does a guard margin below
     min_margin. A non-finite relative residual fails the gate. The
     reduction keeps the first point of largest rel, as a point-by-point
-    scan would, so reports do not depend on SWEEP_CHUNK.
+    scan would, so reports do not depend on SWEEP_CHUNK. The report's
+    records hold the accepted points and their residuals.
     """
     t0 = time.perf_counter()
     points = np.asarray(points, dtype=float)
@@ -177,7 +177,7 @@ def run_sweep(points: Sequence[np.ndarray],
     worst: Optional[np.ndarray] = None
     accepted = 0
     extras_max = {name: 0.0 for name in extra_checks}
-    rows = [] if collect else None
+    records = {name: [] for name in ("point", "raw", "rel", *extra_checks)}
     for start in range(0, len(points), SWEEP_CHUNK):
         P = points[start:start + SWEEP_CHUNK]
         idx = np.arange(len(P))
@@ -201,11 +201,9 @@ def run_sweep(points: Sequence[np.ndarray],
         for name, values in extras.items():
             extras_max[name] = np.maximum(extras_max[name],
                                           np.max(np.abs(values)))
-        if collect:
-            for k, i in enumerate(idx):
-                rows.append((P[i].copy(), float(raw[k]), float(rel[k]),
-                             {name: float(values[k])
-                              for name, values in extras.items()}))
+        for name, values in (("point", P[idx]), ("raw", raw), ("rel", rel),
+                             *extras.items()):
+            records[name].append(values)
         accepted += idx.size
     if accepted == 0:
         raise DomainEntirelySingular(len(points))
@@ -219,4 +217,6 @@ def run_sweep(points: Sequence[np.ndarray],
         subject=subject, params=params, accepted=accepted,
         rejected=len(points) - accepted, max_residual=float(max_raw),
         worst_point=worst.copy(), checks=checks, passed=passed,
-        wall_ms=wall_ms, points=rows)
+        wall_ms=wall_ms,
+        records={name: np.concatenate(chunks)
+                 for name, chunks in records.items()})

@@ -291,13 +291,14 @@ def morse_coordinate(f: ScalarField, data: MorseData, y: float) -> float:
 
 def verify_morse_normal_form(f: ScalarField, n: int, box,
                              grid: int = 21, tol: float = 1e-9,
-                             y0: float = 0.0,
-                             collect: bool = False) -> VerificationReport:
+                             y0: float = 0.0) -> VerificationReport:
     """Check f(x, y) = sign * ytilde^2 + R(x) on a full grid over the box.
 
     The box covers all n axes; the first n-1 are the base grid (one Newton
     reduction per slice), the last is the y grid. Reduction failures
-    propagate (they are errors of the input, not sample rejections).
+    propagate (they are errors of the input, not sample rejections). The
+    worst point is the first grid point of largest defect; the records
+    hold every grid point and its defect.
     """
     import itertools
     import time
@@ -307,32 +308,28 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
     bounds = normalize_box(box, n)
     axes = [np.linspace(lo, hi, grid) for lo, hi in bounds[:n - 1]]
     y_axis = np.linspace(bounds[n - 1, 0], bounds[n - 1, 1], grid)
-    max_defect = 0.0
-    worst: Optional[np.ndarray] = None
-    count = 0
-    rows = [] if collect else None
-    for base in itertools.product(*axes):
+    points = np.empty((grid ** n, n))
+    defects = np.empty(grid ** n)
+    for s, base in enumerate(itertools.product(*axes)):
         data = morse_reduce(f, n, np.asarray(base), y0=y0)
-        for y in y_axis:
-            p = np.append(data.x, y)
+        start = s * grid
+        points[start:start + grid, :n - 1] = data.x
+        points[start:start + grid, n - 1] = y_axis
+        for k, y in enumerate(y_axis, start):
             ytil = morse_coordinate(f, data, y)
-            value = float(f(p).value)
-            defect = abs(value - (data.sign * ytil * ytil + data.R))
-            count += 1
-            if worst is None or defect > max_defect:
-                max_defect = defect
-                worst = p
-            if collect:
-                rows.append((p, defect, defect, {}))
+            value = float(f(points[k]).value)
+            defects[k] = abs(value - (data.sign * ytil * ytil + data.R))
+    worst = int(np.argmax(defects))
+    max_defect = float(defects[worst])
     passed = max_defect <= tol
     report = VerificationReport(
         subject=f"normal-form defect grid for f={f.label or '<rule>'}",
         params={"dim": n, "f": f.label, "grid": grid, "tol": tol, "y0": y0},
-        accepted=count, rejected=0, max_residual=max_defect,
-        worst_point=worst,
+        accepted=len(defects), rejected=0, max_residual=max_defect,
+        worst_point=points[worst].copy(),
         checks=[CheckResult("normal_form_defect", max_defect, passed)],
         passed=passed, wall_ms=(time.perf_counter() - t0) * 1e3,
-        points=rows)
+        records={"point": points, "raw": defects, "rel": defects})
     return report
 
 
@@ -365,8 +362,8 @@ def morse_remainder_field(f: ScalarField, n: int,
 
 
 def verify_pde(R: ScalarField, n: int, points, tol: float = 1e-10,
-               subject: str = "", params: Optional[dict] = None,
-               collect: bool = False) -> VerificationReport:
+               subject: str = "",
+               params: Optional[dict] = None) -> VerificationReport:
     """Sweep of the remainder system over base points.
 
     Gate is the absolute system max (the residuals are polynomial in the
@@ -384,4 +381,4 @@ def verify_pde(R: ScalarField, n: int, points, tol: float = 1e-10,
         params=params if params is not None else
         {"dim": n, "R": R.label, "tol": tol},
         gate_name="pde_system",
-        extra_checks=("factor2",), collect=collect)
+        extra_checks=("factor2",))

@@ -20,7 +20,7 @@ sweep evaluates its samples chunk by chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class TorsionValue:
 
     components: np.ndarray
     point: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
 
 
 def torsion_from_eval(ev: OperatorEval) -> np.ndarray:
@@ -105,8 +102,8 @@ def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
 
 def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
                         tol: float,
-                        min_denominator: float = DEFAULT_MIN_DENOMINATOR,
-                        collect: bool = False) -> VerificationReport:
+                        min_denominator: float = DEFAULT_MIN_DENOMINATOR
+                        ) -> VerificationReport:
     """Seeded sweep asserting the torsion vanishes on the sampled box.
 
     Pass gate is relative: max |N| / (1 + max |L entry|) <= tol at every
@@ -128,4 +125,4 @@ def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
         params={"dim": L.dim, "samples": samples, "seed": seed, "tol": tol,
                 "min_denominator": min_denominator},
         gate_name="torsion_relative",
-        guard=L.guard, min_margin=min_denominator, collect=collect)
+        guard=L.guard, min_margin=min_denominator)

@@ -170,6 +170,14 @@ CHUNK_INVOCATIONS = [
      "--samples", "40"),
     ("verify", "--family", "theorem1", "--n", "2", "--f", "y^2",
      "--check", "all", "--samples", "40", "--format", "csv"),
+    # CSV rows come from the sweep records, concatenated across chunks; the
+    # pde rows have n-1 coordinates and are padded with "".
+    ("verify", "--format", "csv", "--family", "theorem2", "--n", "4",
+     "--check", "all", "--samples", "30", "--seed", "4"),
+    ("pde-check", "--format", "csv", "--R", "1/(x1 - sqrt(x1*x1)) + x2",
+     "--n", "3", "--samples", "40"),
+    ("morse-reduce", "--format", "csv", "--f", "y^2 + x1*y + x2*y^3",
+     "--n", "3", "--box", "-0.5", "0.5", "--samples", "4"),
 ]
 
 

@@ -132,6 +132,16 @@ def test_morse_reduce_box_mode(capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_morse_reduce_box_rejects_a_degenerate_grid(capsys, samples):
+    code, doc = invoke_json(capsys, "morse-reduce", "--f", "y^2 + x1*y",
+                            "--n", "2", "--box", "-1", "1",
+                            "--samples", samples)
+    assert code == 2
+    assert doc["error"] == ("grid must be >= 2 points per axis, "
+                            f"got {samples}")
+
+
 def test_morse_reduce_non_morse_exits_three(capsys):
     code, doc = invoke_json(capsys, "morse-reduce", "--f", "y^3", "--n", "2",
                             "--point", "0.1")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nijenhuis.construct import (DegeneratePointError, build_2d,
-                                 build_diff_nondegenerate,
+                                 build_companion, build_diff_nondegenerate,
                                  build_morse_canonical, build_regular_family,
                                  companion_matrix, conjugation_residual)
 from nijenhuis.field import ScalarField, SingularEntry, operator_eval
+from nijenhuis.invariants import charpoly
 
 SEED = 1337
 
@@ -19,6 +20,20 @@ def test_companion_matrix_layout():
                               [-5.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         companion_matrix([1.0])
+
+
+def test_companion_family_recovers_its_fields():
+    texts = ("x1+y^2", "x2*y+sin(x1)", "y+x1*x2")
+    sigma = [ScalarField.from_expression(t, 3) for t in texts]
+    L = build_companion(sigma)
+    P = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(5, 3))
+    expected = np.stack([s(P).value for s in sigma], axis=-1)
+    assert np.max(np.abs(charpoly(operator_eval(L, P).values)
+                         - expected)) <= 1e-12
+    with pytest.raises(ValueError):
+        build_companion(sigma[:2])
+    with pytest.raises(ValueError):
+        build_companion([ScalarField.from_expression("x1", 2)] * 3)
 
 
 def test_regular_family_frozen_matrix_n2():

@@ -6,7 +6,8 @@ import pytest
 from nijenhuis.construct import (build_2d, build_morse_canonical,
                                  build_regular_family)
 from nijenhuis.field import ScalarField
-from nijenhuis.invariants import charpoly, verify_sigma_coords, verify_sigma_fields
+from nijenhuis.invariants import (charpoly, coordinate_sigma,
+                                  verify_sigma_coords, verify_sigma_fields)
 
 SEED = 2718
 
@@ -87,6 +88,19 @@ def test_sigma_recovery_planar_family_sign_convention():
     assert rep.passed
 
 
+def test_coordinate_sigma_is_batched():
+    f = ScalarField.from_expression("x1*x2 + y^2", 3)
+    P = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(4, 3))
+    got = coordinate_sigma(f, 3, (-1.0, 1.0))(P)
+    assert got.shape == (4, 3)
+    assert np.array_equal(got[:, 0], -P[:, 0])
+    assert np.array_equal(got[:, 1], P[:, 1])
+    assert np.array_equal(got[:, 2], f(P).value)
+    assert np.array_equal(coordinate_sigma(f, 3, (-1.0, 1.0))(P[0]), got[0])
+    with pytest.raises(ValueError, match="length 2"):
+        coordinate_sigma(f, 3, (1.0,))
+
+
 def test_sigma_recovery_canonical_family():
     f = ScalarField.from_expression("-y^2", 4)
     L = build_morse_canonical(4, -1)
@@ -99,8 +113,8 @@ def test_sigma_fields_detects_mismatch():
     f = ScalarField.from_expression("y^2 + x1", 2)
     L = build_regular_family(f, 2)
 
-    def wrong_expected(p):
-        return np.array([p[0] + 1.0, f(p).value])
+    def wrong_expected(P):
+        return np.stack([P[..., 0] + 1.0, f(P).value], axis=-1)
 
     rep = verify_sigma_fields(L, wrong_expected, np.array([[-1.0, 1.0]] * 2),
                               samples=100, seed=5, tol=1e-9,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import nijenhuis.report
 from nijenhuis.report import (CheckResult, VerificationReport, normalize_box,
                               run_sweep, sample_box)
 
@@ -66,3 +67,26 @@ def test_nonfinite_relative_residual_fails_the_gate():
     assert not rep.checks[0].passed
     assert np.isnan(rep.checks[0].max)
     assert rep.worst_point.tolist() == [1.0]
+
+
+def test_records_hold_the_accepted_points_in_order(monkeypatch):
+    monkeypatch.setattr(nijenhuis.report, "SWEEP_CHUNK", 3)
+    points = np.linspace(-1.0, 1.0, 10)[:, None]
+
+    def evaluate(P):
+        x = P[..., 0]
+        return 2.0 * x, x, {"twice": 4.0 * x}
+
+    rep = run_sweep(points, evaluate, 10.0, subject="records probe",
+                    params={}, gate_name="probe",
+                    guard=lambda P: np.abs(P[..., 0]), min_margin=0.5,
+                    extra_checks=("twice",))
+    kept = points[np.abs(points[:, 0]) >= 0.5]
+    assert rep.accepted == len(kept) and rep.rejected == 10 - len(kept)
+    rec = rep.records
+    assert set(rec) == {"point", "raw", "rel", "twice"}
+    assert all(len(values) == rep.accepted for values in rec.values())
+    assert np.array_equal(rec["point"], kept)
+    assert np.array_equal(rec["rel"], kept[:, 0])
+    assert np.array_equal(rec["raw"], 2.0 * kept[:, 0])
+    assert np.array_equal(rec["twice"], 4.0 * kept[:, 0])
