@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .field import ScalarField, OperatorField, operator_eval
+from .field import (JET_ERRSTATE, ScalarField, OperatorField,
+                    operator_eval)
 from .construct import (build_2d, build_companion, build_diff_nondegenerate,
                         build_morse_canonical, build_regular_family,
                         conjugation_residual)
@@ -62,6 +64,18 @@ def _sign_value(text: str) -> int:
     raise argparse.ArgumentTypeError(f"sign must be +1 or -1, got {text!r}")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 # -- argument plumbing ---------------------------------------------------------
 
 def _add_output_flags(sp):
@@ -88,19 +102,19 @@ def _add_operator_flags(sp):
 
 
 def _add_point_flag(sp, help="evaluation point (repeatable)", **kwargs):
-    sp.add_argument("--point", action="append", nargs="+", type=float,
-                    metavar="V", help=help, **kwargs)
+    sp.add_argument("--point", action="append", nargs="+",
+                    type=_finite_float, metavar="V", help=help, **kwargs)
 
 
 def _add_sweep_flags(sp, samples_default=1000):
-    sp.add_argument("--box", type=float, nargs="+", metavar="B",
+    sp.add_argument("--box", type=_finite_float, nargs="+", metavar="B",
                     help="box bounds: 'lo hi' for every axis, or one pair "
                          "per axis (default -1 1)")
     sp.add_argument("--samples", type=int, default=samples_default,
                     help=f"sample count (default {samples_default})")
     sp.add_argument("--seed", type=int, default=42,
                     help="PRNG seed (default 42)")
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=_finite_float, default=None,
                     help="pass tolerance (default depends on the check)")
 
 
@@ -120,9 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("torsion", help="evaluate torsion at points")
     _add_operator_flags(sp)
     _add_point_flag(sp)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOLS["torsion"],
+    sp.add_argument("--tol", type=_finite_float,
+                    default=DEFAULT_TOLS["torsion"],
                     help="relative pass tolerance (default 1e-10)")
-    sp.add_argument("--fd-step", type=float, default=None, metavar="H",
+    sp.add_argument("--fd-step", type=_finite_float, default=None,
+                    metavar="H",
                     help="also run the finite-difference oracle with step H")
     _add_output_flags(sp)
     sp.set_defaults(handler=handle_torsion)
@@ -133,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which identity to verify (default torsion); "
                          "'all' runs every check applicable to the family")
     _add_sweep_flags(sp)
-    sp.add_argument("--min-denominator", type=float,
+    sp.add_argument("--min-denominator", type=_finite_float,
                     default=DEFAULT_MIN_DENOMINATOR, metavar="M",
                     help="reject sample points whose denominator margin "
                          "|f_y| falls below M (default 0.05)")
@@ -172,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", metavar="EXPR", required=True)
     sp.add_argument("--n", type=int, required=True)
     _add_point_flag(sp, "base point with n-1 coordinates (repeatable)")
-    sp.add_argument("--box", type=float, nargs="+", metavar="B",
+    sp.add_argument("--box", type=_finite_float, nargs="+", metavar="B",
                     help="run the defect grid over this n-axis box instead")
     sp.add_argument("--samples", type=int, default=21,
                     help="grid points per axis for --box mode (default 21)")
-    sp.add_argument("--tol", type=float, default=1e-9,
+    sp.add_argument("--tol", type=_finite_float, default=1e-9,
                     help="defect tolerance for --box mode (default 1e-9)")
-    sp.add_argument("--y0", type=float, default=0.0,
+    sp.add_argument("--y0", type=_finite_float, default=0.0,
                     help="Newton seed (default 0)")
     _add_output_flags(sp)
     sp.set_defaults(handler=handle_morse_reduce)
@@ -726,7 +742,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     t0 = time.perf_counter()
     try:
-        payload, *sinks = args.handler(args)
+        with np.errstate(**JET_ERRSTATE):
+            payload, *sinks = args.handler(args)
         payload["wall_ms"] = (time.perf_counter() - t0) * 1e3
         _emit(args, payload, *sinks)
         return 1 if payload.get("pass") is False else 0

@@ -9,13 +9,15 @@ Grammar (n is declared up front; 'y' is coordinate n):
     atom   := number | variable | func '(' expr ')' | '(' expr ')'
 
 Exponents are signed integer literals with |k| <= 64; there is no '^'
-chaining. Builtins: sqrt, exp, sin, cos. Bare 'x' is accepted as an alias
-for 'x1' and normalized at parse time. Every error reports a byte offset
-into the input string.
+chaining. A number literal that overflows to infinity is an error.
+Builtins: sqrt, exp, sin, cos. Bare 'x' is accepted as an alias for 'x1'
+and normalized at parse time. Every error reports a byte offset into the
+input string.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -225,7 +227,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExpressionError(f"number {text} overflows", pos)
+            return Const(value)
         if kind == "ident":
             return self.identifier(text, pos)
         if kind == "op" and text == "(":

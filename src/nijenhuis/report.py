@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .field import JET_ERRSTATE
 from .jet import SingularPointError
 
 __all__ = [
@@ -164,10 +165,11 @@ def run_sweep(points: Sequence[np.ndarray],
     values (B,) (reported as non-gating checks, reduced by max |.|).
     guard(P) returns one margin per point. Raising SingularPointError
     rejects the points its mask marks, as does a guard margin below
-    min_margin. A non-finite relative residual fails the gate. The
-    reduction keeps the first point of largest rel, as a point-by-point
-    scan would, so reports do not depend on SWEEP_CHUNK. The report's
-    records hold the accepted points and their residuals.
+    min_margin. The guard and eval_chunk run under JET_ERRSTATE, so an
+    overflow in a residual raises. A non-finite relative residual fails
+    the gate. The reduction keeps the first point of largest rel, as a
+    point-by-point scan would, so reports do not depend on SWEEP_CHUNK.
+    The report's records hold the accepted points and their residuals.
     """
     t0 = time.perf_counter()
     points = np.asarray(points, dtype=float)
@@ -181,11 +183,12 @@ def run_sweep(points: Sequence[np.ndarray],
     for start in range(0, len(points), SWEEP_CHUNK):
         P = points[start:start + SWEEP_CHUNK]
         idx = np.arange(len(P))
-        if guard is not None:
-            idx, margin = _surviving(guard, P, idx)
-            if idx.size:
-                idx = idx[~(margin < min_margin)]
-        idx, result = _surviving(eval_chunk, P, idx)
+        with np.errstate(**JET_ERRSTATE):
+            if guard is not None:
+                idx, margin = _surviving(guard, P, idx)
+                if idx.size:
+                    idx = idx[~(margin < min_margin)]
+            idx, result = _surviving(eval_chunk, P, idx)
         if not idx.size:
             continue
         raw, rel, extras = result

@@ -13,17 +13,15 @@ R = 0 for n > 2, with the extra planar solution R = x1^2/4 at n = 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jet import Jet2, stack_jets
+from .jet import Jet2, SingularPointError, _outer
 from .expr import Call, Const, Neg, Pow, Var, parse_expression
 from .field import ScalarField
-from .report import (VerificationReport, CheckResult, normalize_box,
-                     run_sweep)
+from .report import VerificationReport, normalize_box, run_sweep
 
 __all__ = [
     "FractionDiagnostic",
@@ -94,7 +92,7 @@ class FractionDiagnostic:
 
 @dataclass
 class PdeResiduals:
-    """Residuals of the remainder system at a base point x.
+    """Residuals of the remainder system at base points x (..., n-1).
 
     r0 is the first equation sum x_i R_i - R_1 R_(n-1) - R. chain holds
     R_(j-1) + R_j R_(n-1) for j = 2..n-1. relations holds the equivalent
@@ -102,38 +100,38 @@ class PdeResiduals:
     n R_1 + (n-1) x_1 R_2 + ... + 2 x_(n-2) R_(n-1) - x_(n-1); it is
     informational, not a pass gate: R = 0 solves the system through the
     other factor of the equation it came from while factor2 = -x_(n-1).
+    Fields have x's batch shape, chain and relations one more axis.
     """
 
-    r0: float
+    r0: np.ndarray
     chain: np.ndarray
     relations: np.ndarray
-    factor2: float
+    factor2: np.ndarray
 
-    def system_max(self) -> float:
-        """Max |residual| over the gating system (r0, chain, relations)."""
-        parts = [abs(self.r0)]
-        if self.chain.size:
-            parts.append(float(np.max(np.abs(self.chain))))
-        if self.relations.size:
-            parts.append(float(np.max(np.abs(self.relations))))
-        return max(parts)
+    def system_max(self) -> np.ndarray:
+        """Max |residual| over the gating system (r0, chain, relations),
+        one value per point (batch shape)."""
+        parts = np.concatenate([np.expand_dims(self.r0, -1), self.chain,
+                                self.relations], axis=-1)
+        return np.max(np.abs(parts), axis=-1)
 
 
 @dataclass
 class MorseData:
-    """Result of the parametric reduction at a base point x.
+    """Result of the parametric reduction at base points x (..., n-1).
 
     c is the critical point of y -> f(x, y), R = f(x, c), sign the sign of
-    f_yy there. newton_iters counts jet evaluations of f (convergence is
+    f_yy there, each of x's batch shape (Python scalars at batch ()).
+    newton_iters counts batched jet evaluations of f (convergence is
     checked before each step, so an already-critical seed reports 1).
     """
 
     x: np.ndarray
-    c: float
-    R: float
-    sign: int
+    c: Union[float, np.ndarray]
+    R: Union[float, np.ndarray]
+    sign: Union[int, np.ndarray]
     newton_iters: int
-    fyy: float
+    fyy: Union[float, np.ndarray]
 
 
 def smoothness_numerators(f: ScalarField, n: int, p: Sequence[float],
@@ -200,8 +198,8 @@ def remainder_from_expression(text: str, n: int) -> ScalarField:
     return ScalarField.from_expression(ast, n - 1)
 
 
-def pde_residuals(R: ScalarField, n: int, x: Sequence[float]) -> PdeResiduals:
-    """Evaluate the remainder system for R(x_1, ..., x_(n-1)) at x."""
+def pde_residuals(R: ScalarField, n: int, x) -> PdeResiduals:
+    """Evaluate the remainder system for R(x_1..x_(n-1)) at x (..., n-1)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     m = n - 1
@@ -211,57 +209,93 @@ def pde_residuals(R: ScalarField, n: int, x: Sequence[float]) -> PdeResiduals:
     x = np.asarray(x, dtype=float)
     jet = R(x)
     g = jet.gradient
-    last = float(g[m - 1])
-    r0 = float(np.dot(x, g) - g[0] * last - jet.value)
-    chain = np.asarray([float(g[c - 1] + g[c] * last)
-                        for c in range(1, m)])
-    relations = np.asarray([float(g[m - i] - (-1.0) ** (i - 1) * last ** i)
-                            for i in range(2, m + 1)])
-    factor2 = n * float(g[0]) - float(x[m - 1])
+    last = g[..., m - 1:]
+    # x . g as a matmul rounds as np.dot does; a sum or einsum does not
+    dot = (x[..., None, :] @ g[..., :, None])[..., 0, 0]
+    r0 = dot - g[..., 0] * last[..., 0] - jet.value
+    chain = g[..., :m - 1] + g[..., 1:] * last
+    # (-R_(n-1))^i by Python's float pow: numpy's power rounds differently
+    powers = np.arange(2, m + 1)
+    neg_last_pow = ((-last).astype(object) ** powers).astype(float)
+    relations = g[..., m - powers] + neg_last_pow
+    factor2 = n * g[..., 0] - x[..., m - 1]
     for k in range(2, m + 1):
-        factor2 += (n - k + 1) * float(x[k - 2]) * float(g[k - 1])
+        factor2 = factor2 + (n - k + 1) * x[..., k - 2] * g[..., k - 1]
     return PdeResiduals(r0=r0, chain=chain, relations=relations,
                         factor2=factor2)
 
 
-def morse_reduce(f: ScalarField, n: int, x: Sequence[float],
+def morse_reduce(f: ScalarField, n: int, x,
                  y0: float = 0.0, max_iters: int = 50,
                  tol_newton: float = 1e-13) -> MorseData:
-    """Newton on y -> f_y(x, y) from y0; returns the critical-slice data.
+    """Newton on y -> f_y(x, y) from y0 at base points x (..., n-1).
 
-    Raises NonMorseError when |f_yy| < EPS_MORSE at the critical point, and
-    NewtonDivergenceError when the iteration cannot converge (iterate escapes,
-    the step divisor f_yy vanishes away from a root, or iterations run out).
+    All live points step together, one batched f evaluation per step.
+    Raises the error of the first failing point in C order: NonMorseError
+    when |f_yy| < EPS_MORSE at the critical point, NewtonDivergenceError
+    when the iteration cannot converge (iterate escapes, the step divisor
+    f_yy vanishes away from a root, or iterations run out), or f's error.
     """
     if f.dim != n:
         raise ValueError(f"f has dimension {f.dim}, expected {n}")
     x = np.asarray(x, dtype=float)
-    if x.shape != (n - 1,):
+    if x.ndim == 0 or x.shape[-1] != n - 1:
         raise ValueError(f"base point must have {n - 1} coordinates")
-    y = float(y0)
-    for it in range(1, max_iters + 1):
-        jet = f(np.append(x, y))
-        fy = float(jet.gradient[n - 1])
-        fyy = float(jet.hessian[n - 1, n - 1])
-        if abs(fy) <= tol_newton * (1.0 + abs(fyy)):
-            if abs(fyy) < EPS_MORSE:
-                raise NonMorseError(x, y, fyy)
-            sign = 1 if fyy > 0 else -1
-            return MorseData(x=x, c=y, R=float(jet.value), sign=sign,
-                             newton_iters=it, fyy=fyy)
-        if abs(fyy) < EPS_MORSE:
-            # not at a root of f_y, yet the Newton divisor has vanished
-            raise NewtonDivergenceError(
-                x, y0, it, f"f_yy vanished at y={y!r} with f_y={fy!r}")
-        y = y - fy / fyy
-        if not math.isfinite(y) or abs(y) > 1e8:
-            raise NewtonDivergenceError(x, y0, it, f"iterate left the domain (y={y!r})")
-    raise NewtonDivergenceError(x, y0, max_iters,
-                                "maximum iterations reached")
+    X = x.reshape(-1, n - 1)
+    y = np.full(len(X), float(y0))
+    R, fyy_at_c = np.empty((2, len(X)))   # at convergence, where c = y
+    live = np.arange(len(X))
+    # The error of the first point that failed so far: the live points
+    # after it can no longer fail first, so they stop with it.
+    failure = None
+    calls = it = 0
+    while live.size and it < max_iters:
+        calls += 1
+        try:
+            jet = f(np.column_stack((X[live], y[live])))
+        except ArithmeticError as exc:
+            mask = getattr(exc, "mask", None)
+            first = np.argmax(mask) if np.shape(mask) == live.shape else 0
+            live, failure = live[:first], exc
+            continue
+        it += 1
+        fy, fyy = jet.gradient[:, n - 1], jet.hessian[:, n - 1, n - 1]
+        done = np.abs(fy) <= tol_newton * (1.0 + np.abs(fyy))
+        flat = np.abs(fyy) < EPS_MORSE
+        ok, step = done & ~flat, ~done & ~flat
+        R[live[ok]], fyy_at_c[live[ok]] = jet.value[ok], fyy[ok]
+        with np.errstate(over="ignore"):   # an overflowing step escapes
+            y[live[step]] -= fy[step] / fyy[step]
+        escaped = step & ~(np.abs(y[live]) <= 1e8)
+        if (flat | escaped).any():
+            j = int(np.argmax(flat | escaped))
+            k = live[j]
+            step[j:] = False
+            if done[j]:
+                failure = NonMorseError(X[k], float(y[k]), float(fyy[j]))
+            elif flat[j]:
+                # not at a root of f_y, yet the Newton divisor has vanished
+                failure = NewtonDivergenceError(
+                    X[k], y0, it, f"f_yy vanished at y={float(y[k])!r} "
+                                  f"with f_y={float(fy[j])!r}")
+            else:
+                failure = NewtonDivergenceError(
+                    X[k], y0, it, f"iterate left the domain (y={float(y[k])!r})")
+        live = live[step]
+    if live.size:
+        failure = NewtonDivergenceError(X[live[0]], y0, max_iters,
+                                        "maximum iterations reached")
+    if failure is not None:
+        raise failure
+    batch = x.shape[:-1]
+    c, R, sign, fyy_at_c = (a.reshape(batch) if batch else a.item() for a in
+                            (y, R, np.where(fyy_at_c > 0, 1, -1), fyy_at_c))
+    return MorseData(x=x, c=c, R=R, sign=sign, newton_iters=calls, fyy=fyy_at_c)
 
 
-def quadratic_factor(f: ScalarField, data: MorseData, y: float) -> float:
-    """The factor g(x, y) with f(x, y) = data.R + g * (y - c)^2.
+def quadratic_factor(f: ScalarField, data: MorseData, y):
+    """The factor g(x, y) with f(x, y) = data.R + g * (y - c)^2 (y of
+    data's batch shape).
 
     Away from the critical point this is the raw quotient. Within
     |y - c| < DELTA_TAYLOR the quotient cancels catastrophically, so g is
@@ -269,24 +303,23 @@ def quadratic_factor(f: ScalarField, data: MorseData, y: float) -> float:
     a third of the way toward y matches the exact factor to second order
     in (y - c).
     """
-    d = float(y) - data.c
-    base = data.x
-    if abs(d) >= DELTA_TAYLOR:
-        value = float(f(np.append(base, y)).value)
-        return (value - data.R) / (d * d)
-    probe = data.c + d / 3.0
-    jet = f(np.append(base, probe))
-    return float(jet.hessian[-1, -1]) / 2.0
+    d = np.asarray(np.subtract(y, data.c))
+    far = np.abs(d) >= DELTA_TAYLOR
+    probe = np.where(far, y, data.c + d / 3.0)
+    jet = f(np.concatenate([data.x, probe[..., None]], axis=-1))
+    # the quotient runs on the far points only: near ones may have d = 0
+    return np.divide(jet.value - data.R, d * d, where=far,
+                     out=np.asarray(jet.hessian[..., -1, -1] / 2.0))[()]
 
 
-def morse_coordinate(f: ScalarField, data: MorseData, y: float) -> float:
+def morse_coordinate(f: ScalarField, data: MorseData, y):
     """The reduced coordinate ytilde = (y - c) * sqrt(|g(x, y)|).
 
     Fixed to be positive for y > c (orientation is a free choice the
     reduction has to make).
     """
     g = quadratic_factor(f, data, y)
-    return (float(y) - data.c) * math.sqrt(abs(g))
+    return np.subtract(y, data.c) * np.sqrt(np.abs(g))
 
 
 def verify_morse_normal_form(f: ScalarField, n: int, box,
@@ -294,43 +327,40 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
                              y0: float = 0.0) -> VerificationReport:
     """Check f(x, y) = sign * ytilde^2 + R(x) on a full grid over the box.
 
-    The box covers all n axes; the first n-1 are the base grid (one Newton
-    reduction per slice), the last is the y grid. Reduction failures
-    propagate (they are errors of the input, not sample rejections). The
-    worst point is the first grid point of largest defect; the records
-    hold every grid point and its defect.
+    The box covers all n axes; the grid runs over x1..x(n-1), y in C
+    order through run_sweep, which reduces, straightens and measures each
+    chunk. Reduction failures propagate (they are errors of the input,
+    not sample rejections; f's SingularPointError becomes a plain
+    ArithmeticError). The worst point is the first grid point of largest
+    defect; the records hold every grid point and its defect.
     """
-    import itertools
-    import time
     if grid < 2:
         raise ValueError(f"grid must be >= 2 points per axis, got {grid}")
-    t0 = time.perf_counter()
-    bounds = normalize_box(box, n)
-    axes = [np.linspace(lo, hi, grid) for lo, hi in bounds[:n - 1]]
-    y_axis = np.linspace(bounds[n - 1, 0], bounds[n - 1, 1], grid)
-    points = np.empty((grid ** n, n))
-    defects = np.empty(grid ** n)
-    for s, base in enumerate(itertools.product(*axes)):
-        data = morse_reduce(f, n, np.asarray(base), y0=y0)
-        start = s * grid
-        points[start:start + grid, :n - 1] = data.x
-        points[start:start + grid, n - 1] = y_axis
-        for k, y in enumerate(y_axis, start):
-            ytil = morse_coordinate(f, data, y)
-            value = float(f(points[k]).value)
-            defects[k] = abs(value - (data.sign * ytil * ytil + data.R))
-    worst = int(np.argmax(defects))
-    max_defect = float(defects[worst])
-    passed = max_defect <= tol
-    report = VerificationReport(
+    axes = [np.linspace(lo, hi, grid) for lo, hi in normalize_box(box, n)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+
+    def eval_chunk(P):
+        try:
+            try:
+                data = morse_reduce(f, n, P[:, :-1], y0=y0)
+            except (NonMorseError, NewtonDivergenceError) as exc:
+                # the grid points before the failing slice come first in a
+                # scan, so an error of f there is raised in its place
+                first = np.all(P[:, :-1] == exc.x, axis=-1).argmax()
+                if first:
+                    eval_chunk(P[:first])
+                raise
+            ytil = morse_coordinate(f, data, P[:, -1])
+            defect = np.abs(f(P).value - (data.sign * ytil * ytil + data.R))
+        except SingularPointError as exc:
+            raise ArithmeticError(str(exc)) from exc
+        return defect, defect, {}
+
+    return run_sweep(
+        points, eval_chunk, tol,
         subject=f"normal-form defect grid for f={f.label or '<rule>'}",
         params={"dim": n, "f": f.label, "grid": grid, "tol": tol, "y0": y0},
-        accepted=len(defects), rejected=0, max_residual=max_defect,
-        worst_point=points[worst].copy(),
-        checks=[CheckResult("normal_form_defect", max_defect, passed)],
-        passed=passed, wall_ms=(time.perf_counter() - t0) * 1e3,
-        records={"point": points, "raw": defects, "rel": defects})
-    return report
+        gate_name="normal_form_defect")
 
 
 def morse_remainder_field(f: ScalarField, n: int,
@@ -347,16 +377,12 @@ def morse_remainder_field(f: ScalarField, n: int,
     m = n - 1
 
     def rule(x):
-        if x.ndim > 1:
-            batch = x.shape[:-1]
-            return stack_jets([rule(xi) for xi in x.reshape(-1, m)], batch)
         data = morse_reduce(f, n, x, y0=y0)
-        jet = f(np.append(x, data.c))
-        grad = jet.gradient[:m].copy()
-        cross = jet.hessian[:m, m]
-        cgrad = -cross / data.fyy
-        hess = jet.hessian[:m, :m] + np.outer(cross, cgrad)
-        return Jet2(data.R, grad, hess)
+        jet = f(np.concatenate([x, np.expand_dims(data.c, -1)], axis=-1))
+        cross = jet.hessian[..., :m, m]
+        cgrad = -cross / np.expand_dims(data.fyy, -1)
+        hess = jet.hessian[..., :m, :m] + _outer(cross, cgrad)
+        return Jet2(data.R, jet.gradient[..., :m], hess)
 
     return ScalarField(rule, m, label=f"remainder of {f.label or '<rule>'}")
 
@@ -367,13 +393,12 @@ def verify_pde(R: ScalarField, n: int, points, tol: float = 1e-10,
     """Sweep of the remainder system over base points.
 
     Gate is the absolute system max (the residuals are polynomial in the
-    jet outputs); factor2 rides along as a non-gating check. Each chunk is
-    evaluated point by point, since R may run a Newton reduction per point.
+    jet outputs); factor2 rides along as a non-gating check.
     """
     def eval_chunk(X):
-        res = [pde_residuals(R, n, x) for x in X]
-        raw = np.array([r.system_max() for r in res])
-        return raw, raw, {"factor2": np.array([r.factor2 for r in res])}
+        res = pde_residuals(R, n, X)
+        raw = res.system_max()
+        return raw, raw, {"factor2": res.factor2}
 
     return run_sweep(
         points, eval_chunk, tol,

@@ -16,6 +16,10 @@ from nijenhuis.field import OperatorField, ScalarField, operator_eval
 from nijenhuis.invariants import charpoly
 from nijenhuis.jet import SingularPointError
 from nijenhuis.linalg import plu_det
+from nijenhuis.singularity import (DELTA_TAYLOR, NewtonDivergenceError,
+                                   morse_coordinate, morse_reduce,
+                                   morse_remainder_field, pde_residuals,
+                                   quadratic_factor, remainder_from_expression)
 from nijenhuis.torsion import torsion_from_eval
 
 SEED = 2718
@@ -149,6 +153,67 @@ def test_singular_points_carry_a_mask():
     assert err.value.point.tolist() == [[0.1, 0.0], [0.0, 0.0]]
 
 
+# -- the singularity layer ---------------------------------------------------------
+
+MORSE_F = {2: "y^2 + x1*y + exp(x1)", 3: "y^2 + x1*y + 0.1*x2*y^3",
+           4: "-y^2 + sin(x1)*y + x2*x3", 5: "y^2 + x1*y + x4*y^3/10 + x2*x3"}
+REMAINDERS = {2: "x1^2/4 + x1", 3: "x1*x2 + x2^3", 4: "x1*x2*x3 + x3^2",
+              5: "x1*x4 + x2^3 - x3*x4^2 + x4^4"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_singularity_layer_matches_points(n):
+    f = ScalarField.from_expression(MORSE_F[n], n)
+    R = remainder_from_expression(REMAINDERS[n], n)
+    rng = np.random.default_rng(SEED + n)
+    X = rng.uniform(-0.5, 0.5, size=(CHUNK, n - 1))
+    data = morse_reduce(f, n, X)
+    # every other fiber value lies within DELTA_TAYLOR of c (Taylor branch)
+    offsets = rng.uniform(-1.0, 1.0, CHUNK)
+    offsets[::2] *= 0.9 * DELTA_TAYLOR
+    offsets[0] = 0.0
+    Y = data.c + offsets
+    g = quadratic_factor(f, data, Y)
+    ytil = morse_coordinate(f, data, Y)
+    res = pde_residuals(R, n, X)
+    remainder = morse_remainder_field(f, n)(X)
+    for k in range(CHUNK):
+        single = morse_reduce(f, n, X[k])
+        assert type(single.c) is float and type(single.R) is float
+        assert type(single.sign) is int and type(single.newton_iters) is int
+        for name in ("c", "R", "sign", "fyy"):
+            assert same_bits(getattr(data, name)[k], getattr(single, name))
+        assert same_bits(g[k], quadratic_factor(f, single, Y[k]))
+        assert same_bits(ytil[k], morse_coordinate(f, single, Y[k]))
+        alone = pde_residuals(R, n, X[k])
+        for name in ("r0", "chain", "relations", "factor2"):
+            assert same_bits(getattr(res, name)[k], getattr(alone, name))
+        assert same_bits(res.system_max()[k], alone.system_max())
+        jet = morse_remainder_field(f, n)(X[k])
+        assert same_bits(remainder.value[k], jet.value)
+        assert same_bits(remainder.gradient[k], jet.gradient)
+        assert same_bits(remainder.hessian[k], jet.hessian)
+
+
+def test_newton_raises_the_first_failing_point_in_order():
+    # Newton from 0 diverges at x1 = 0 on the 4th iteration and at
+    # x1 = -0.5 on the 1st; sqrt fails at x1 = -2.5 on the 1st evaluation
+    f = ScalarField.from_expression("exp(y) + 0.5*y + x1*y^2 "
+                                    "+ sqrt(x1 + 2)", 2)
+    for X, expected in (([0.5, 0.0, -0.5], "x=[0.0] after 4 iterations"),
+                        ([-0.5, 0.0], "x=[-0.5] after 1 iterations"),
+                        ([0.0, -2.5], "x=[0.0] after 4 iterations")):
+        with pytest.raises(NewtonDivergenceError) as err:
+            morse_reduce(f, 2, np.array(X)[:, None])
+        assert expected in str(err.value)
+    with pytest.raises(SingularPointError, match="sqrt requires"):
+        morse_reduce(f, 2, np.array([[-2.5], [0.0]]))
+    # an error without a mask stops every point evaluated with it
+    f = ScalarField.from_expression("exp(800*x1)*y^2 + y", 2)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        morse_reduce(f, 2, np.array([[0.0], [1.0], [0.5]]))
+
+
 # -- reports do not depend on the chunk size ---------------------------------------
 
 CHUNK_INVOCATIONS = [
@@ -178,6 +243,20 @@ CHUNK_INVOCATIONS = [
      "--n", "3", "--samples", "40"),
     ("morse-reduce", "--format", "csv", "--f", "y^2 + x1*y + x2*y^3",
      "--n", "3", "--box", "-0.5", "0.5", "--samples", "4"),
+    # fiber values within DELTA_TAYLOR of c take the Taylor branch
+    ("morse-reduce", "--f", "y^2 + x1*y", "--n", "2",
+     "--box", "-1", "1", "-1.0004", "0.9996", "--samples", "5"),
+    # exit 3: the first slice fails after 50 Newton iterations, later
+    # ones after 22; the first slice's error is reported at every chunk size
+    ("morse-reduce", "--f", "y^2 + x1*y + x2*y^3", "--n", "3",
+     "--box", "-1", "1", "--samples", "4"),
+    # exit 3: Newton fails on the last slice, but f fails first, at the
+    # grid point (-1, -1) of the first slice
+    ("morse-reduce", "--f", "sqrt(y + 0.8) + y^2*(1 - x1)", "--n", "2",
+     "--box", "-1", "1", "--samples", "3"),
+    # exit 3: Newton fails on the third slice, after two that pass
+    ("morse-reduce", "--f", "1/(y - 1.0001) + (x1 + 0.6)*y^2", "--n", "2",
+     "--box", "-1", "1", "--samples", "4"),
 ]
 
 
@@ -187,7 +266,7 @@ def _reports(capsys, argv):
     if "--format" in argv:
         return code, out
     doc = json.loads(out)
-    doc.pop("wall_ms")
+    doc.pop("wall_ms", None)  # error reports have none
     return code, doc
 
 

@@ -149,12 +149,33 @@ def test_morse_reduce_non_morse_exits_three(capsys):
     assert "non-Morse" in doc["error"]
 
 
+def test_morse_reduce_grid_keeps_the_error_text_of_f(capsys):
+    # Newton's second iterate leaves the domain of sqrt on every slice
+    code, doc = invoke_json(capsys, "morse-reduce", "--f", "sqrt(y+0.5) + y^2",
+                            "--n", "2", "--box", "-1", "1", "--samples", "5")
+    assert code == 3
+    assert doc["error"] == ("sqrt requires a positive argument "
+                            "(value -4.691816e-02)")
+
+
 def test_parse_error_exits_two_with_position(capsys):
     code, doc = invoke_json(capsys, "diagnose", "--f", "x3 + y", "--n", "3",
                             "--point", "1", "2", "3")
     assert code == 2
     assert doc["position"] == 0
     assert "out of range" in doc["error"]
+
+
+@pytest.mark.parametrize("argv, position", [
+    (("diagnose", "--f", "1e400+y", "--n", "2", "--point", "0.1", "0.2"), 0),
+    (("morse-reduce", "--f", "y^2+1e400", "--n", "2", "--point", "0.1"), 4),
+    (("charpoly", "--matrix", "diag:1e400,y", "--point", "0.1", "0.2"), 0),
+], ids=lambda a: a[0] if isinstance(a, tuple) else None)
+def test_overflowing_literal_exits_two_with_position(capsys, argv, position):
+    code, doc = invoke_json(capsys, *argv)
+    assert code == 2
+    assert doc["position"] == position
+    assert "1e400 overflows" in doc["error"]
 
 
 def test_bad_exponent_exits_two(capsys):
@@ -261,3 +282,42 @@ def test_verify_csv_collects_rows(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("check,point_1")
     assert len(lines) == 26
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--tol", ("pde-check", "--R", "x1*x2", "--n", "3", "--samples", "20",
+               "--tol", "inf")),
+    ("--min-denominator", ("verify", "--family", "theorem1", "--n", "2",
+                           "--f", "y^2 + 0.01*y", "--samples", "200",
+                           "--min-denominator", "nan")),
+    ("--tol", ("verify", "--family", "theorem1", "--n", "2",
+               "--f", "y^2 + 0.01*y", "--samples", "200", "--tol", "nan")),
+    ("--fd-step", ("torsion", "--family", "theorem1", "--n", "2",
+                   "--f", "y^2 + 0.01*y", "--point", "0.1", "0.2",
+                   "--fd-step", "inf")),
+    ("--point", ("construct", "--family", "theorem1", "--n", "2", "--f", "y",
+                 "--point", "nan", "0.1")),
+    ("--box", ("morse-reduce", "--f", "y^2", "--n", "2",
+               "--box", "-1", "inf")),
+    ("--y0", ("morse-reduce", "--f", "y^2", "--n", "2", "--point", "0.1",
+              "--y0", "inf")),
+], ids=lambda a: a[0] if isinstance(a, tuple) else a)
+def test_non_finite_float_flags_exit_two(capsys, flag, argv):
+    code, doc = invoke_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"].startswith(f"argument {flag}: expected a finite")
+
+
+OVERFLOWING_MATRIX = "1e200*y, 1e200*x1; 1e200*x1, 1e200*y"
+
+
+@pytest.mark.parametrize("argv", [
+    ("torsion", "--matrix", OVERFLOWING_MATRIX, "--point", "0.3", "0.4"),
+    ("charpoly", "--matrix", OVERFLOWING_MATRIX, "--point", "0.3", "0.4"),
+    ("verify", "--matrix", OVERFLOWING_MATRIX, "--samples", "5"),
+], ids=lambda a: a[0])
+def test_overflow_after_the_jets_exits_three(capsys, argv):
+    # the jets are finite; the products of torsion and charpoly overflow
+    code, doc = invoke_json(capsys, *argv)
+    assert code == 3
+    assert "encountered in" in doc["error"]

@@ -164,6 +164,14 @@ def test_bad_character():
     assert "unexpected character" in str(err)
 
 
+def test_overflowing_literal():
+    err = error_position("1e400 + y", 2)
+    assert "number 1e400 overflows" in str(err)
+    assert err.position == 0
+    assert error_position("y^2 + 2.5E+308", 2).position == 6
+    parse_expression("1e308 + 1e-400*y", 2)  # finite and underflow are fine
+
+
 def test_builtin_requires_call():
     error_position("sqrt + 1", 2)
 

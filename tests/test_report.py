@@ -90,3 +90,13 @@ def test_records_hold_the_accepted_points_in_order(monkeypatch):
     assert np.array_equal(rec["rel"], kept[:, 0])
     assert np.array_equal(rec["raw"], 2.0 * kept[:, 0])
     assert np.array_equal(rec["twice"], 4.0 * kept[:, 0])
+
+
+def test_overflow_in_a_residual_raises():
+    def eval_chunk(P):
+        raw = P[:, 0] * 1e308 * 10.0
+        return raw, raw, {}
+
+    with pytest.raises(FloatingPointError, match="overflow"):
+        run_sweep(np.ones((3, 2)), eval_chunk, 1e-9, subject="s", params={},
+                  gate_name="g")

@@ -263,3 +263,20 @@ def test_normal_form_sweep_nontrivial_remainder():
     rep = verify_morse_normal_form(f, 2, np.array([[-1.0, 1.0]] * 2),
                                    grid=9, tol=1e-9)
     assert rep.passed
+
+
+def test_normal_form_grid_evaluates_f_per_chunk(monkeypatch):
+    # 125 grid points in one chunk: the batched Newton steps, the quotient
+    # and Taylor probes, and the defect (one call per point made 345)
+    f = ScalarField.from_expression("y^2 + x1*y + x2*y^3", 3)
+    calls = []
+    original = ScalarField.__call__
+
+    def counted(field, p):
+        calls.append(np.shape(p))
+        return original(field, p)
+
+    monkeypatch.setattr(ScalarField, "__call__", counted)
+    rep = verify_morse_normal_form(f, 3, (-0.5, 0.5), grid=5)
+    assert rep.passed and rep.accepted == 125
+    assert len(calls) <= 10
