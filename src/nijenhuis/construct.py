@@ -29,10 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .jet import (Jet2, SingularPointError, DenominatorVanishes,
-                  coordinate_jet, stack_jets)
-from .field import (ScalarField, OperatorField, SingularEntry, as_jet,
-                    operator_eval)
+from .jet import (Jet2, SingularPointError, DenominatorVanishes, _jet,
+                  coordinate_jet)
+from .field import ScalarField, OperatorField, SingularEntry, operator_eval
 from .linalg import plu_det, invert_with_det, matmul, NumericallySingular
 
 __all__ = [
@@ -91,17 +90,24 @@ def companion_matrix(sigma_values: Sequence[float]) -> np.ndarray:
     return M
 
 
-def _companion_jets(sigma_jets: Sequence[Jet2]) -> list:
-    """Companion matrix with jet entries in the first column."""
-    n = len(sigma_jets)
-    rows = []
-    for i in range(n):
-        row = [0.0] * n
-        row[0] = -sigma_jets[i]
-        if i < n - 1:
-            row[i + 1] = 1.0
-        rows.append(row)
-    return rows
+def _companion_jets(sigma_jets: Sequence[Jet2]) -> Jet2:
+    """Companion matrices with jet entries in the first column, as one jet
+    of batch shape (..., n, n)."""
+    value = companion_matrix(np.stack([s.value for s in sigma_jets], axis=-1))
+    dim = sigma_jets[0].dim
+    gradient = np.zeros(value.shape + (dim,))
+    gradient[..., 0, :] = -np.stack([s.gradient for s in sigma_jets], axis=-2)
+    hessian = np.zeros(value.shape + (dim, dim))
+    hessian[..., 0, :, :] = -np.stack([s.hessian for s in sigma_jets], axis=-3)
+    return _jet(value, gradient, hessian)
+
+
+def _entry_jets(M: Jet2) -> list:
+    """The n x n grid of entry jets of a jet of batch shape (..., n, n)."""
+    n = M.value.shape[-1]
+    return [[_jet(M.value[..., i, j][()], M.gradient[..., i, j, :],
+                  M.hessian[..., i, j, :, :]) for j in range(n)]
+            for i in range(n)]
 
 
 def _check_sigma(sigma: Sequence[ScalarField]) -> int:
@@ -126,7 +132,7 @@ def build_companion(sigma: Sequence[ScalarField]) -> OperatorField:
     n = _check_sigma(sigma)
 
     def rule(p):
-        return _companion_jets([s(p) for s in sigma])
+        return _entry_jets(_companion_jets([s(p) for s in sigma]))
 
     return OperatorField(n, rule, label="companion")
 
@@ -139,35 +145,27 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField],
     raises DegeneratePointError below that. The conjugation is carried out
     in jet arithmetic so entry gradients come out exact; entry Hessians are
     truncated (J's entries only know the coefficient Hessians) and are never
-    consumed downstream. The determinant check runs on the whole batch; the
-    pivoted jet inverse runs point by point.
+    consumed downstream. J and Ltilde are stacks of jet matrices, one per
+    point, and the pivoted jet inverse and both products run on the whole
+    batch at once.
     """
     sigma = list(sigma)
     n = _check_sigma(sigma)
 
-    def at_point(p, jets, det):
-        Jjets = [[Jet2(jt.gradient[j], jt.hessian[j]) for j in range(n)]
-                 for jt in jets]
-        Ltilde = _companion_jets(jets)
-        try:
-            Jinv, _ = invert_with_det(Jjets)
-        except NumericallySingular:
-            raise DegeneratePointError(p, det) from None
-        return matmul(Jinv, matmul(Ltilde, Jjets))
-
     def rule(p):
         jets = [s(p) for s in sigma]
-        det = plu_det(np.stack([jt.gradient for jt in jets], axis=-2))
+        grads = np.stack([jt.gradient for jt in jets], axis=-2)
+        det = plu_det(grads)
         bad = np.abs(det) < EPS_DET_PER_DIM * n
         if bad.any():
             raise DegeneratePointError(p, det, mask=bad)
-        batch = p.shape[:-1]
-        if not batch:
-            return at_point(p, jets, det)
-        cells = [at_point(p[idx], [jt.at(idx) for jt in jets], det[idx])
-                 for idx in np.ndindex(batch)]
-        return [[stack_jets([as_jet(c[i][j], n) for c in cells], batch)
-                 for j in range(n)] for i in range(n)]
+        J = Jet2(grads, np.stack([jt.hessian for jt in jets], axis=-3))
+        Ltilde = _companion_jets(jets)
+        try:
+            Jinv, _ = invert_with_det(J)
+        except NumericallySingular as exc:
+            raise DegeneratePointError(p, det, mask=exc.mask) from None
+        return _entry_jets(matmul(Jinv, matmul(Ltilde, J)))
 
     return OperatorField(n, rule, label=label)
 

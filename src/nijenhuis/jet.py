@@ -29,7 +29,7 @@ exactly those and evaluate the rest again.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -318,10 +318,3 @@ def broadcast_jet(jet: Jet2, batch: tuple) -> Jet2:
                 np.broadcast_to(jet.gradient, batch + (n,)),
                 np.broadcast_to(jet.hessian, batch + (n, n)))
 
-
-def stack_jets(jets: Sequence[Jet2], batch: tuple) -> Jet2:
-    """Assemble single-point jets (C order over `batch`) into one batched jet."""
-    n = jets[0].dim
-    return _jet(np.array([j.value for j in jets], dtype=float).reshape(batch),
-                np.array([j.gradient for j in jets]).reshape(batch + (n,)),
-                np.array([j.hessian for j in jets]).reshape(batch + (n, n)))

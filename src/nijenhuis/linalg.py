@@ -1,28 +1,32 @@
 """Small dense matrix routines: partial-pivot elimination over floats or jets.
 
 These matrices are tiny (n <= 10 or so), so a straightforward Gauss-Jordan
-with partial pivoting is both fast enough and easy to audit. The float
-determinant below also serves as an independent cross-check for the
-recursive characteristic-polynomial coefficients: two unrelated algorithms
-must agree on det before a result is trusted.
+with partial pivoting is both fast enough and easy to audit. Every routine
+takes a stack of matrices (..., n, n), one per point, and eliminates all of
+them at once: each matrix gets its own pivots, so its result is bit for bit
+the one it gets on its own. The float determinant also serves as an
+independent cross-check for the recursive characteristic-polynomial
+coefficients: two unrelated algorithms must agree on det before a result
+is trusted.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from .jet import Jet2
+from .jet import DenominatorVanishes, Jet2, _jet, _zeros
 
 __all__ = ["plu_det", "invert_with_det", "matmul", "NumericallySingular"]
+
+_ALL = slice(None)
 
 
 class NumericallySingular(ArithmeticError):
     """Pivoting found no usable pivot; the matrix is singular to working precision."""
 
-    def __init__(self, pivot_magnitude: float):
+    def __init__(self, pivot_magnitude: float, mask=None):
         self.pivot_magnitude = pivot_magnitude
+        self.mask = mask
         super().__init__(
             f"matrix numerically singular (best pivot {pivot_magnitude:.6e})")
 
@@ -60,60 +64,88 @@ def plu_det(M: np.ndarray):
     return det.reshape(batch)[()]
 
 
-def _magnitude(x) -> float:
-    return abs(x.value) if isinstance(x, Jet2) else abs(x)
+def _take(a: Jet2, rows, cols) -> Jet2:
+    """A stack of matrix jets indexed on its two trailing (matrix) axes."""
+    idx = (Ellipsis, rows, cols)
+    return _jet(a.value[idx], a.gradient[idx + (_ALL,)],
+                a.hessian[idx + (_ALL, _ALL)])
 
 
-def invert_with_det(rows: Sequence[Sequence], min_pivot: float = 0.0):
-    """Gauss-Jordan inverse with partial pivoting, generic over the element ring.
+def _reshape(a: Jet2, batch: tuple) -> Jet2:
+    """The jet with its batch axes reshaped to `batch`."""
+    n = a.dim
+    return _jet(a.value.reshape(batch)[()], a.gradient.reshape(batch + (n,)),
+                a.hessian.reshape(batch + (n, n)))
 
-    Elements may be floats or Jet2 (mixing allowed; jet coercion absorbs the
-    0.0/1.0 identity seeds). Pivots are chosen by |value|. Returns
-    (inverse_rows, det); raises NumericallySingular when the best available
-    pivot magnitude is <= min_pivot.
+
+def invert_with_det(A: Jet2, min_pivot: float = 0.0):
+    """Gauss-Jordan inverse with partial pivoting of a stack of jet matrices.
+
+    A is a jet of batch shape (..., n, n): one n x n matrix per point.
+    Every matrix is eliminated with its own pivots, the first row of
+    largest |value| down the column, exactly as it would be alone; all
+    derivatives come from the jet product and quotient rules. Returns
+    (inverse, det), jets of batch shapes (..., n, n) and (...). Raises
+    NumericallySingular when a matrix's best pivot magnitude is <=
+    min_pivot, and DenominatorVanishes when a pivot row cannot be divided
+    by its pivot; either error's mask marks the failing matrices.
     """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
+    shape = np.shape(A.value)
+    if len(shape) < 2 or shape[-2] != shape[-1]:
         raise ValueError("matrix must be square")
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    n, batch = shape[-1], shape[:-2]
+    a = _reshape(A, (-1, n, n))
+    stack = np.arange(a.value.shape[0])
+    eye = np.broadcast_to(np.eye(n), a.value.shape)
+    # the augmented matrix [A | I]; the identity's derivatives are zero
+    a = _jet(np.concatenate([a.value, eye], axis=-1),
+             np.concatenate([a.gradient, np.zeros_like(a.gradient)], axis=-2),
+             np.concatenate([a.hessian, _zeros(a.hessian.shape)], axis=-3))
+    # a row swap negates det; negation commutes exactly with the products,
+    # so the signs are applied once at the end
+    sign = np.ones((stack.size, 1, 1))
     det = 1.0
     for k in range(n):
-        piv = max(range(k, n), key=lambda r: _magnitude(a[r][k]))
-        mag = _magnitude(a[piv][k])
-        if mag <= min_pivot:
-            raise NumericallySingular(mag)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            inv[k], inv[piv] = inv[piv], inv[k]
-            det = -det
-        pivot = a[k][k]
+        mag = np.abs(a.value[:, k:, k])
+        piv = np.argmax(mag, axis=1)
+        best = mag[stack, piv]
+        bad = best <= min_pivot
+        if bad.any():
+            raise NumericallySingular(best[bad][0], mask=bad.reshape(batch))
+        piv += k
+        swap = piv != k
+        if swap.any():
+            perm = np.tile(np.arange(n), (stack.size, 1))
+            perm[:, k] = piv
+            perm[stack, piv] = k
+            a = a.at((stack[:, None], perm))
+            sign[swap] = -sign[swap]
+        pivot = _take(a, slice(k, k + 1), slice(k, k + 1))
         det = det * pivot
-        for j in range(n):
-            a[k][j] = a[k][j] / pivot
-            inv[k][j] = inv[k][j] / pivot
-        for r in range(n):
-            if r == k:
-                continue
-            factor = a[r][k]
-            if _magnitude(factor) == 0.0:
-                continue
-            for j in range(n):
-                a[r][j] = a[r][j] - factor * a[k][j]
-                inv[r][j] = inv[r][j] - factor * inv[k][j]
-    return inv, det
+        try:
+            row = _take(a, slice(k, k + 1), _ALL) / pivot
+        except DenominatorVanishes as exc:
+            raise DenominatorVanishes(
+                exc.denominator,
+                mask=exc.mask.any(axis=(-2, -1)).reshape(batch)) from None
+        # every other row r becomes a[r] - a[r, k] * row; row k becomes row
+        a = a - _take(a, _ALL, slice(k, k + 1)) * row
+        a.value[:, k] = row.value[:, 0]
+        a.gradient[:, k] = row.gradient[:, 0]
+        a.hessian[:, k] = row.hessian[:, 0]
+    det = det * Jet2(sign, np.zeros(sign.shape + (A.dim,)))
+    return (_reshape(_take(a, _ALL, slice(n, None)), batch + (n, n)),
+            _reshape(det, batch))
 
 
-def matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:
-    """Product of two square matrices with float or jet elements."""
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, n):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def matmul(A: Jet2, B: Jet2) -> Jet2:
+    """Product of two stacks of square jet matrices, batch (..., n, n).
+
+    Entry (i, j) adds A[i, k] * B[k, j] over k = 0..n-1 from left to right.
+    """
+    n = A.value.shape[-1]
+    acc = _take(A, _ALL, slice(0, 1)) * _take(B, slice(0, 1), _ALL)
+    for k in range(1, n):
+        acc = acc + (_take(A, _ALL, slice(k, k + 1))
+                     * _take(B, slice(k, k + 1), _ALL))
+    return acc

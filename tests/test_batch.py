@@ -257,6 +257,17 @@ CHUNK_INVOCATIONS = [
     # exit 3: Newton fails on the third slice, after two that pass
     ("morse-reduce", "--f", "1/(y - 1.0001) + (x1 + 0.6)*y^2", "--n", "2",
      "--box", "-1", "1", "--samples", "4"),
+    # det J passes its check but the pivot division of the jet inverse
+    # fails for 1.4e-5 < |y| < 1e-4: 48 of the 100 points are rejected
+    pytest.param(("verify", "--family", "diffnondeg", "--n", "2",
+                  "--sigma", "x1,1e4*x1+y^3/3", "--check", "all",
+                  "--samples", "50", "--seed", "3",
+                  "--box", "-1", "1", "1e-5", "2e-4"),
+                 id="verify-diffnondeg-pivot-division"),
+    # exit 3: the same failure at a single point
+    pytest.param(("construct", "--family", "diffnondeg", "--n", "2",
+                  "--sigma", "x1,1e4*x1+y^3/3", "--point", "0.1", "5e-5"),
+                 id="construct-diffnondeg-pivot-division"),
 ]
 
 

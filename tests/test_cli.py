@@ -82,6 +82,30 @@ def test_construct_singular_point_exits_three(capsys):
     assert "entry (3,1)" in doc["error"]
 
 
+def test_diffnondeg_torsion_vanishes_where_a_jacobi_entry_does(capsys):
+    # at y = 0 the entry 0.2*y of J has value 0 but gradient 0.2; the
+    # conjugation must keep that gradient for the torsion to vanish
+    code, doc = invoke_json(
+        capsys, "torsion", "--family", "diffnondeg", "--n", "3",
+        "--sigma", "x1+0.1*y^2,x2+0.2*x1*y,y+0.1*x1*x2+0.3*x2^2",
+        "--fd-step", "1e-4", "--point", "0", "0", "0",
+        "--point", "0.3", "0", "0")
+    assert code == 0
+    assert doc["max_residual"] < 1e-10
+    checks = {c["name"]: c["max"] for c in doc["checks"]}
+    assert checks["fd_oracle_delta"] < 1e-6
+
+
+def test_construct_pivot_division_failure_exits_three(capsys):
+    # det J passes its check; dividing the jet inverse's pivot row fails
+    code, doc = invoke_json(capsys, "construct", "--family", "diffnondeg",
+                            "--n", "2", "--sigma", "x1,1e4*x1+y^3/3",
+                            "--point", "0.1", "5e-5")
+    assert code == 3
+    assert doc["error"] == ("entry (0,0) singular at point [0.1, 5e-05]: "
+                            "denominator vanishes (value -2.500000e-13)")
+
+
 def test_charpoly_subcommand(capsys):
     code, doc = invoke_json(capsys, "charpoly", "--family", "theorem1",
                             "--n", "3", "--f", "y^2",

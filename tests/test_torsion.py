@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nijenhuis.construct import build_morse_canonical, build_regular_family
+from nijenhuis.construct import (build_diff_nondegenerate, build_morse_canonical,
+                                 build_regular_family)
 from nijenhuis.field import OperatorField, ScalarField, operator_eval
 from nijenhuis.report import DomainEntirelySingular
 from nijenhuis.torsion import (torsion_bracket_fd, torsion_coordinate,
@@ -102,6 +103,32 @@ def test_bracket_oracle_quadratic_convergence():
         assert d1 / d2 > 3.5, (p, d1, d2)
         assert d1 < 1e-6
     assert checked > 0
+
+
+# the well-conditioned coefficient fields of the diffnondeg benchmark
+DIFFNONDEG_SIGMA = {
+    3: "x1+0.1*y^2,x2+0.2*x1*y,y+0.1*x1*x2+0.3*x2^2",
+    5: "x1+0.1*y^2,x2+0.2*x1*y,x3+0.1*x2^2,x4+0.2*x1*x3,"
+       "y+0.1*x1*x2+0.3*x4^2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIFFNONDEG_SIGMA))
+def test_diffnondeg_torsion_agrees_with_bracket_oracle(n):
+    sigma = [ScalarField.from_expression(t, n)
+             for t in DIFFNONDEG_SIGMA[n].split(",")]
+    L = build_diff_nondegenerate(sigma)
+    rng = np.random.default_rng(SEED + 5)
+    P = rng.uniform(-1.0, 1.0, size=(20, n))
+    # zeroed coordinates zero entries of J whose gradients do not vanish
+    for k in range(0, 20, 2):
+        P[k, rng.integers(0, n)] = 0.0
+    P[-1] = 0.0
+    for p in P:
+        exact = torsion_coordinate(L, p).components
+        fd = torsion_bracket_fd(L, p, h=1e-4).components
+        assert np.max(np.abs(exact)) < 1e-12, p
+        assert np.max(np.abs(exact - fd)) < 1e-6, p
 
 
 def _bracket_fd_by_index(L, p, h):
