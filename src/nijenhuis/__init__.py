@@ -18,7 +18,7 @@ from .construct import (DegeneratePointError, companion_matrix,
                         build_companion, build_diff_nondegenerate, build_2d,
                         build_regular_family, build_morse_canonical,
                         conjugation_residual)
-from .torsion import (TorsionValue, torsion_coordinate, torsion_bracket_fd,
+from .torsion import (torsion_coordinate, torsion_bracket_fd,
                       verify_zero_torsion)
 from .invariants import (charpoly, coordinate_sigma, verify_sigma_coords,
                          verify_sigma_fields)
@@ -43,8 +43,7 @@ __all__ = [
     "DegeneratePointError", "companion_matrix", "build_companion",
     "build_diff_nondegenerate", "build_2d", "build_regular_family",
     "build_morse_canonical", "conjugation_residual",
-    "TorsionValue", "torsion_coordinate", "torsion_bracket_fd",
-    "verify_zero_torsion",
+    "torsion_coordinate", "torsion_bracket_fd", "verify_zero_torsion",
     "charpoly", "coordinate_sigma", "verify_sigma_coords",
     "verify_sigma_fields",
     "FractionDiagnostic", "PdeResiduals", "MorseData", "NonMorseError",

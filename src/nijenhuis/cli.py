@@ -223,16 +223,27 @@ def _box_bounds(args, dim: int) -> np.ndarray:
         f"({dim} per-axis pairs), got {len(raw)}")
 
 
-def _point_list(args, dim: int, what: str = "--point") -> list:
+def _point_list(args, dim: int, what: str = "--point") -> np.ndarray:
+    """The --point values as points (B, dim), in argv order."""
     raw = getattr(args, "point", None)
     _require(bool(raw), f"{what} is required for this command")
-    points = []
     for values in raw:
         if len(values) != dim:
             raise UsageError(
                 f"{what} needs {dim} coordinates, got {len(values)}")
-        points.append(np.asarray(values, dtype=float))
-    return points
+    return np.asarray(raw, dtype=float)
+
+
+def _evaluate(P: np.ndarray, batched: Callable, per_point=None):
+    """batched(P), one evaluation of a whole --point list. If it raises,
+    per_point (default batched) replays the points in argv order, so the
+    error is the first failing point's, as that point alone gives it."""
+    try:
+        return batched(P)
+    except (ArithmeticError, ValueError):
+        for p in P:
+            (per_point or batched)(p)
+        raise
 
 
 def _field(text: str, dim: int) -> ScalarField:
@@ -434,15 +445,12 @@ def _default_text(payload: dict) -> list:
 
 def handle_construct(args) -> tuple:
     ctx = _build_context(args)
-    points = _point_list(args, ctx.op.dim)
-    results = []
-    rows = []
-    for p in points:
-        values = operator_eval(ctx.op, p).values
-        results.append({"point": [float(v) for v in p],
-                        "matrix": [[float(v) for v in row] for row in values]})
-        rows.append(list(map(float, p))
-                    + [float(v) for v in values.reshape(-1)])
+    P = _point_list(args, ctx.op.dim)
+    values = _evaluate(P, lambda P: operator_eval(ctx.op, P).values)
+    points = P.tolist()
+    results = [{"point": p, "matrix": m}
+               for p, m in zip(points, values.tolist())]
+    rows = [p + m for p, m in zip(points, values.reshape(len(P), -1).tolist())]
     n = ctx.op.dim
     header = ([f"point_{i}" for i in range(1, n + 1)]
               + [f"L_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
@@ -463,50 +471,51 @@ def handle_construct(args) -> tuple:
 def handle_torsion(args) -> tuple:
     ctx = _build_context(args)
     n = ctx.op.dim
-    points = _point_list(args, n)
-    results = []
-    rows = []
-    max_rel = 0.0
-    max_raw = 0.0
-    fd_max = None
-    for p in points:
-        ev = operator_eval(ctx.op, p)
-        N = torsion_from_eval(ev)
-        raw = float(np.max(np.abs(N)))
-        scale = 1.0 + float(np.max(np.abs(ev.values)))
-        rel = raw / scale
-        max_raw = max(max_raw, raw)
-        max_rel = max(max_rel, rel)
-        listed = []
-        threshold = 1e-13 * scale
-        for i in range(n):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    v = float(N[i, j, k])
-                    if abs(v) > threshold:
-                        listed.append({"i": i + 1, "j": j + 1, "k": k + 1,
-                                       "value": v})
-                        rows.append(list(map(float, p))
-                                    + [i + 1, j + 1, k + 1, v])
-        entry = {"point": [float(v) for v in p], "max_component": raw,
-                 "relative": rel, "components": listed}
+    P = _point_list(args, n)
+
+    def evaluate(P):
+        # with --fd-step, the stencil's centre is the operator at P
+        ev, Nfd = ((operator_eval(ctx.op, P), None) if args.fd_step is None
+                   else torsion_bracket_fd(ctx.op, P, h=args.fd_step))
+        return ev, torsion_from_eval(ev), Nfd
+
+    def per_point(p):
+        # the order a point raises in: itself, its torsion, its stencil
+        torsion_from_eval(operator_eval(ctx.op, p))
         if args.fd_step is not None:
-            Nfd = torsion_bracket_fd(ctx.op, p, h=args.fd_step).components
-            delta = float(np.max(np.abs(Nfd - N)))
-            entry["fd_max_delta"] = delta
-            fd_max = delta if fd_max is None else max(fd_max, delta)
-        results.append(entry)
+            torsion_bracket_fd(ctx.op, p, h=args.fd_step)
+
+    ev, N, Nfd = _evaluate(P, evaluate, per_point)
+    raw = np.max(np.abs(N), axis=(-3, -2, -1))
+    scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
+    rel = raw / scale
+    results = [{"point": p, "max_component": r, "relative": q,
+                "components": []}
+               for p, r, q in zip(P.tolist(), raw.tolist(), rel.tolist())]
+    rows = []
+    # the components N^i_jk with j < k above 1e-13 * scale, in C order
+    keep = ((np.abs(N) > 1e-13 * scale[:, None, None, None])
+            & np.triu(np.ones((n, n), dtype=bool), 1))
+    for (b, i, j, k), v in zip(np.argwhere(keep).tolist(), N[keep].tolist()):
+        results[b]["components"].append(
+            {"i": i + 1, "j": j + 1, "k": k + 1, "value": v})
+        rows.append(results[b]["point"] + [i + 1, j + 1, k + 1, v])
+    max_rel = float(np.max(rel))
     passed = max_rel <= args.tol
     checks = [{"name": "torsion_relative", "max": max_rel, "pass": passed}]
-    if fd_max is not None:
-        checks.append({"name": "fd_oracle_delta", "max": fd_max, "pass": True})
+    if Nfd is not None:
+        delta = np.max(np.abs(Nfd - N), axis=(-3, -2, -1))
+        for entry, d in zip(results, delta.tolist()):
+            entry["fd_max_delta"] = d
+        checks.append({"name": "fd_oracle_delta",
+                       "max": float(np.max(delta)), "pass": True})
     payload = {
         "schema": 1,
         "subject": f"torsion of {ctx.params['family']}",
         "params": {**ctx.params, "tol": args.tol,
                    **({"fd_step": args.fd_step} if args.fd_step is not None else {})},
         "results": results,
-        "max_residual": max_raw,
+        "max_residual": float(np.max(raw)),
         "checks": checks,
         "pass": passed,
     }
@@ -518,14 +527,11 @@ def handle_torsion(args) -> tuple:
 def handle_charpoly(args) -> tuple:
     ctx = _build_context(args)
     n = ctx.op.dim
-    points = _point_list(args, n)
-    results = []
-    rows = []
-    for p in points:
-        sigma = charpoly(operator_eval(ctx.op, p).values)
-        results.append({"point": [float(v) for v in p],
-                        "sigma": [float(s) for s in sigma]})
-        rows.append(list(map(float, p)) + [float(s) for s in sigma])
+    P = _point_list(args, n)
+    sigma = _evaluate(P, lambda P: charpoly(operator_eval(ctx.op, P).values))
+    results = [{"point": p, "sigma": s}
+               for p, s in zip(P.tolist(), sigma.tolist())]
+    rows = [r["point"] + r["sigma"] for r in results]
     payload = {
         "schema": 1,
         "subject": f"charpoly of {ctx.params['family']}",
@@ -630,19 +636,13 @@ def handle_diagnose(args) -> tuple:
     n = args.n
     _require(n >= 2, f"--n must be at least 2, got {n}")
     f = _field(args.f, n)
-    points = _point_list(args, n)
-    results = []
-    rows = []
-    for p in points:
-        diag = smoothness_numerators(f, n, p)
-        results.append({
-            "point": [float(v) for v in p],
-            "numerators": [float(v) for v in diag.numerators],
-            "denominator": float(diag.denominator),
-            "verdict": diag.verdict,
-        })
-        rows.append(list(map(float, p)) + [float(diag.denominator)]
-                    + [float(v) for v in diag.numerators] + [diag.verdict])
+    P = _point_list(args, n)
+    d = _evaluate(P, lambda P: smoothness_numerators(f, n, P))
+    results = [{"point": p, "numerators": num, "denominator": den, "verdict": v}
+               for p, num, den, v in zip(*(a.tolist() for a in (
+                   P, d.numerators, d.denominator, d.verdict)))]
+    rows = [r["point"] + [r["denominator"]] + r["numerators"] + [r["verdict"]]
+            for r in results]
     payload = {
         "schema": 1,
         "subject": "smoothness diagnostics",

@@ -142,12 +142,13 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField],
     """Operator field J^(-1) Ltilde J from n coefficient fields.
 
     Evaluation checks |det J| >= n * EPS_DET_PER_DIM at each point and
-    raises DegeneratePointError below that. The conjugation is carried out
-    in jet arithmetic so entry gradients come out exact; entry Hessians are
-    truncated (J's entries only know the coefficient Hessians) and are never
-    consumed downstream. J and Ltilde are stacks of jet matrices, one per
-    point, and the pivoted jet inverse and both products run on the whole
-    batch at once.
+    raises DegeneratePointError below that, or where the jet inverse of J
+    finds no usable pivot or cannot divide a pivot row by it. The
+    conjugation is carried out in jet arithmetic so entry gradients come
+    out exact; entry Hessians are truncated (J's entries only know the
+    coefficient Hessians) and are never consumed downstream. J and Ltilde
+    are stacks of jet matrices, one per point, and the pivoted jet inverse
+    and both products run on the whole batch at once.
     """
     sigma = list(sigma)
     n = _check_sigma(sigma)
@@ -163,7 +164,7 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField],
         Ltilde = _companion_jets(jets)
         try:
             Jinv, _ = invert_with_det(J)
-        except NumericallySingular as exc:
+        except (NumericallySingular, DenominatorVanishes) as exc:
             raise DegeneratePointError(p, det, mask=exc.mask) from None
         return _entry_jets(matmul(Jinv, matmul(Ltilde, J)))
 

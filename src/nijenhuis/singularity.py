@@ -77,17 +77,19 @@ class NewtonDivergenceError(ArithmeticError):
 
 @dataclass
 class FractionDiagnostic:
-    """Pointwise classification of the quotient entries' smoothness.
+    """Classification of the quotient entries' smoothness at points p (..., n).
 
-    numerators[0] = sum_i x_i f_xi - f_x1 f_x(n-1) - f, and numerators[j-1]
-    = f_x(j-1) + f_xj f_x(n-1) for j = 2..n-1 (the quotient numerators of
-    the family's last row, up to sign). denominator = f_y(p).
+    numerators[..., 0] = sum_i x_i f_xi - f_x1 f_x(n-1) - f, and
+    numerators[..., j-1] = f_x(j-1) + f_xj f_x(n-1) for j = 2..n-1 (the
+    quotient numerators of the family's last row, up to sign), so
+    numerators has shape (..., n-1). denominator = f_y(p) and verdict have
+    p's batch shape (a Python float and str at batch ()).
     """
 
     point: np.ndarray
     numerators: np.ndarray
-    denominator: float
-    verdict: str
+    denominator: Union[float, np.ndarray]
+    verdict: Union[str, np.ndarray]
 
 
 @dataclass
@@ -137,7 +139,8 @@ class MorseData:
 def smoothness_numerators(f: ScalarField, n: int, p: Sequence[float],
                           eps_div: float = 1e-12,
                           tol_num: float = 1e-10) -> FractionDiagnostic:
-    """Classify p as regular / singular-denominator-zero-numerators / obstructed.
+    """Classify the points p (..., n) as regular /
+    singular-denominator-zero-numerators / obstructed.
 
     regular: |f_y| >= eps_div (the quotients are plainly smooth there).
     Otherwise the denominator vanishes and the verdict depends on the
@@ -151,20 +154,21 @@ def smoothness_numerators(f: ScalarField, n: int, p: Sequence[float],
     p = np.asarray(p, dtype=float)
     fj = f(p)
     g = fj.gradient
-    fx = g[:n - 1]
-    fy = float(g[n - 1])
-    n0 = float(np.dot(p[:n - 1], fx) - fx[0] * fx[n - 2] - fj.value)
-    numerators = [n0]
-    for c in range(1, n - 1):
-        numerators.append(float(fx[c - 1] + fx[c] * fx[n - 2]))
-    numerators = np.asarray(numerators)
-    scale = 1.0 + abs(fj.value) + float(np.max(np.abs(g)))
-    if abs(fy) >= eps_div:
-        verdict = "regular"
-    elif np.any(np.abs(numerators) > tol_num * scale):
-        verdict = "obstructed"
-    else:
-        verdict = "singular-denominator-zero-numerators"
+    fx, fy = g[..., :n - 1], g[..., n - 1]
+    last = fx[..., n - 2:]
+    # x . f_x as a matmul rounds as np.dot does; a sum or einsum does not
+    dot = (p[..., None, :n - 1] @ fx[..., :, None])[..., 0, 0]
+    n0 = dot - fx[..., 0] * last[..., 0] - fj.value
+    numerators = np.concatenate(
+        [n0[..., None], fx[..., :n - 2] + fx[..., 1:] * last], axis=-1)
+    scale = 1.0 + np.abs(fj.value) + np.max(np.abs(g), axis=-1)
+    obstructed = np.any(np.abs(numerators) > tol_num * scale[..., None],
+                        axis=-1)
+    verdict = np.where(np.abs(fy) >= eps_div, "regular",
+                       np.where(obstructed, "obstructed",
+                                "singular-denominator-zero-numerators"))
+    if not verdict.ndim:
+        fy, verdict = float(fy), str(verdict)
     return FractionDiagnostic(point=p, numerators=numerators,
                               denominator=fy, verdict=verdict)
 

@@ -12,14 +12,18 @@ brackets by central finite differences of operator VALUES only. The two
 routes share no derivative code, which is what makes their agreement a
 meaningful check.
 
-Operator evaluations carry a leading points axis (see ``field.py``):
-``torsion_from_eval`` contracts every point of a batch at once, and the
-sweep evaluates its samples chunk by chunk.
+Operator evaluations carry a leading points axis (see ``field.py``), and
+torsion components have shape (..., n, n, n), one tensor per point.
+``torsion_from_eval`` contracts a whole batch at once, the sweep evaluates
+its samples chunk by chunk, and ``torsion_bracket_fd`` evaluates the
+stencils of all its points, (..., 2n+1, n), in one ``operator_eval``. The
+stencil's centre is the point itself, so the oracle also hands back the
+exact evaluation there, which the coordinate route can contract without
+evaluating the operator again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +32,6 @@ from .field import OperatorField, OperatorEval, operator_eval
 from .report import VerificationReport, run_sweep, sample_box
 
 __all__ = [
-    "TorsionValue",
     "torsion_from_eval",
     "torsion_coordinate",
     "torsion_bracket_fd",
@@ -40,14 +43,6 @@ __all__ = [
 # families) falls below this; near-singular entries legitimately blow up
 # and would mask the torsion signal. Rejections are counted, never silent.
 DEFAULT_MIN_DENOMINATOR = 0.05
-
-
-@dataclass
-class TorsionValue:
-    """Torsion components[i, j, k] = N^i_jk at a base point."""
-
-    components: np.ndarray
-    point: np.ndarray
 
 
 def torsion_from_eval(ev: OperatorEval) -> np.ndarray:
@@ -68,36 +63,46 @@ def torsion_from_eval(ev: OperatorEval) -> np.ndarray:
     return N
 
 
-def torsion_coordinate(L: OperatorField, p: Sequence[float]) -> TorsionValue:
-    """Torsion at p from the coordinate formula (exact derivatives)."""
-    ev = operator_eval(L, p)
-    return TorsionValue(torsion_from_eval(ev), ev.point)
+def torsion_coordinate(L: OperatorField, p: Sequence[float]) -> np.ndarray:
+    """Torsion components (..., n, n, n) at the points p (..., n) from the
+    coordinate formula (exact derivatives)."""
+    return torsion_from_eval(operator_eval(L, p))
 
 
 def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
-                       h: float = 1e-4) -> TorsionValue:
-    """Torsion at p from the bracket definition with central differences.
+                       h: float = 1e-4) -> tuple:
+    """Torsion at the points p (..., n) from the bracket definition with
+    central differences.
 
-    Uses only operator values at the 2n+1 stencil points, evaluated as one
-    batch; entry derivatives never enter, so this is an independent oracle
-    for torsion_coordinate with O(h^2) truncation error.
+    Uses only operator values at each point's 2n+1 stencil points (the
+    point, then p + h e_l and p - h e_l for l = 1..n), all evaluated in one
+    batch of shape (..., 2n+1, n); entry derivatives never enter the
+    components, so they are an independent oracle for torsion_coordinate
+    with O(h^2) truncation error. Returns (centre, components): the
+    stencil's evaluation at p itself, equal to operator_eval(L, p), and the
+    components (..., n, n, n).
     """
     p = np.asarray(p, dtype=float)
     n = L.dim
     if h <= 0.0:
         raise ValueError(f"finite-difference step must be positive, got {h}")
     step = h * np.eye(n)
-    V = operator_eval(L, np.concatenate([p[None], p + step, p - step])).values
-    Lp = V[0]
-    # D[i, j, l] ~ d L^i_j / dx^l by central differences.
-    D = np.moveaxis((V[1:n + 1] - V[n + 1:]) / (2.0 * h), 0, -1)
+    c = p[..., None, :]
+    ev = operator_eval(L, np.concatenate([c, c + step, c - step], axis=-2))
+    V = ev.values
+    centre = OperatorEval(point=p, values=V[..., 0, :, :],
+                          entry_grads=ev.entry_grads[..., 0, :, :, :])
+    # D[..., i, j, l] ~ d L^i_j / dx^l by central differences.
+    D = np.moveaxis((V[..., 1:n + 1, :, :] - V[..., n + 1:, :, :])
+                    / (2.0 * h), -3, -1)
     # With constant u = d_j, v = d_k (so [u, v] = 0):
     # [Lu, Lv]^i = sum_l (L^l_j d_l L^i_k - L^l_k d_l L^i_j), and
     # -L[u, Lv]^i - L[Lu, v]^i = sum_m L^i_m (d_k L^m_j - d_j L^m_k).
-    LD = np.einsum("lj,ikl->ijk", Lp, D)
-    bracket = LD - LD.transpose(0, 2, 1)
-    corr = np.einsum("im,mjk->ijk", Lp, D - D.transpose(0, 2, 1))
-    return TorsionValue(bracket + corr, p)
+    LD = np.einsum("...lj,...ikl->...ijk", centre.values, D)
+    bracket = LD - np.swapaxes(LD, -2, -1)
+    corr = np.einsum("...im,...mjk->...ijk", centre.values,
+                     D - np.swapaxes(D, -2, -1))
+    return centre, bracket + corr
 
 
 def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,

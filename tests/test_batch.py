@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nijenhuis.report
 from nijenhuis.cli import run
-from nijenhuis.construct import (build_2d, build_diff_nondegenerate,
+from nijenhuis.construct import (build_2d, build_companion,
+                                 build_diff_nondegenerate,
                                  build_morse_canonical, build_regular_family,
                                  conjugation_residual)
 from nijenhuis.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
@@ -19,8 +20,10 @@ from nijenhuis.linalg import plu_det
 from nijenhuis.singularity import (DELTA_TAYLOR, NewtonDivergenceError,
                                    morse_coordinate, morse_reduce,
                                    morse_remainder_field, pde_residuals,
-                                   quadratic_factor, remainder_from_expression)
-from nijenhuis.torsion import torsion_from_eval
+                                   quadratic_factor, remainder_from_expression,
+                                   smoothness_numerators)
+from nijenhuis.torsion import (torsion_bracket_fd, torsion_coordinate,
+                               torsion_from_eval)
 
 SEED = 2718
 CHUNK = 7
@@ -151,6 +154,110 @@ def test_singular_points_carry_a_mask():
         operator_eval(L, P)
     assert list(err.value.mask) == [False, True, False, True]
     assert err.value.point.tolist() == [[0.1, 0.0], [0.0, 0.0]]
+
+
+# -- the FD oracle and the smoothness diagnostics -------------------------------------
+
+def _fd_family(kind: str, n: int) -> OperatorField:
+    """Operators that are regular on [-1, 1]^n: f_y >= 1 for theorem1, and
+    J = Id + small terms for diffnondeg."""
+    names = [f"x{i}" for i in range(1, n)] + ["y"]
+    if kind == "theorem1":
+        f = ScalarField.from_expression(
+            f"y^3/3 + 2*y + 0.5*sin(x1)*y^2 + x1*{names[-2]}", n)
+        return build_regular_family(f, n)
+    if kind == "companion":
+        texts = [f"{names[i]}*{names[i - 1]} + 0.3*y^2" for i in range(n)]
+    else:
+        texts = ([f"{names[i]} + 0.1*{names[i + 1]}*y" for i in range(n - 1)]
+                 + ["y + 0.2*x1^2"])
+    fields = [ScalarField.from_expression(t, n) for t in texts]
+    build = build_companion if kind == "companion" else build_diff_nondegenerate
+    return build(fields)
+
+
+@st.composite
+def fd_cases(draw):
+    kind = draw(st.sampled_from(["theorem1", "companion", "diffnondeg"]))
+    n = draw(st.integers(2, 5))
+    batch = draw(st.sampled_from([(1,), (4,), (2, 3)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    P = np.random.default_rng(seed).uniform(-1.0, 1.0, size=batch + (n,))
+    # zeroed coordinates zero entries whose gradients do not vanish
+    P.reshape(-1, n)[0, draw(st.integers(0, n - 1))] = 0.0
+    h = draw(st.sampled_from([1e-3, 1e-4]))
+    return kind, n, P, h
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fd_cases())
+def test_fd_oracle_batch_matches_points_bit_for_bit(case):
+    kind, n, P, h = case
+    L = _fd_family(kind, n)
+    centre, N = torsion_bracket_fd(L, P, h=h)
+    assert N.shape == P.shape[:-1] + (n, n, n)
+    ev = operator_eval(L, P)
+    assert same_bits(centre.values, ev.values)
+    assert same_bits(centre.entry_grads, ev.entry_grads)
+    assert same_bits(torsion_coordinate(L, P), torsion_from_eval(ev))
+    for idx in np.ndindex(P.shape[:-1]):
+        single_centre, single = torsion_bracket_fd(L, P[idx], h=h)
+        assert same_bits(N[idx], single)
+        assert same_bits(centre.values[idx], single_centre.values)
+        assert same_bits(centre.entry_grads[idx], single_centre.entry_grads)
+        assert same_bits(torsion_coordinate(L, P)[idx],
+                         torsion_coordinate(L, P[idx]))
+
+
+DIAGNOSED_F = ["y^2", "y^2 + x1", "y^2 + x1*x1/4", "y^3/3 + x1*y + 0.3*x1^2",
+               "y^2*(1 + x1) + sin(x1)*y"]
+
+
+@st.composite
+def diagnose_cases(draw):
+    n = draw(st.integers(2, 5))
+    text = draw(st.sampled_from(DIAGNOSED_F))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    P = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(CHUNK, n))
+    # f_y = 0 on y = 0 for most of the f above
+    P[::2, -1] = 0.0
+    P[1, :] = 0.0
+    return n, text, P
+
+
+def _assert_diagnostics_match_points(f, n, P):
+    d = smoothness_numerators(f, n, P)
+    assert d.numerators.shape == (len(P), n - 1)
+    for k, p in enumerate(P):
+        single = smoothness_numerators(f, n, p)
+        assert type(single.denominator) is float
+        assert type(single.verdict) is str
+        assert same_bits(d.numerators[k], single.numerators)
+        assert same_bits(d.denominator[k], single.denominator)
+        assert d.verdict[k] == single.verdict
+    return set(d.verdict.tolist())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(diagnose_cases())
+def test_smoothness_batch_matches_points(case):
+    n, text, P = case
+    _assert_diagnostics_match_points(ScalarField.from_expression(text, n),
+                                     n, P)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_smoothness_batch_covers_every_verdict(n):
+    P = np.random.default_rng(SEED + n).uniform(-1.0, 1.0, size=(CHUNK, n))
+    P[::2, -1] = 0.0
+    verdicts = set()
+    for text in ("y^2", "y^2 + x1"):
+        f = ScalarField.from_expression(text, n)
+        verdicts |= _assert_diagnostics_match_points(f, n, P)
+    assert verdicts == {"regular", "obstructed",
+                        "singular-denominator-zero-numerators"}
 
 
 # -- the singularity layer ---------------------------------------------------------

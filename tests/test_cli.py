@@ -97,13 +97,15 @@ def test_diffnondeg_torsion_vanishes_where_a_jacobi_entry_does(capsys):
 
 
 def test_construct_pivot_division_failure_exits_three(capsys):
-    # det J passes its check; dividing the jet inverse's pivot row fails
+    # det J passes its check; dividing the jet inverse's pivot row fails,
+    # which is a degenerate point, not a singular entry (0,0) that does
+    # not exist
     code, doc = invoke_json(capsys, "construct", "--family", "diffnondeg",
                             "--n", "2", "--sigma", "x1,1e4*x1+y^3/3",
                             "--point", "0.1", "5e-5")
     assert code == 3
-    assert doc["error"] == ("entry (0,0) singular at point [0.1, 5e-05]: "
-                            "denominator vanishes (value -2.500000e-13)")
+    assert doc["error"] == ("differentially degenerate at point [0.1, 5e-05] "
+                            "(det J = 2.500000e-09)")
 
 
 def test_charpoly_subcommand(capsys):
@@ -345,3 +347,62 @@ def test_overflow_after_the_jets_exits_three(capsys, argv):
     code, doc = invoke_json(capsys, *argv)
     assert code == 3
     assert "encountered in" in doc["error"]
+
+
+SINGULAR_AT_1_2_0 = ("entry (3,1) singular at point [1.0, 2.0, 0.0]: "
+                     "denominator vanishes (value 0.000000e+00)")
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    # the second point's centre is singular
+    (("--f", "y^2", "--fd-step", "1e-4", "--point", "1", "2", "0.5",
+      "--point", "1", "2", "0"), 3, SINGULAR_AT_1_2_0),
+    # only a stencil neighbour of the second point, y - h = 0, is singular;
+    # the stencil is one batch, so its error names the failing points
+    (("--f", "y^2", "--fd-step", "1e-4", "--point", "1", "2", "0.5",
+      "--point", "1", "2", "1e-4"), 3,
+     "entry (3,1) singular at points [[1.0, 2.0, 0.0]]: "
+     "denominator vanishes (value 0.000000e+00)"),
+    # an overflow, which carries no mask, at the second point
+    (("--f", "exp(800*x1)*y^2 + y", "--n", "2", "--fd-step", "1e-4",
+      "--point", "0", "0.5", "--point", "1", "0.5"), 3,
+     "overflow encountered in exp"),
+    # a singular first point wins over a later point's overflow, which a
+    # batched evaluation of f meets first
+    (("--f", "exp(800*x1)*y^2 + y", "--n", "2", "--fd-step", "1e-4",
+      "--point", "0", "-0.5", "--point", "1", "0.5"), 3,
+     "entry (2,1) singular at point [0.0, -0.5]: "
+     "denominator vanishes (value 0.000000e+00)"),
+    # a point is evaluated before its stencil step is checked
+    (("--f", "y^2", "--fd-step", "0", "--point", "1", "2", "0",
+      "--point", "1", "2", "0.5"), 3, SINGULAR_AT_1_2_0),
+    (("--f", "y^2", "--fd-step", "0", "--point", "1", "2", "0.5",
+      "--point", "1", "2", "0"), 2,
+     "finite-difference step must be positive, got 0.0"),
+], ids=["centre", "neighbour", "overflow", "singular-before-overflow",
+        "step-0-singular-first", "step-0"])
+def test_torsion_raises_the_first_failing_point_in_argv_order(
+        capsys, argv, code, error):
+    n = () if "--n" in argv else ("--n", "3")
+    got, doc = invoke_json(capsys, "torsion", "--family", "theorem1", *n,
+                           *argv)
+    assert (got, doc["error"]) == (code, error)
+
+
+SQRT_AT_0_M2 = "sqrt requires a positive argument (value -1.000000e+00)"
+
+
+@pytest.mark.parametrize("command, error", [
+    # a family rule files an error of f as entry (0,0)
+    ("construct", "entry (0,0) singular at point [0.0, -2.0]: " + SQRT_AT_0_M2),
+    ("charpoly", "entry (0,0) singular at point [0.0, -2.0]: " + SQRT_AT_0_M2),
+    ("diagnose", SQRT_AT_0_M2),
+], ids=["construct", "charpoly", "diagnose"])
+def test_point_lists_raise_the_first_failing_point(capsys, command, error):
+    # the third point overflows; the second leaves the domain of sqrt
+    family = () if command == "diagnose" else ("--family", "theorem1")
+    code, doc = invoke_json(capsys, command, *family, "--n", "2",
+                            "--f", "exp(800*x1)*y^2 + sqrt(y + 1)",
+                            "--point", "0", "0.5", "--point", "0", "-2",
+                            "--point", "1", "0.5")
+    assert (code, doc["error"]) == (3, error)

@@ -26,7 +26,7 @@ def test_diagonal_witness_hand_value():
     rng = np.random.default_rng(SEED)
     for _ in range(20):
         p = rng.uniform(-2.0, 2.0, size=2)
-        N = torsion_coordinate(L, p).components
+        N = torsion_coordinate(L, p)
         expect = p[1] - p[0]
         assert N[0, 0, 1] == pytest.approx(expect, abs=1e-15)
         assert N[1, 0, 1] == pytest.approx(expect, abs=1e-15)
@@ -43,7 +43,7 @@ def test_antisymmetry_is_exact():
     L = OperatorField.from_entries(entries)
     for _ in range(10):
         p = rng.uniform(-1.0, 1.0, size=3)
-        N = torsion_coordinate(L, p).components
+        N = torsion_coordinate(L, p)
         assert np.array_equal(N, -np.transpose(N, (0, 2, 1)))
 
 
@@ -63,8 +63,8 @@ def test_shift_by_identity_is_invariant():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(10):
         p = rng.uniform(-1.0, 1.0, size=3)
-        N0 = torsion_coordinate(L0, p).components
-        N1 = torsion_coordinate(L1, p).components
+        N0 = torsion_coordinate(L0, p)
+        N1 = torsion_coordinate(L1, p)
         scale = 1.0 + np.max(np.abs(N0))
         assert np.max(np.abs(N1 - N0)) < 1e-12 * scale
 
@@ -73,15 +73,15 @@ def test_torsion_from_eval_matches_wrapper():
     L = diag_operator()
     p = np.array([1.0, 2.0])
     assert np.array_equal(torsion_from_eval(operator_eval(L, p)),
-                          torsion_coordinate(L, p).components)
+                          torsion_coordinate(L, p))
 
 
 def test_bracket_oracle_agrees_on_linear_entries():
     # linear entries make central differences exact up to rounding
     L = diag_operator()
     p = np.array([0.3, -0.8])
-    delta = np.max(np.abs(torsion_bracket_fd(L, p, h=1e-4).components
-                          - torsion_coordinate(L, p).components))
+    delta = np.max(np.abs(torsion_bracket_fd(L, p, h=1e-4)[1]
+                          - torsion_coordinate(L, p)))
     assert delta < 1e-11
 
 
@@ -94,9 +94,9 @@ def test_bracket_oracle_quadratic_convergence():
         p = rng.uniform(-1.0, 1.0, size=3)
         if abs(3.0 * p[2] ** 2 + 1.0) < 0.5:
             continue
-        exact = torsion_coordinate(L, p).components
-        d1 = np.max(np.abs(torsion_bracket_fd(L, p, h=1e-4).components - exact))
-        d2 = np.max(np.abs(torsion_bracket_fd(L, p, h=5e-5).components - exact))
+        exact = torsion_coordinate(L, p)
+        d1 = np.max(np.abs(torsion_bracket_fd(L, p, h=1e-4)[1] - exact))
+        d2 = np.max(np.abs(torsion_bracket_fd(L, p, h=5e-5)[1] - exact))
         if d1 < 1e-10:
             continue  # below the rounding floor, ratio is meaningless
         checked += 1
@@ -125,8 +125,8 @@ def test_diffnondeg_torsion_agrees_with_bracket_oracle(n):
         P[k, rng.integers(0, n)] = 0.0
     P[-1] = 0.0
     for p in P:
-        exact = torsion_coordinate(L, p).components
-        fd = torsion_bracket_fd(L, p, h=1e-4).components
+        exact = torsion_coordinate(L, p)
+        fd = torsion_bracket_fd(L, p, h=1e-4)[1]
         assert np.max(np.abs(exact)) < 1e-12, p
         assert np.max(np.abs(exact - fd)) < 1e-6, p
 
@@ -168,7 +168,7 @@ def test_bracket_oracle_matches_index_loop():
         for _ in range(4):
             p = rng.uniform(-0.5, 0.5, size=L.dim)
             ref = _bracket_fd_by_index(L, p, 1e-4)
-            got = torsion_bracket_fd(L, p, h=1e-4).components
+            got = torsion_bracket_fd(L, p, h=1e-4)[1]
             assert np.max(np.abs(got - ref)) <= 1e-12, (L.label, p)
 
 
