@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: construct, torsion, verify, charpoly, diagnose, pde-check,
-morse-reduce. Reports are emitted as JSON (default), CSV (per-point rows,
-17-significant-digit floats), or text. Exit codes: 0 all checks pass, 1
-checks ran and failed, 2 usage/parse/config error, 3 numerical failure
-(Newton divergence, degenerate/singular evaluation, fully singular domain).
-Identical invocations with the same seed produce byte-identical reports
-except for the wall_ms field.
+morse-reduce. Every handler returns a _Report: a JSON payload and per-point
+records (per component for torsion). _emit, the one writer, shows it as JSON
+(default), CSV (one row per record, 17-significant-digit floats), or text.
+Exit codes: 0 all checks pass, 1 checks ran and failed, 2 usage/parse/config
+error, 3 numerical failure (Newton divergence, degenerate/singular
+evaluation, fully singular domain). Identical invocations with the same seed
+produce byte-identical reports except for the wall_ms field.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -227,10 +229,8 @@ def _point_list(args, dim: int, what: str = "--point") -> np.ndarray:
     """The --point values as points (B, dim), in argv order."""
     raw = getattr(args, "point", None)
     _require(bool(raw), f"{what} is required for this command")
-    for values in raw:
-        if len(values) != dim:
-            raise UsageError(
-                f"{what} needs {dim} coordinates, got {len(values)}")
+    got = next((len(values) for values in raw if len(values) != dim), dim)
+    _require(got == dim, f"{what} needs {dim} coordinates, got {got}")
     return np.asarray(raw, dtype=float)
 
 
@@ -262,18 +262,16 @@ def _sigma_fields(text: str, n: Optional[int]) -> list:
 
 
 def _matrix_operator(spec: str, n_flag: Optional[int]) -> OperatorField:
+    label = "matrix"
     if spec.startswith("diag:"):
         cells = [s.strip() for s in spec[len("diag:"):].split(",")]
         _require(all(cells), "--matrix diag: has an empty entry")
-        n = len(cells)
-        _require(n >= 2, "--matrix needs at least a 2x2 operator")
-        _require(n_flag is None or n_flag == n,
-                 f"--n {n_flag} disagrees with the {n}x{n} --matrix")
-        entries = [[_field(cells[i], n) if i == j
-                    else ScalarField.constant(0.0, n)
-                    for j in range(n)] for i in range(n)]
-        return OperatorField.from_entries(entries, label=f"matrix {spec}")
-    rows = [r.strip() for r in spec.split(";")]
+        # the diagonal as row-major rows, off-diagonal cells "0"
+        rows = [",".join(c if i == j else "0" for j in range(len(cells)))
+                for i, c in enumerate(cells)]
+        label = f"matrix {spec}"
+    else:
+        rows = [r.strip() for r in spec.split(";")]
     n = len(rows)
     _require(n >= 2, "--matrix needs at least a 2x2 operator")
     _require(n_flag is None or n_flag == n,
@@ -284,7 +282,7 @@ def _matrix_operator(spec: str, n_flag: Optional[int]) -> OperatorField:
         _require(len(cells) == n,
                  f"--matrix row {r!r} has {len(cells)} entries, expected {n}")
         grid.append([_field(c, n) for c in cells])
-    return OperatorField.from_entries(grid, label="matrix")
+    return OperatorField.from_entries(grid, label=label)
 
 
 class _Context(NamedTuple):
@@ -375,43 +373,62 @@ def _build_context(args) -> _Context:
     raise UsageError(f"unknown family {family!r}")
 
 
-# -- output --------------------------------------------------------------------
+# -- reports -------------------------------------------------------------------
 
-def _format_float(v) -> str:
-    return f"{float(v):.16e}"
+class _Report(NamedTuple):
+    """A report: the JSON payload, the records its CSV view writes under
+    columns of (record key, header names), and text lines (None: default)."""
+
+    payload: dict
+    records: Sequence[dict] = ()
+    columns: Sequence[tuple] = ()
+    text: Optional[list] = None
 
 
-def _emit(args, payload: dict, csv_table=None, text_lines=None) -> None:
-    fmt = getattr(args, "format", "json")
-    sink = sys.stdout
-    opened = None
-    out_path = getattr(args, "out", None)
-    if out_path:
-        opened = open(out_path, "w", newline="")
-        sink = opened
-    try:
-        if fmt == "json":
-            json.dump(payload, sink, indent=2)
-            sink.write("\n")
-        elif fmt == "csv":
-            if csv_table is None:
-                # error payloads have no tabular form
-                for line in _default_text(payload):
-                    sink.write(line + "\n")
-                return
-            header, rows = csv_table
-            writer = csv.writer(sink)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_float(c) if isinstance(c, float)
-                                 else str(c) for c in row])
+def _payload(subject: str, **fields) -> dict:
+    return {"schema": 1, "subject": subject, **fields}
+
+
+def _records(**arrays) -> list:
+    """One dict per point from arrays along a leading points axis."""
+    return [dict(zip(arrays, values))
+            for values in zip(*(a.tolist() for a in arrays.values()))]
+
+
+def _names(prefix: str, count: int) -> list:
+    return [f"{prefix}{i}" for i in range(1, count + 1)]
+
+
+def _cells(record: dict, columns) -> list:
+    """A record as CSV cells, lists flattened and floats to 17 digits."""
+    cells = []
+    for key, _ in columns:
+        value = record[key]
+        if not isinstance(value, list):
+            cells.append(value)
+        elif isinstance(value[0], list):   # a matrix, row by row
+            cells += [v for row in value for v in row]
         else:
-            lines = text_lines if text_lines is not None else _default_text(payload)
-            for line in lines:
-                sink.write(line + "\n")
-    finally:
-        if opened is not None:
-            opened.close()
+            cells += value
+    return [f"{c:.16e}" if isinstance(c, float) else str(c) for c in cells]
+
+
+def _emit(args, report: _Report) -> None:
+    """Write the report's --format view to --out, else standard output."""
+    fmt = getattr(args, "format", "json")
+    out_path = getattr(args, "out", None)
+    with (open(out_path, "w", newline="") if out_path
+          else contextlib.nullcontext(sys.stdout)) as sink:
+        if fmt == "csv" and report.columns:
+            writer = csv.writer(sink)
+            writer.writerow(sum((names for _, names in report.columns), []))
+            writer.writerows(_cells(record, report.columns)
+                             for record in report.records)
+        else:
+            # an error report has no tabular form: its csv view is text
+            lines = ([json.dumps(report.payload, indent=2)] if fmt == "json"
+                     else report.text or _default_text(report.payload))
+            sink.writelines(line + "\n" for line in lines)
 
 
 def _default_text(payload: dict) -> list:
@@ -440,35 +457,28 @@ def _default_text(payload: dict) -> list:
 
 
 # -- handlers ------------------------------------------------------------------
-# Each handler returns (payload, csv_table[, text_lines]); run() times it,
-# emits the report and derives the exit code.
+# Each handler returns a _Report; run() stamps wall_ms on its payload, and
+# _emit alone writes it.
 
-def handle_construct(args) -> tuple:
+def handle_construct(args) -> _Report:
     ctx = _build_context(args)
-    P = _point_list(args, ctx.op.dim)
-    values = _evaluate(P, lambda P: operator_eval(ctx.op, P).values)
-    points = P.tolist()
-    results = [{"point": p, "matrix": m}
-               for p, m in zip(points, values.tolist())]
-    rows = [p + m for p, m in zip(points, values.reshape(len(P), -1).tolist())]
     n = ctx.op.dim
-    header = ([f"point_{i}" for i in range(1, n + 1)]
-              + [f"L_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
-    payload = {
-        "schema": 1,
-        "subject": f"construct {ctx.params['family']}",
-        "params": ctx.params,
-        "results": results,
-    }
+    P = _point_list(args, n)
+    values = _evaluate(P, lambda P: operator_eval(ctx.op, P).values)
+    results = _records(point=P, matrix=values)
+    payload = _payload(f"construct {ctx.params['family']}",
+                       params=ctx.params, results=results)
     text = [payload["subject"]]
     for r in results:
         text.append(f"point {r['point']}:")
         for row in r["matrix"]:
             text.append("  [" + ", ".join(f"{v: .12g}" for v in row) + "]")
-    return payload, (header, rows), text
+    matrix = [f"L_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _Report(payload, results,
+                   [("point", _names("point_", n)), ("matrix", matrix)], text)
 
 
-def handle_torsion(args) -> tuple:
+def handle_torsion(args) -> _Report:
     ctx = _build_context(args)
     n = ctx.op.dim
     P = _point_list(args, n)
@@ -489,58 +499,45 @@ def handle_torsion(args) -> tuple:
     raw = np.max(np.abs(N), axis=(-3, -2, -1))
     scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
     rel = raw / scale
-    results = [{"point": p, "max_component": r, "relative": q,
-                "components": []}
-               for p, r, q in zip(P.tolist(), raw.tolist(), rel.tolist())]
-    rows = []
     # the components N^i_jk with j < k above 1e-13 * scale, in C order
     keep = ((np.abs(N) > 1e-13 * scale[:, None, None, None])
             & np.triu(np.ones((n, n), dtype=bool), 1))
-    for (b, i, j, k), v in zip(np.argwhere(keep).tolist(), N[keep].tolist()):
-        results[b]["components"].append(
-            {"i": i + 1, "j": j + 1, "k": k + 1, "value": v})
-        rows.append(results[b]["point"] + [i + 1, j + 1, k + 1, v])
+    b, i, j, k = np.nonzero(keep)
+    records = _records(point=P[b], i=i + 1, j=j + 1, k=k + 1, value=N[keep])
     max_rel = float(np.max(rel))
     passed = max_rel <= args.tol
     checks = [{"name": "torsion_relative", "max": max_rel, "pass": passed}]
+    fd = {}
     if Nfd is not None:
-        delta = np.max(np.abs(Nfd - N), axis=(-3, -2, -1))
-        for entry, d in zip(results, delta.tolist()):
-            entry["fd_max_delta"] = d
+        fd["fd_max_delta"] = np.max(np.abs(Nfd - N), axis=(-3, -2, -1))
         checks.append({"name": "fd_oracle_delta",
-                       "max": float(np.max(delta)), "pass": True})
-    payload = {
-        "schema": 1,
-        "subject": f"torsion of {ctx.params['family']}",
-        "params": {**ctx.params, "tol": args.tol,
-                   **({"fd_step": args.fd_step} if args.fd_step is not None else {})},
-        "results": results,
-        "max_residual": float(np.max(raw)),
-        "checks": checks,
-        "pass": passed,
-    }
-    header = ([f"point_{i}" for i in range(1, n + 1)]
-              + ["i", "j", "k", "value"])
-    return payload, (header, rows)
+                       "max": float(np.max(fd["fd_max_delta"])), "pass": True})
+    # components starts empty for every point; the rows are attached below
+    results = _records(point=P, max_component=raw, relative=rel,
+                       components=np.empty((len(P), 0)), **fd)
+    for point, r in zip(b.tolist(), records):
+        results[point]["components"].append(
+            {key: r[key] for key in ("i", "j", "k", "value")})
+    payload = _payload(
+        f"torsion of {ctx.params['family']}",
+        params={**ctx.params, "tol": args.tol,
+                **({"fd_step": args.fd_step} if args.fd_step is not None else {})},
+        results=results, max_residual=float(np.max(raw)), checks=checks,
+        **{"pass": passed})
+    return _Report(payload, records, [("point", _names("point_", n))] + [
+        (key, [key]) for key in ("i", "j", "k", "value")])
 
 
-def handle_charpoly(args) -> tuple:
+def handle_charpoly(args) -> _Report:
     ctx = _build_context(args)
     n = ctx.op.dim
     P = _point_list(args, n)
     sigma = _evaluate(P, lambda P: charpoly(operator_eval(ctx.op, P).values))
-    results = [{"point": p, "sigma": s}
-               for p, s in zip(P.tolist(), sigma.tolist())]
-    rows = [r["point"] + r["sigma"] for r in results]
-    payload = {
-        "schema": 1,
-        "subject": f"charpoly of {ctx.params['family']}",
-        "params": ctx.params,
-        "results": results,
-    }
-    header = ([f"point_{i}" for i in range(1, n + 1)]
-              + [f"sigma_{i}" for i in range(1, n + 1)])
-    return payload, (header, rows)
+    results = _records(point=P, sigma=sigma)
+    payload = _payload(f"charpoly of {ctx.params['family']}",
+                       params=ctx.params, results=results)
+    return _Report(payload, results, [("point", _names("point_", n)),
+                                      ("sigma", _names("sigma_", n))])
 
 
 def _sweep(ctx: _Context, check: str, bounds: np.ndarray,
@@ -581,81 +578,60 @@ def _sweep(ctx: _Context, check: str, bounds: np.ndarray,
         guard=guard, min_margin=args.min_denominator)
 
 
-def handle_verify(args) -> tuple:
+def handle_verify(args) -> _Report:
     ctx = _build_context(args)
     n = ctx.op.dim
     bounds = _box_bounds(args, n)
     wanted = ctx.checks if args.check == "all" else (args.check,)
     reports = [(check, _sweep(ctx, check, bounds, args)) for check in wanted]
 
-    accepted = sum(r.accepted for _, r in reports)
-    rejected = sum(r.rejected for _, r in reports)
-    max_residual = max(r.max_residual for _, r in reports)
-    passed = all(r.passed for _, r in reports)
-
-    worst_point = None
-    worst_rel = -1.0
-    checks_out = []
-    rows = []
+    worst_rel, worst_point = -1.0, None
+    records = []
     for name, rep in reports:
-        gate = rep.checks[0]
-        if gate.max > worst_rel:
-            worst_rel = gate.max
-            worst_point = rep.worst_point
-        for c in rep.checks:
-            checks_out.append({"name": c.name, "max": c.max, "pass": c.passed})
-        records = rep.records
-        for p, raw, rel in zip(records["point"].tolist(),
-                               records["raw"].tolist(),
-                               records["rel"].tolist()):
-            rows.append([name] + p + [""] * (n - len(p)) + [raw, rel])
-    params = {**ctx.params,
-              "check": args.check,
-              "box": bounds.tolist(),
-              "samples": args.samples, "seed": args.seed,
-              "tol": args.tol,
-              "min_denominator": args.min_denominator}
-    payload = {
-        "schema": 1,
-        "subject": f"verify {ctx.params['family']} [{', '.join(wanted)}]",
-        "params": params,
-        "accepted": accepted,
-        "rejected": rejected,
-        "max_residual": max_residual,
-        "worst_point": (None if worst_point is None
-                        else worst_point.tolist()),
-        "checks": checks_out,
-        "pass": passed,
-    }
-    header = (["check"] + [f"point_{i}" for i in range(1, n + 1)]
-              + ["raw", "relative"])
-    return payload, (header, rows)
+        if rep.checks[0].max > worst_rel:   # strict: a NaN gate max never wins
+            worst_rel, worst_point = rep.checks[0].max, rep.worst_point
+        points = rep.records["point"]
+        if points.shape[1] < n:   # pde base points: n-1 coordinates and ""
+            points = np.pad(points.astype(object), ((0, 0), (0, 1)),
+                            constant_values="")
+        records += _records(check=np.full(len(points), name), point=points,
+                            raw=rep.records["raw"], rel=rep.records["rel"])
+    payload = _payload(
+        f"verify {ctx.params['family']} [{', '.join(wanted)}]",
+        params={**ctx.params,
+                "check": args.check,
+                "box": bounds.tolist(),
+                "samples": args.samples, "seed": args.seed,
+                "tol": args.tol,
+                "min_denominator": args.min_denominator},
+        accepted=sum(r.accepted for _, r in reports),
+        rejected=sum(r.rejected for _, r in reports),
+        max_residual=max(r.max_residual for _, r in reports),
+        worst_point=None if worst_point is None else worst_point.tolist(),
+        checks=[c.to_dict() for _, r in reports for c in r.checks],
+        **{"pass": all(r.passed for _, r in reports)})
+    columns = [("check", ["check"]), ("point", _names("point_", n)),
+               ("raw", ["raw"]), ("rel", ["relative"])]
+    return _Report(payload, records, columns)
 
 
-def handle_diagnose(args) -> tuple:
+def handle_diagnose(args) -> _Report:
     n = args.n
     _require(n >= 2, f"--n must be at least 2, got {n}")
     f = _field(args.f, n)
     P = _point_list(args, n)
     d = _evaluate(P, lambda P: smoothness_numerators(f, n, P))
-    results = [{"point": p, "numerators": num, "denominator": den, "verdict": v}
-               for p, num, den, v in zip(*(a.tolist() for a in (
-                   P, d.numerators, d.denominator, d.verdict)))]
-    rows = [r["point"] + [r["denominator"]] + r["numerators"] + [r["verdict"]]
-            for r in results]
-    payload = {
-        "schema": 1,
-        "subject": "smoothness diagnostics",
-        "params": {"n": n, "f": args.f},
-        "results": results,
-    }
-    num_names = ["N0"] + [f"N{j}" for j in range(2, n)]
-    header = ([f"point_{i}" for i in range(1, n + 1)]
-              + ["denominator"] + num_names + ["verdict"])
-    return payload, (header, rows)
+    results = _records(point=P, numerators=d.numerators,
+                       denominator=d.denominator, verdict=d.verdict)
+    payload = _payload("smoothness diagnostics",
+                       params={"n": n, "f": args.f}, results=results)
+    columns = [("point", _names("point_", n)), ("denominator", ["denominator"]),
+               ("numerators", ["N0"] + _names("N", n - 1)[1:]),
+               ("verdict", ["verdict"])]
+    return _Report(payload, results, columns)
 
 
-def handle_pde_check(args) -> tuple:
+def handle_pde_check(args) -> _Report:
     n = args.n
     _require(n >= 2, f"--n must be at least 2, got {n}")
     m = n - 1
@@ -669,16 +645,12 @@ def handle_pde_check(args) -> tuple:
                      subject=f"remainder system for R={args.R}",
                      params={"n": n, "R": args.R, "samples": len(points),
                              "seed": args.seed, "tol": tol})
-    records = rep.records
-    rows = [p + [raw, factor2] for p, raw, factor2 in
-            zip(records["point"].tolist(), records["raw"].tolist(),
-                records["factor2"].tolist())]
-    header = ([f"x{i}" for i in range(1, m + 1)]
-              + ["system_residual", "factor2"])
-    return rep.to_dict(), (header, rows)
+    columns = [("point", _names("x", m)), ("raw", ["system_residual"]),
+               ("factor2", ["factor2"])]
+    return _Report(rep.to_dict(), _records(**rep.records), columns)
 
 
-def handle_morse_reduce(args) -> tuple:
+def handle_morse_reduce(args) -> _Report:
     n = args.n
     _require(n >= 2, f"--n must be at least 2, got {n}")
     f = _field(args.f, n)
@@ -687,45 +659,20 @@ def handle_morse_reduce(args) -> tuple:
         rep = verify_morse_normal_form(f, n, bounds, grid=args.samples,
                                        tol=args.tol, y0=args.y0)
         rep.params["box"] = bounds.tolist()
-        rows = [p + [defect] for p, defect in
-                zip(rep.records["point"].tolist(), rep.records["raw"].tolist())]
-        header = ([f"point_{i}" for i in range(1, n + 1)] + ["defect"])
-        return rep.to_dict(), (header, rows)
-    points = _point_list(args, n - 1,
-                         "--point (with n-1 coordinates) or --box")
-    results = []
-    rows = []
-    for x in points:
-        data = morse_reduce(f, n, x, y0=args.y0)
-        results.append({
-            "x": [float(v) for v in data.x],
-            "c": data.c,
-            "R": data.R,
-            "sign": data.sign,
-            "newton_iters": data.newton_iters,
-            "fyy": data.fyy,
-        })
-        rows.append(list(map(float, data.x))
-                    + [data.c, data.R, data.sign, data.newton_iters])
-    payload = {
-        "schema": 1,
-        "subject": "parametric reduction",
-        "params": {"n": n, "f": args.f, "y0": args.y0},
-        "results": results,
-    }
-    header = ([f"x{i}" for i in range(1, n)]
-              + ["c", "R", "sign", "newton_iters"])
-    return payload, (header, rows)
+        columns = [("point", _names("point_", n)), ("raw", ["defect"])]
+        return _Report(rep.to_dict(), _records(**rep.records), columns)
+    X = _point_list(args, n - 1, "--point (with n-1 coordinates) or --box")
+    data = _evaluate(X, lambda X: morse_reduce(f, n, X, y0=args.y0))
+    results = _records(x=X, c=data.c, R=data.R, sign=data.sign,
+                       newton_iters=data.iters, fyy=data.fyy)
+    payload = _payload("parametric reduction",
+                       params={"n": n, "f": args.f, "y0": args.y0},
+                       results=results)
+    return _Report(payload, results, [("x", _names("x", n - 1))] + [
+        (key, [key]) for key in ("c", "R", "sign", "newton_iters")])
 
 
 # -- entry points ----------------------------------------------------------------
-
-def _error_payload(command: str, message: str, position=None) -> dict:
-    payload = {"schema": 1, "subject": command, "error": message}
-    if position is not None:
-        payload["position"] = position
-    return payload
-
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, run the handler, emit its report and return the exit code.
@@ -733,32 +680,26 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     wall_ms times the whole handler; the exit code is 1 iff the report's
     pass flag is False.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
-        json.dump(_error_payload("usage", str(exc)), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit(None, _Report(_payload("usage", error=str(exc))))
         return 2
     t0 = time.perf_counter()
     try:
         with np.errstate(**JET_ERRSTATE):
-            payload, *sinks = args.handler(args)
-        payload["wall_ms"] = (time.perf_counter() - t0) * 1e3
-        _emit(args, payload, *sinks)
-        return 1 if payload.get("pass") is False else 0
-    except (UsageError, ValueError) as exc:
-        # an ExpressionError carries the byte offset of the parse fault
-        error = _error_payload(args.command, str(exc),
-                               getattr(exc, "position", None))
-        code = 2
-    except ArithmeticError as exc:
-        # Newton divergence, non-Morse points, singular or degenerate
-        # evaluation, an entirely singular domain, overflow
-        error = _error_payload(args.command, str(exc))
-        code = 3
-    _emit(args, error)
-    return code
+            report = args.handler(args)
+    except (UsageError, ValueError, ArithmeticError) as exc:
+        # usage and value errors exit 2 (a parse error keeps its byte
+        # offset); every numerical failure is an ArithmeticError: exit 3
+        error = _payload(args.command, error=str(exc))
+        if getattr(exc, "position", None) is not None:
+            error["position"] = exc.position
+        _emit(args, _Report(error))
+        return 2 if isinstance(exc, (UsageError, ValueError)) else 3
+    report.payload["wall_ms"] = (time.perf_counter() - t0) * 1e3
+    _emit(args, report)
+    return 1 if report.payload.get("pass") is False else 0
 
 
 def main() -> None:

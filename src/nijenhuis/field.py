@@ -186,17 +186,11 @@ class OperatorField:
 
     def entries(self, p: Sequence[float]) -> list:
         """Evaluate all entry jets at the points p (shape (n,) or (..., n));
-        singular entries raise SingularEntry."""
+        singular entries raise SingularEntry, and an error of a family's
+        generating function propagates as that function raised it."""
         p = _points(p, self.dim, "operator")
-        try:
-            with np.errstate(**JET_ERRSTATE):
-                rows = self.matrix_rule(p)
-        except SingularEntry:
-            raise
-        except SingularPointError as exc:
-            if getattr(exc, "point", None) is not None:
-                raise  # already carries its own location story
-            raise SingularEntry(0, 0, p, exc) from exc
+        with np.errstate(**JET_ERRSTATE):
+            rows = self.matrix_rule(p)
         return [[as_jet(x, self.dim) for x in row] for row in rows]
 
     def entry(self, i: int, j: int) -> ScalarField:

@@ -125,7 +125,9 @@ class MorseData:
     c is the critical point of y -> f(x, y), R = f(x, c), sign the sign of
     f_yy there, each of x's batch shape (Python scalars at batch ()).
     newton_iters counts batched jet evaluations of f (convergence is
-    checked before each step, so an already-critical seed reports 1).
+    checked before each step, so an already-critical seed reports 1), and
+    iters, of x's batch shape (an int at batch ()), the evaluations each
+    point was live for: what newton_iters is for that point alone.
     """
 
     x: np.ndarray
@@ -134,6 +136,7 @@ class MorseData:
     sign: Union[int, np.ndarray]
     newton_iters: int
     fyy: Union[float, np.ndarray]
+    iters: Union[int, np.ndarray]
 
 
 def smoothness_numerators(f: ScalarField, n: int, p: Sequence[float],
@@ -249,12 +252,14 @@ def morse_reduce(f: ScalarField, n: int, x,
     y = np.full(len(X), float(y0))
     R, fyy_at_c = np.empty((2, len(X)))   # at convergence, where c = y
     live = np.arange(len(X))
+    iters = np.zeros(len(X), dtype=int)
     # The error of the first point that failed so far: the live points
     # after it can no longer fail first, so they stop with it.
     failure = None
     calls = it = 0
     while live.size and it < max_iters:
         calls += 1
+        iters[live] += 1
         try:
             jet = f(np.column_stack((X[live], y[live])))
         except ArithmeticError as exc:
@@ -292,9 +297,11 @@ def morse_reduce(f: ScalarField, n: int, x,
     if failure is not None:
         raise failure
     batch = x.shape[:-1]
-    c, R, sign, fyy_at_c = (a.reshape(batch) if batch else a.item() for a in
-                            (y, R, np.where(fyy_at_c > 0, 1, -1), fyy_at_c))
-    return MorseData(x=x, c=c, R=R, sign=sign, newton_iters=calls, fyy=fyy_at_c)
+    c, R, sign, fyy_at_c, iters = (
+        a.reshape(batch) if batch else a.item() for a in
+        (y, R, np.where(fyy_at_c > 0, 1, -1), fyy_at_c, iters))
+    return MorseData(x=x, c=c, R=R, sign=sign, newton_iters=calls,
+                     fyy=fyy_at_c, iters=iters)
 
 
 def quadratic_factor(f: ScalarField, data: MorseData, y):

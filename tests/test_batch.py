@@ -321,6 +321,28 @@ def test_newton_raises_the_first_failing_point_in_order():
         morse_reduce(f, 2, np.array([[0.0], [1.0], [0.5]]))
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.floats(-0.8, 0.8), st.floats(-1.0, 1.0)),
+                min_size=1, max_size=8),
+       st.integers(0, 7))
+def test_newton_counts_per_point_match_points(pairs, critical):
+    # f_y = x1 - sin(y): the count depends on x1, and x1 = 0 makes the seed
+    # y0 = 0 already critical
+    f = ScalarField.from_expression("cos(y) + x1*y + x2", 3)
+    X = np.array(pairs)
+    critical %= len(X)
+    X[critical, 0] = 0.0
+    data = morse_reduce(f, 3, X)
+    assert data.iters.shape == (len(X),)
+    for b in range(len(X)):
+        alone = morse_reduce(f, 3, X[b])
+        assert type(alone.iters) is int and alone.iters == alone.newton_iters
+        assert data.iters[b] == alone.newton_iters
+    assert data.iters[critical] == 1
+    assert data.newton_iters == data.iters.max()
+
+
 # -- reports do not depend on the chunk size ---------------------------------------
 
 CHUNK_INVOCATIONS = [
