@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: construct, torsion, verify, charpoly, diagnose, pde-check,
-morse-reduce. Every handler returns a _Report: a JSON payload and per-point
-records (per component for torsion). _emit, the one writer, shows it as JSON
-(default), CSV (one row per record, 17-significant-digit floats), or text.
+morse-reduce. Every handler returns a _Report: a JSON payload and record
+arrays (per point; per component for torsion). _emit, the one writer, shows
+it as JSON (default), CSV (one row per record, 17-digit floats), or text.
 Exit codes: 0 all checks pass, 1 checks ran and failed, 2 usage/parse/config
 error, 3 numerical failure (Newton divergence, degenerate/singular
 evaluation, fully singular domain). Identical invocations with the same seed
@@ -17,6 +17,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 import sys
 import time
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -54,6 +55,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # also "-1e-05", as CSV writes it (subparsers share this class)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -376,11 +383,11 @@ def _build_context(args) -> _Context:
 # -- reports -------------------------------------------------------------------
 
 class _Report(NamedTuple):
-    """A report: the JSON payload, the records its CSV view writes under
-    columns of (record key, header names), and text lines (None: default)."""
+    """A report: the JSON payload, record arrays along a leading axis, the
+    CSV columns as (record key, header names), and text (None: default)."""
 
     payload: dict
-    records: Sequence[dict] = ()
+    records: Optional[dict] = None
     columns: Sequence[tuple] = ()
     text: Optional[list] = None
 
@@ -399,18 +406,15 @@ def _names(prefix: str, count: int) -> list:
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
-def _cells(record: dict, columns) -> list:
-    """A record as CSV cells, lists flattened and floats to 17 digits."""
-    cells = []
+def _csv_rows(records: dict, columns) -> list:
+    """CSV cells, one row per record: each column's values flattened in C
+    order (a matrix row by row), floats to 17 significant digits."""
+    flat = []
     for key, _ in columns:
-        value = record[key]
-        if not isinstance(value, list):
-            cells.append(value)
-        elif isinstance(value[0], list):   # a matrix, row by row
-            cells += [v for row in value for v in row]
-        else:
-            cells += value
-    return [f"{c:.16e}" if isinstance(c, float) else str(c) for c in cells]
+        a = records[key]
+        flat.append(a.reshape(len(a), math.prod(a.shape[1:])).tolist())
+    return [[f"{c:.16e}" if isinstance(c, float) else str(c)
+             for values in row for c in values] for row in zip(*flat)]
 
 
 def _emit(args, report: _Report) -> None:
@@ -422,8 +426,7 @@ def _emit(args, report: _Report) -> None:
         if fmt == "csv" and report.columns:
             writer = csv.writer(sink)
             writer.writerow(sum((names for _, names in report.columns), []))
-            writer.writerows(_cells(record, report.columns)
-                             for record in report.records)
+            writer.writerows(_csv_rows(report.records, report.columns))
         else:
             # an error report has no tabular form: its csv view is text
             lines = ([json.dumps(report.payload, indent=2)] if fmt == "json"
@@ -465,7 +468,8 @@ def handle_construct(args) -> _Report:
     n = ctx.op.dim
     P = _point_list(args, n)
     values = _evaluate(P, lambda P: operator_eval(ctx.op, P).values)
-    results = _records(point=P, matrix=values)
+    records = dict(point=P, matrix=values)
+    results = _records(**records)
     payload = _payload(f"construct {ctx.params['family']}",
                        params=ctx.params, results=results)
     text = [payload["subject"]]
@@ -474,7 +478,7 @@ def handle_construct(args) -> _Report:
         for row in r["matrix"]:
             text.append("  [" + ", ".join(f"{v: .12g}" for v in row) + "]")
     matrix = [f"L_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    return _Report(payload, results,
+    return _Report(payload, records,
                    [("point", _names("point_", n)), ("matrix", matrix)], text)
 
 
@@ -503,7 +507,7 @@ def handle_torsion(args) -> _Report:
     keep = ((np.abs(N) > 1e-13 * scale[:, None, None, None])
             & np.triu(np.ones((n, n), dtype=bool), 1))
     b, i, j, k = np.nonzero(keep)
-    records = _records(point=P[b], i=i + 1, j=j + 1, k=k + 1, value=N[keep])
+    records = dict(point=P[b], i=i + 1, j=j + 1, k=k + 1, value=N[keep])
     max_rel = float(np.max(rel))
     passed = max_rel <= args.tol
     checks = [{"name": "torsion_relative", "max": max_rel, "pass": passed}]
@@ -515,7 +519,7 @@ def handle_torsion(args) -> _Report:
     # components starts empty for every point; the rows are attached below
     results = _records(point=P, max_component=raw, relative=rel,
                        components=np.empty((len(P), 0)), **fd)
-    for point, r in zip(b.tolist(), records):
+    for point, r in zip(b.tolist(), _records(**records)):
         results[point]["components"].append(
             {key: r[key] for key in ("i", "j", "k", "value")})
     payload = _payload(
@@ -533,10 +537,10 @@ def handle_charpoly(args) -> _Report:
     n = ctx.op.dim
     P = _point_list(args, n)
     sigma = _evaluate(P, lambda P: charpoly(operator_eval(ctx.op, P).values))
-    results = _records(point=P, sigma=sigma)
+    records = dict(point=P, sigma=sigma)
     payload = _payload(f"charpoly of {ctx.params['family']}",
-                       params=ctx.params, results=results)
-    return _Report(payload, results, [("point", _names("point_", n)),
+                       params=ctx.params, results=_records(**records))
+    return _Report(payload, records, [("point", _names("point_", n)),
                                       ("sigma", _names("sigma_", n))])
 
 
@@ -586,7 +590,7 @@ def handle_verify(args) -> _Report:
     reports = [(check, _sweep(ctx, check, bounds, args)) for check in wanted]
 
     worst_rel, worst_point = -1.0, None
-    records = []
+    parts = []
     for name, rep in reports:
         if rep.checks[0].max > worst_rel:   # strict: a NaN gate max never wins
             worst_rel, worst_point = rep.checks[0].max, rep.worst_point
@@ -594,8 +598,10 @@ def handle_verify(args) -> _Report:
         if points.shape[1] < n:   # pde base points: n-1 coordinates and ""
             points = np.pad(points.astype(object), ((0, 0), (0, 1)),
                             constant_values="")
-        records += _records(check=np.full(len(points), name), point=points,
-                            raw=rep.records["raw"], rel=rep.records["rel"])
+        parts.append((np.full(len(points), name), points,
+                      rep.records["raw"], rep.records["rel"]))
+    records = dict(zip(("check", "point", "raw", "rel"),
+                       map(np.concatenate, zip(*parts))))
     payload = _payload(
         f"verify {ctx.params['family']} [{', '.join(wanted)}]",
         params={**ctx.params,
@@ -621,14 +627,14 @@ def handle_diagnose(args) -> _Report:
     f = _field(args.f, n)
     P = _point_list(args, n)
     d = _evaluate(P, lambda P: smoothness_numerators(f, n, P))
-    results = _records(point=P, numerators=d.numerators,
-                       denominator=d.denominator, verdict=d.verdict)
-    payload = _payload("smoothness diagnostics",
-                       params={"n": n, "f": args.f}, results=results)
+    records = dict(point=P, numerators=d.numerators,
+                   denominator=d.denominator, verdict=d.verdict)
+    payload = _payload("smoothness diagnostics", params={"n": n, "f": args.f},
+                       results=_records(**records))
     columns = [("point", _names("point_", n)), ("denominator", ["denominator"]),
                ("numerators", ["N0"] + _names("N", n - 1)[1:]),
                ("verdict", ["verdict"])]
-    return _Report(payload, results, columns)
+    return _Report(payload, records, columns)
 
 
 def handle_pde_check(args) -> _Report:
@@ -647,7 +653,7 @@ def handle_pde_check(args) -> _Report:
                              "seed": args.seed, "tol": tol})
     columns = [("point", _names("x", m)), ("raw", ["system_residual"]),
                ("factor2", ["factor2"])]
-    return _Report(rep.to_dict(), _records(**rep.records), columns)
+    return _Report(rep.to_dict(), rep.records, columns)
 
 
 def handle_morse_reduce(args) -> _Report:
@@ -660,15 +666,15 @@ def handle_morse_reduce(args) -> _Report:
                                        tol=args.tol, y0=args.y0)
         rep.params["box"] = bounds.tolist()
         columns = [("point", _names("point_", n)), ("raw", ["defect"])]
-        return _Report(rep.to_dict(), _records(**rep.records), columns)
+        return _Report(rep.to_dict(), rep.records, columns)
     X = _point_list(args, n - 1, "--point (with n-1 coordinates) or --box")
     data = _evaluate(X, lambda X: morse_reduce(f, n, X, y0=args.y0))
-    results = _records(x=X, c=data.c, R=data.R, sign=data.sign,
-                       newton_iters=data.iters, fyy=data.fyy)
+    records = dict(x=X, c=data.c, R=data.R, sign=data.sign,
+                   newton_iters=data.iters, fyy=data.fyy)
     payload = _payload("parametric reduction",
                        params={"n": n, "f": args.f, "y0": args.y0},
-                       results=results)
-    return _Report(payload, results, [("x", _names("x", n - 1))] + [
+                       results=_records(**records))
+    return _Report(payload, records, [("x", _names("x", n - 1))] + [
         (key, [key]) for key in ("c", "R", "sign", "newton_iters")])
 
 

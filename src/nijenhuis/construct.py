@@ -137,8 +137,7 @@ def build_companion(sigma: Sequence[ScalarField]) -> OperatorField:
     return OperatorField(n, rule, label="companion")
 
 
-def build_diff_nondegenerate(sigma: Sequence[ScalarField],
-                             label: str = "diffnondeg") -> OperatorField:
+def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
     """Operator field J^(-1) Ltilde J from n coefficient fields.
 
     Evaluation checks |det J| >= n * EPS_DET_PER_DIM at each point and
@@ -168,7 +167,7 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField],
             raise DegeneratePointError(p, det, mask=exc.mask) from None
         return _entry_jets(matmul(Jinv, matmul(Ltilde, J)))
 
-    return OperatorField(n, rule, label=label)
+    return OperatorField(n, rule, label="diffnondeg")
 
 
 def _partials(fj: Jet2):
@@ -184,7 +183,7 @@ def _partials(fj: Jet2):
     return parts[:-1], parts[-1]
 
 
-def build_2d(f: ScalarField, label: str = "2d") -> OperatorField:
+def build_2d(f: ScalarField) -> OperatorField:
     """Planar operator family with tr L = x1, det L = f (sigma_1 = -x1).
 
     Entries: [[x1 - f_x, -f_y], [(-x1 f_x + f_x^2 + f)/f_y, f_x]]. Entry
@@ -206,11 +205,10 @@ def build_2d(f: ScalarField, label: str = "2d") -> OperatorField:
     def guard(p):
         return abs(f(p).gradient[..., -1])
 
-    return OperatorField(2, rule, label=label, guard=guard)
+    return OperatorField(2, rule, label="2d", guard=guard)
 
 
-def build_regular_family(f: ScalarField, n: int,
-                         label: str = "regular") -> OperatorField:
+def build_regular_family(f: ScalarField, n: int) -> OperatorField:
     """The n-dimensional family with sigma_i = x_i (i < n), sigma_n = f.
 
     Rows 1..n-2 are companion rows (-x_i in column 1, unit superdiagonal).
@@ -262,11 +260,10 @@ def build_regular_family(f: ScalarField, n: int,
     def guard(p):
         return abs(f(p).gradient[..., -1])
 
-    return OperatorField(n, rule, label=label, guard=guard)
+    return OperatorField(n, rule, label="regular", guard=guard)
 
 
-def build_morse_canonical(n: int, sign: int,
-                          label: str = "morse-canonical") -> OperatorField:
+def build_morse_canonical(n: int, sign: int) -> OperatorField:
     """Polynomial family at a Morse singularity of the determinant (n > 2).
 
     Companion rows for i = 1..n-2, entry (n-1, n) = sign*2y, entry (n, 1)
@@ -297,7 +294,7 @@ def build_morse_canonical(n: int, sign: int,
         rows.append(row)
         return rows
 
-    return OperatorField(n, rule, label=f"{label}({sign:+d})")
+    return OperatorField(n, rule, label=f"morse-canonical({sign:+d})")
 
 
 def conjugation_residual(f: ScalarField, n: int, p: Sequence[float],

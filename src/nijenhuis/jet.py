@@ -52,8 +52,9 @@ DIV_EPS_REL = 1e-12
 class SingularPointError(ArithmeticError):
     """Evaluation hit a singular locus (vanishing denominator, domain edge).
 
-    ``mask`` marks the failing points of a batched evaluation (None when
-    the raiser does not know which points failed).
+    ``mask`` marks the failing points of a batched evaluation: booleans of
+    its batch shape, or 0-d to mark every point (a constant 1/0). None
+    marks no point; a sweep then propagates the error, rejecting none.
     """
 
     mask = None

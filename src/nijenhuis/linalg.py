@@ -78,7 +78,7 @@ def _reshape(a: Jet2, batch: tuple) -> Jet2:
                 a.hessian.reshape(batch + (n, n)))
 
 
-def invert_with_det(A: Jet2, min_pivot: float = 0.0):
+def invert_with_det(A: Jet2):
     """Gauss-Jordan inverse with partial pivoting of a stack of jet matrices.
 
     A is a jet of batch shape (..., n, n): one n x n matrix per point.
@@ -86,9 +86,9 @@ def invert_with_det(A: Jet2, min_pivot: float = 0.0):
     largest |value| down the column, exactly as it would be alone; all
     derivatives come from the jet product and quotient rules. Returns
     (inverse, det), jets of batch shapes (..., n, n) and (...). Raises
-    NumericallySingular when a matrix's best pivot magnitude is <=
-    min_pivot, and DenominatorVanishes when a pivot row cannot be divided
-    by its pivot; either error's mask marks the failing matrices.
+    NumericallySingular when a matrix's best pivot is zero, and
+    DenominatorVanishes when a pivot row cannot be divided by its pivot;
+    either error's mask marks the failing matrices.
     """
     shape = np.shape(A.value)
     if len(shape) < 2 or shape[-2] != shape[-1]:
@@ -109,7 +109,7 @@ def invert_with_det(A: Jet2, min_pivot: float = 0.0):
         mag = np.abs(a.value[:, k:, k])
         piv = np.argmax(mag, axis=1)
         best = mag[stack, piv]
-        bad = best <= min_pivot
+        bad = best <= 0.0
         if bad.any():
             raise NumericallySingular(best[bad][0], mask=bad.reshape(batch))
         piv += k

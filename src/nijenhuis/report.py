@@ -118,34 +118,21 @@ def sample_box(box, n: int, samples: int, seed: int) -> np.ndarray:
 def _surviving(fn: Callable, P: np.ndarray, idx: np.ndarray):
     """Evaluate fn on P[idx], dropping the points where it raises.
 
-    A SingularPointError whose mask marks points of the chunk rejects those
-    points, and fn runs again on the rest. An error without such a mask is
-    localized by evaluating the chunk's points one at a time. Returns the
-    surviving indices and fn's result on them (None if none survive).
+    A SingularPointError rejects the points its mask marks (all for a 0-d
+    mask), and fn runs again on the rest; a mask that is None, marks no
+    point or has another shape propagates the error. Returns the surviving
+    indices and fn's result on them (None if none survive).
     """
-    localized = False
     while idx.size:
         try:
             return idx, fn(P[idx])
         except SingularPointError as exc:
             mask = exc.mask
-            if mask is not None and np.shape(mask) == idx.shape and mask.any():
-                idx = idx[~mask]
-                continue
-            if localized:
+            if (mask is None or np.shape(mask) not in ((), idx.shape)
+                    or not np.any(mask)):
                 raise
-            localized = True
-            idx = np.asarray([i for i in idx if _evaluates(fn, P[i:i + 1])],
-                             dtype=int)
+            idx = idx[~np.broadcast_to(mask, idx.shape)]
     return idx, None
-
-
-def _evaluates(fn: Callable, P: np.ndarray) -> bool:
-    try:
-        fn(P)
-    except SingularPointError:
-        return False
-    return True
 
 
 def run_sweep(points: Sequence[np.ndarray],
@@ -163,12 +150,14 @@ def run_sweep(points: Sequence[np.ndarray],
     extras): raw the absolute residuals (B,), rel the tolerance-gated
     relative residuals (B,), and extras a dict of named informational
     values (B,) (reported as non-gating checks, reduced by max |.|).
-    guard(P) returns one margin per point. Raising SingularPointError
-    rejects the points its mask marks, as does a guard margin below
-    min_margin. The guard and eval_chunk run under JET_ERRSTATE, so an
-    overflow in a residual raises. A non-finite relative residual fails
-    the gate. The reduction keeps the first point of largest rel, as a
-    point-by-point scan would, so reports do not depend on SWEEP_CHUNK.
+    guard(P) returns one margin per point. A SingularPointError of either
+    rejects the points its mask marks, of shape (B,) or 0-d for all of
+    them, as does a guard margin below min_margin; any other error, or a
+    mask that is None or marks nothing, propagates. The guard and
+    eval_chunk run under JET_ERRSTATE, so an overflow in a residual raises.
+    A non-finite relative residual fails the gate. The reduction keeps the
+    first point of largest rel, as a point-by-point scan would, so reports
+    do not depend on SWEEP_CHUNK.
     The report's records hold the accepted points and their residuals.
     """
     t0 = time.perf_counter()

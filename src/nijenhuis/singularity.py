@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .jet import Jet2, SingularPointError, _outer
-from .expr import Call, Const, Neg, Pow, Var, parse_expression
+from .expr import Var, parse_expression
 from .field import ScalarField
 from .report import VerificationReport, normalize_box, run_sweep
 
@@ -49,6 +49,10 @@ EPS_MORSE = 1e-6
 # Within |y - c| < DELTA_TAYLOR the raw quotient (f - R)/(y - c)^2 loses all
 # precision, so the quadratic factor switches to a Taylor-based evaluation.
 DELTA_TAYLOR = 1e-3
+
+# The thresholds of smoothness_numerators and morse_reduce (see there).
+EPS_DIV, TOL_NUM = 1e-12, 1e-10
+MAX_NEWTON_ITERS, TOL_NEWTON = 50, 1e-13
 
 
 class NonMorseError(ArithmeticError):
@@ -139,15 +143,14 @@ class MorseData:
     iters: Union[int, np.ndarray]
 
 
-def smoothness_numerators(f: ScalarField, n: int, p: Sequence[float],
-                          eps_div: float = 1e-12,
-                          tol_num: float = 1e-10) -> FractionDiagnostic:
+def smoothness_numerators(f: ScalarField, n: int,
+                          p: Sequence[float]) -> FractionDiagnostic:
     """Classify the points p (..., n) as regular /
     singular-denominator-zero-numerators / obstructed.
 
-    regular: |f_y| >= eps_div (the quotients are plainly smooth there).
+    regular: |f_y| >= EPS_DIV (the quotients are plainly smooth there).
     Otherwise the denominator vanishes and the verdict depends on the
-    numerators: all below tol_num (scaled) means the fractions can still
+    numerators: all below TOL_NUM (scaled) means the fractions can still
     extend smoothly; any larger numerator is an obstruction.
     """
     if n < 2:
@@ -165,9 +168,9 @@ def smoothness_numerators(f: ScalarField, n: int, p: Sequence[float],
     numerators = np.concatenate(
         [n0[..., None], fx[..., :n - 2] + fx[..., 1:] * last], axis=-1)
     scale = 1.0 + np.abs(fj.value) + np.max(np.abs(g), axis=-1)
-    obstructed = np.any(np.abs(numerators) > tol_num * scale[..., None],
+    obstructed = np.any(np.abs(numerators) > TOL_NUM * scale[..., None],
                         axis=-1)
-    verdict = np.where(np.abs(fy) >= eps_div, "regular",
+    verdict = np.where(np.abs(fy) >= EPS_DIV, "regular",
                        np.where(obstructed, "obstructed",
                                 "singular-denominator-zero-numerators"))
     if not verdict.ndim:
@@ -188,15 +191,9 @@ def remainder_from_expression(text: str, n: int) -> ScalarField:
     def uses_y(e) -> bool:
         if isinstance(e, Var):
             return e.index == n
-        if isinstance(e, Const):
-            return False
-        if isinstance(e, Neg):
-            return uses_y(e.operand)
-        if isinstance(e, Pow):
-            return uses_y(e.base)
-        if isinstance(e, Call):
-            return uses_y(e.arg)
-        return uses_y(e.left) or uses_y(e.right)
+        # a node's fields are its operands and plain values
+        return any(uses_y(v) for v in vars(e).values()
+                   if not isinstance(v, (int, float, str)))
 
     if uses_y(ast):
         raise ValueError(
@@ -232,22 +229,24 @@ def pde_residuals(R: ScalarField, n: int, x) -> PdeResiduals:
                         factor2=factor2)
 
 
-def morse_reduce(f: ScalarField, n: int, x,
-                 y0: float = 0.0, max_iters: int = 50,
-                 tol_newton: float = 1e-13) -> MorseData:
+def morse_reduce(f: ScalarField, n: int, x, y0: float = 0.0) -> MorseData:
     """Newton on y -> f_y(x, y) from y0 at base points x (..., n-1).
 
-    All live points step together, one batched f evaluation per step.
-    Raises the error of the first failing point in C order: NonMorseError
-    when |f_yy| < EPS_MORSE at the critical point, NewtonDivergenceError
-    when the iteration cannot converge (iterate escapes, the step divisor
-    f_yy vanishes away from a root, or iterations run out), or f's error.
+    All live points step together, one batched f evaluation per step; a
+    point stops where |f_y| <= TOL_NEWTON * (1 + |f_yy|). Raises the error
+    of the first failing point in C order: NonMorseError when |f_yy| <
+    EPS_MORSE at the critical point, NewtonDivergenceError when the
+    iteration cannot converge (iterate escapes, the step divisor f_yy
+    vanishes away from a root, or MAX_NEWTON_ITERS run out), or f's error
+    with its mask, if any, redrawn in x's batch shape to mark the points
+    whose own reduction raises it.
     """
     if f.dim != n:
         raise ValueError(f"f has dimension {f.dim}, expected {n}")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != n - 1:
         raise ValueError(f"base point must have {n - 1} coordinates")
+    batch = x.shape[:-1]
     X = x.reshape(-1, n - 1)
     y = np.full(len(X), float(y0))
     R, fyy_at_c = np.empty((2, len(X)))   # at convergence, where c = y
@@ -257,19 +256,22 @@ def morse_reduce(f: ScalarField, n: int, x,
     # after it can no longer fail first, so they stop with it.
     failure = None
     calls = it = 0
-    while live.size and it < max_iters:
+    while live.size and it < MAX_NEWTON_ITERS:
         calls += 1
         iters[live] += 1
         try:
             jet = f(np.column_stack((X[live], y[live])))
         except ArithmeticError as exc:
             mask = getattr(exc, "mask", None)
-            first = np.argmax(mask) if np.shape(mask) == live.shape else 0
+            first = 0
+            if np.shape(mask) == live.shape:   # redraw it over x's batch
+                first, marked = np.argmax(mask), live[mask]
+                exc.mask = np.isin(np.arange(len(X)), marked).reshape(batch)
             live, failure = live[:first], exc
             continue
         it += 1
         fy, fyy = jet.gradient[:, n - 1], jet.hessian[:, n - 1, n - 1]
-        done = np.abs(fy) <= tol_newton * (1.0 + np.abs(fyy))
+        done = np.abs(fy) <= TOL_NEWTON * (1.0 + np.abs(fyy))
         flat = np.abs(fyy) < EPS_MORSE
         ok, step = done & ~flat, ~done & ~flat
         R[live[ok]], fyy_at_c[live[ok]] = jet.value[ok], fyy[ok]
@@ -292,11 +294,10 @@ def morse_reduce(f: ScalarField, n: int, x,
                     X[k], y0, it, f"iterate left the domain (y={float(y[k])!r})")
         live = live[step]
     if live.size:
-        failure = NewtonDivergenceError(X[live[0]], y0, max_iters,
+        failure = NewtonDivergenceError(X[live[0]], y0, MAX_NEWTON_ITERS,
                                         "maximum iterations reached")
     if failure is not None:
         raise failure
-    batch = x.shape[:-1]
     c, R, sign, fyy_at_c, iters = (
         a.reshape(batch) if batch else a.item() for a in
         (y, R, np.where(fyy_at_c > 0, 1, -1), fyy_at_c, iters))

@@ -81,8 +81,9 @@ def test_chunk_matches_points_bit_for_bit(case):
                 chunk = f(P[alive])
                 break
             except SingularPointError as exc:
-                failed = (alive if np.ndim(exc.mask) == 0
-                          else alive[exc.mask])
+                # a mask marks points of this chunk, or every point (0-d)
+                assert np.shape(exc.mask) in ((), alive.shape)
+                failed = alive[np.broadcast_to(exc.mask, alive.shape)]
                 for i in failed:
                     with pytest.raises(SingularPointError):
                         f(P[i])
@@ -341,6 +342,33 @@ def test_newton_counts_per_point_match_points(pairs, critical):
         assert data.iters[b] == alone.newton_iters
     assert data.iters[critical] == 1
     assert data.newton_iters == data.iters.max()
+
+
+# f fails inside sqrt at some points, at some Newton step
+MASKED_F = [("sqrt(y + x1 + 1) + y^2", 2),
+            ("sqrt(y + 0.8) + y^2*(1 - x1)", 2),
+            ("exp(y) + 0.5*y + x1*y^2 + sqrt(x1 + 2)", 2),
+            ("sqrt(y + x1 + x2 + 1) + y^2", 3)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(MASKED_F), st.sampled_from([(1,), (5,), (2, 3)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_newton_masks_mark_failing_points_of_the_base_batch(case, batch,
+                                                            seed):
+    text, n = case
+    f = ScalarField.from_expression(text, n)
+    X = np.random.default_rng(seed).uniform(-2.5, 1.5, size=batch + (n - 1,))
+    try:
+        morse_reduce(f, n, X)
+    except SingularPointError as exc:
+        assert np.shape(exc.mask) == batch and exc.mask.any()
+        for k in zip(*np.nonzero(exc.mask)):
+            with pytest.raises(SingularPointError):
+                morse_reduce(f, n, X[k])
+    except ArithmeticError:
+        pass  # Newton's own failures carry no mask
 
 
 # -- reports do not depend on the chunk size ---------------------------------------

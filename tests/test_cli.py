@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nijenhuis.cli import run
+from nijenhuis.field import ScalarField
 
 
 def invoke(capsys, *argv):
@@ -501,3 +502,40 @@ def test_csv_and_text_agree_with_json(capsys, kind, data):
     if kind != "construct":
         shown = [line for line in lines if line.startswith("{")]
         assert shown == [json.dumps(r) for r in results]
+
+
+def test_a_failing_f_in_a_pde_sweep_is_not_evaluated_point_by_point(
+        capsys, monkeypatch):
+    # sqrt fails inside the Newton reduction of the remainder at some base
+    # points; each batched failure rejects the points its mask marks
+    calls = []
+    call = ScalarField.__call__
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, p: calls.append(1) or call(self, p))
+    code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
+                            "--n", "2", "--f", "sqrt(y + x1 + 1) + y^2",
+                            "--check", "pde", "--samples", "300")
+    assert code == 3
+    assert doc["error"] == (
+        "Newton iteration diverged from y0=0.0 at x=[-0.2581554322751225] "
+        "after 50 iterations: maximum iterations reached")
+    assert len(calls) <= 300
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("construct", "--family", "theorem1", "--n", "2", "--f", "y^3/3+y",
+      "--point", "-1e-05", "0.3", "--point", "0.3", "-2E-3"), "point_"),
+    (("morse-reduce", "--f", "cos(y) + x1*y + x2", "--n", "3",
+      "--point", "-1e-05", "0.2", "--point", "0.3", "-2.5e-1"), "x"),
+])
+def test_csv_coordinates_pass_back_through_point(capsys, argv, key):
+    # the CSV view writes -1e-05 as -1.0000000000000001e-05
+    code, out = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    coords = [i for i, name in enumerate(header) if name.startswith(key)]
+    again = list(argv[:argv.index("--point")])
+    for row in rows:
+        again += ["--point", *(row[i] for i in coords)]
+    assert any("e-" in arg for arg in again)
+    assert invoke(capsys, *again, "--format", "csv") == (0, out)

@@ -63,9 +63,6 @@ def test_float_inverse_matches_numpy():
 def test_inverse_rejects_singular():
     with pytest.raises(NumericallySingular):
         invert_with_det(float_jets([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(NumericallySingular):
-        invert_with_det(float_jets([[1.0, 0.0], [0.0, 1e-15]]),
-                        min_pivot=1e-12)
 
 
 def test_inverse_masks_the_failing_matrices_of_a_stack():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nijenhuis.report
+from nijenhuis.jet import DenominatorVanishes, SingularPointError
 from nijenhuis.report import (CheckResult, VerificationReport, normalize_box,
                               run_sweep, sample_box)
 
@@ -100,3 +101,39 @@ def test_overflow_in_a_residual_raises():
     with pytest.raises(FloatingPointError, match="overflow"):
         run_sweep(np.ones((3, 2)), eval_chunk, 1e-9, subject="s", params={},
                   gate_name="g")
+
+
+@pytest.mark.parametrize("mask", [None, np.zeros(3, dtype=bool),
+                                  np.ones(2, dtype=bool)],
+                         ids=["none", "marks-nothing", "other-shape"])
+def test_an_error_without_a_usable_mask_propagates(mask):
+    calls = []
+
+    def eval_chunk(P):
+        calls.append(len(P))
+        exc = SingularPointError("rule failed")
+        exc.mask = mask
+        raise exc
+
+    with pytest.raises(SingularPointError, match="rule failed"):
+        run_sweep(np.ones((3, 2)), eval_chunk, 1e-9, subject="s", params={},
+                  gate_name="g")
+    assert calls == [3]   # never retried point by point
+
+
+def test_a_0d_mask_rejects_its_whole_chunk(monkeypatch):
+    monkeypatch.setattr(nijenhuis.report, "SWEEP_CHUNK", 4)
+    points = np.arange(10.0)[:, None] - 3.5
+    calls = []
+
+    def eval_chunk(P):
+        calls.append(len(P))
+        if P[0, 0] < 0:   # a failure that does not depend on the point
+            raise DenominatorVanishes(0.0, mask=np.array(True))
+        return P[:, 0], P[:, 0], {}
+
+    rep = run_sweep(points, eval_chunk, 10.0, subject="s", params={},
+                    gate_name="g")
+    assert (rep.accepted, rep.rejected) == (6, 4)
+    assert np.array_equal(rep.records["point"], points[4:])
+    assert calls == [4, 4, 2]
