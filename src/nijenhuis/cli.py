@@ -295,23 +295,25 @@ def _matrix_operator(spec: str, n_flag: Optional[int]) -> OperatorField:
 class _Context(NamedTuple):
     """An operator and what its family knows about it.
 
-    sigma maps points (..., n) to the expected characteristic coefficients
-    (..., n); f is the determinant coefficient; conjugated is the operator
-    the conjugation identity J L = Ltilde J is stated for; checks are the
-    checks that `--check all` runs.
+    sigma(P, src) maps points (..., n) and the operator's source there to
+    the expected characteristic coefficients (..., n); f is the
+    determinant coefficient; conjugated is the operator the conjugation
+    identity J L = Ltilde J is stated for; checks are the checks that
+    `--check all` runs.
     """
 
     op: OperatorField
     params: dict
-    sigma: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sigma: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
     f: Optional[ScalarField] = None
     conjugated: Optional[OperatorField] = None
     checks: tuple = ("torsion",)
 
 
-def _fields_sigma(fields: list):
-    """Expected coefficients: the values of the coefficient fields."""
-    return lambda P: np.stack([s(P).value for s in fields], axis=-1)
+def _fields_sigma(P, sigma_jets):
+    """Expected coefficients: the values of the coefficient fields, read
+    from the companion and diffnondeg source (their stacked jets)."""
+    return sigma_jets.value
 
 
 def _build_context(args) -> _Context:
@@ -368,14 +370,14 @@ def _build_context(args) -> _Context:
         fields = _sigma_fields(sigma_text, n)
         return _Context(build_companion(fields),
                         {"family": "companion", "n": n, "sigma": sigma_text},
-                        _fields_sigma(fields), checks=("torsion", "sigma"))
+                        _fields_sigma, checks=("torsion", "sigma"))
 
     if family == "diffnondeg":
         _require(args.sigma is not None, "--family diffnondeg requires --sigma")
         fields = _sigma_fields(args.sigma, n)
         return _Context(build_diff_nondegenerate(fields),
                         {"family": "diffnondeg", "n": n, "sigma": args.sigma},
-                        _fields_sigma(fields), checks=("torsion", "sigma"))
+                        _fields_sigma, checks=("torsion", "sigma"))
 
     raise UsageError(f"unknown family {family!r}")
 
@@ -566,12 +568,14 @@ def _sweep(ctx: _Context, check: str, bounds: np.ndarray,
                                  args.seed)
         return verify_pde(morse_remainder_field(f, n), n, base_points, tol)
 
-    def eval_chunk(P):
-        raw, scale = conjugation_residual(f, n, P, L=ctx.conjugated)
+    # the sweep's source is f itself: the guard and J, Ltilde read its jet,
+    # and so does the operator when f is its source too
+    def eval_chunk(P, fj):
+        raw, scale = conjugation_residual(f, n, P, L=ctx.conjugated, fj=fj)
         return raw, raw / scale, {}
 
-    def guard(P):
-        return abs(f(P).gradient[..., -1])
+    def guard(P, fj):
+        return abs(fj.gradient[..., -1])
 
     return run_sweep(
         sample_box(bounds, n, args.samples, args.seed), eval_chunk, tol,
@@ -579,7 +583,7 @@ def _sweep(ctx: _Context, check: str, bounds: np.ndarray,
         params={"n": n, "f": f.label, "samples": args.samples,
                 "seed": args.seed, "tol": tol},
         gate_name="conjugation_relative",
-        guard=guard, min_margin=args.min_denominator)
+        guard=guard, min_margin=args.min_denominator, source=f)
 
 
 def handle_verify(args) -> _Report:

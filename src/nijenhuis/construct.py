@@ -21,6 +21,10 @@ them. Concretely:
 
 Family rules, guards and ``conjugation_residual`` take one point (n,) or an
 array of points (..., n), as the field contract in ``field.py`` describes.
+Each family names its source: f itself for the regular and planar
+families, the stacked coefficient jets for companion and diffnondeg, and
+none for the Morse canonical family. Rules build their entries as order-1
+jets, so no entry Hessian is ever formed.
 """
 
 from __future__ import annotations
@@ -90,24 +94,33 @@ def companion_matrix(sigma_values: Sequence[float]) -> np.ndarray:
     return M
 
 
-def _companion_jets(sigma_jets: Sequence[Jet2]) -> Jet2:
-    """Companion matrices with jet entries in the first column, as one jet
-    of batch shape (..., n, n)."""
-    value = companion_matrix(np.stack([s.value for s in sigma_jets], axis=-1))
-    dim = sigma_jets[0].dim
-    gradient = np.zeros(value.shape + (dim,))
-    gradient[..., 0, :] = -np.stack([s.gradient for s in sigma_jets], axis=-2)
-    hessian = np.zeros(value.shape + (dim, dim))
-    hessian[..., 0, :, :] = -np.stack([s.hessian for s in sigma_jets], axis=-3)
-    return _jet(value, gradient, hessian)
+def _sigma_source(sigma: Sequence[ScalarField]):
+    """The source of the coefficient families: the jets of sigma_1..sigma_n
+    at the points p, stacked into one jet of batch shape (..., n)."""
+    def source(p):
+        jets = [s(p) for s in sigma]
+        return _jet(np.stack([jt.value for jt in jets], axis=-1),
+                    np.stack([jt.gradient for jt in jets], axis=-2),
+                    np.stack([jt.hessian for jt in jets], axis=-3))
+
+    return source
+
+
+def _companion_jets(sigma: Jet2) -> Jet2:
+    """Companion matrices of the stacked coefficient jets sigma (batch
+    (..., n)), as one order-1 jet of batch shape (..., n, n)."""
+    value = companion_matrix(sigma.value)
+    gradient = np.zeros(value.shape + (sigma.dim,))
+    gradient[..., 0, :] = -sigma.gradient
+    return _jet(value, gradient, None)
 
 
 def _entry_jets(M: Jet2) -> list:
-    """The n x n grid of entry jets of a jet of batch shape (..., n, n)."""
+    """The n x n grid of entry jets of an order-1 jet of batch shape
+    (..., n, n)."""
     n = M.value.shape[-1]
-    return [[_jet(M.value[..., i, j][()], M.gradient[..., i, j, :],
-                  M.hessian[..., i, j, :, :]) for j in range(n)]
-            for i in range(n)]
+    return [[_jet(M.value[..., i, j][()], M.gradient[..., i, j, :], None)
+             for j in range(n)] for i in range(n)]
 
 
 def _check_sigma(sigma: Sequence[ScalarField]) -> int:
@@ -131,10 +144,11 @@ def build_companion(sigma: Sequence[ScalarField]) -> OperatorField:
     sigma = list(sigma)
     n = _check_sigma(sigma)
 
-    def rule(p):
-        return _entry_jets(_companion_jets([s(p) for s in sigma]))
+    def rule(p, sj):
+        return _entry_jets(_companion_jets(sj))
 
-    return OperatorField(n, rule, label="companion")
+    return OperatorField(n, rule, label="companion",
+                         source=_sigma_source(sigma))
 
 
 def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
@@ -144,43 +158,49 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
     raises DegeneratePointError below that, or where the jet inverse of J
     finds no usable pivot or cannot divide a pivot row by it. The
     conjugation is carried out in jet arithmetic so entry gradients come
-    out exact; entry Hessians are truncated (J's entries only know the
-    coefficient Hessians) and are never consumed downstream. J and Ltilde
-    are stacks of jet matrices, one per point, and the pivoted jet inverse
-    and both products run on the whole batch at once.
+    out exact; J and Ltilde are order-1 jets, so the conjugation carries no
+    Hessians (an entry's second derivatives would need third derivatives
+    of the coefficients, and nothing downstream reads them). J's values are
+    the coefficient gradients and its gradients the coefficient Hessians.
+    J and Ltilde are stacks of jet matrices, one per point, and the pivoted
+    jet inverse and both products run on the whole batch at once.
     """
     sigma = list(sigma)
     n = _check_sigma(sigma)
 
-    def rule(p):
-        jets = [s(p) for s in sigma]
-        grads = np.stack([jt.gradient for jt in jets], axis=-2)
-        det = plu_det(grads)
+    def rule(p, sj):
+        det = plu_det(sj.gradient)
         bad = np.abs(det) < EPS_DET_PER_DIM * n
         if bad.any():
             raise DegeneratePointError(p, det, mask=bad)
-        J = Jet2(grads, np.stack([jt.hessian for jt in jets], axis=-3))
-        Ltilde = _companion_jets(jets)
+        J = _jet(sj.gradient, sj.hessian, None)
+        Ltilde = _companion_jets(sj)
         try:
             Jinv, _ = invert_with_det(J)
         except (NumericallySingular, DenominatorVanishes) as exc:
             raise DegeneratePointError(p, det, mask=exc.mask) from None
         return _entry_jets(matmul(Jinv, matmul(Ltilde, J)))
 
-    return OperatorField(n, rule, label="diffnondeg")
+    return OperatorField(n, rule, label="diffnondeg",
+                         source=_sigma_source(sigma))
 
 
 def _partials(fj: Jet2):
     """Split a jet of f into jets of f_x1..f_x(n-1) and f_y.
 
-    The derivative jets have exact values and gradients (read off the
-    gradient and Hessian of f) and zero Hessians; callers only use entry
-    values and gradients, so the truncation never surfaces.
+    The derivative jets are order-1 jets with exact values and gradients
+    (read off the gradient and Hessian of f) and no Hessians; callers only
+    use entry values and gradients.
     """
     n = fj.dim
-    parts = [Jet2(fj.gradient[..., k], fj.hessian[..., k, :])
+    parts = [_jet(fj.gradient[..., k][()], fj.hessian[..., k, :], None)
              for k in range(n)]
     return parts[:-1], parts[-1]
+
+
+def _fy_margin(p, fj: Jet2):
+    """Guard of the families with f_y denominators: |f_y| from f's jet."""
+    return abs(fj.gradient[..., -1])
 
 
 def build_2d(f: ScalarField) -> OperatorField:
@@ -192,20 +212,16 @@ def build_2d(f: ScalarField) -> OperatorField:
     if f.dim != 2:
         raise ValueError(f"planar family needs a 2-variable f, got dim {f.dim}")
 
-    def rule(p):
-        fj = f(p)
+    def rule(p, fj):
         (fx,), fy = _partials(fj)
-        x = coordinate_jet(1, p)
+        x = coordinate_jet(1, p, order=1)
         try:
             low = (-(x * fx) + fx * fx + fj) / fy
         except DenominatorVanishes as exc:
             raise SingularEntry(2, 1, p, exc) from None
         return [[x - fx, -fy], [low, fx]]
 
-    def guard(p):
-        return abs(f(p).gradient[..., -1])
-
-    return OperatorField(2, rule, label="2d", guard=guard)
+    return OperatorField(2, rule, label="2d", guard=_fy_margin, source=f)
 
 
 def build_regular_family(f: ScalarField, n: int) -> OperatorField:
@@ -223,10 +239,9 @@ def build_regular_family(f: ScalarField, n: int) -> OperatorField:
     if f.dim != n:
         raise ValueError(f"f has dimension {f.dim}, expected {n}")
 
-    def rule(p):
-        fj = f(p)
+    def rule(p, fj):
         fx, fy = _partials(fj)
-        xs = [coordinate_jet(i + 1, p) for i in range(n - 1)]
+        xs = [coordinate_jet(i + 1, p, order=1) for i in range(n - 1)]
         rows = []
         for i in range(n - 2):
             row = [0.0] * n
@@ -257,10 +272,8 @@ def build_regular_family(f: ScalarField, n: int) -> OperatorField:
         rows.append(row)
         return rows
 
-    def guard(p):
-        return abs(f(p).gradient[..., -1])
-
-    return OperatorField(n, rule, label="regular", guard=guard)
+    return OperatorField(n, rule, label="regular", guard=_fy_margin,
+                         source=f)
 
 
 def build_morse_canonical(n: int, sign: int) -> OperatorField:
@@ -277,16 +290,16 @@ def build_morse_canonical(n: int, sign: int) -> OperatorField:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
-    def rule(p):
-        y = coordinate_jet(n, p)
+    def rule(p, _):
+        y = coordinate_jet(n, p, order=1)
         rows = []
         for i in range(n - 2):
             row = [0.0] * n
-            row[0] = -coordinate_jet(i + 1, p)
+            row[0] = -coordinate_jet(i + 1, p, order=1)
             row[i + 1] = 1.0
             rows.append(row)
         row = [0.0] * n
-        row[0] = -coordinate_jet(n - 1, p)
+        row[0] = -coordinate_jet(n - 1, p, order=1)
         row[n - 1] = (2.0 * sign) * y
         rows.append(row)
         row = [0.0] * n
@@ -298,20 +311,24 @@ def build_morse_canonical(n: int, sign: int) -> OperatorField:
 
 
 def conjugation_residual(f: ScalarField, n: int, p: Sequence[float],
-                         L: OperatorField | None = None) -> tuple:
+                         L: OperatorField | None = None,
+                         fj: Jet2 | None = None) -> tuple:
     """Residual and magnitude scale of the identity J L = Ltilde J at p.
 
     J here is the specialized Jacobi matrix of (x_1, ..., x_(n-1), f): an
     identity block over the gradient row of f. Ltilde is the companion
     matrix of (p_1, ..., p_(n-1), f(p)). L defaults to the regular family
-    of f. Returns (max |J L - Ltilde J|, 1 + max entry magnitude of the
-    two products), each of the batch shape p.shape[:-1].
+    of f. fj is f's jet at p, evaluated here when not given; L reuses it
+    only when f is L's own source. Returns (max |J L - Ltilde J|, 1 + max
+    entry magnitude of the two products), each of the batch shape
+    p.shape[:-1].
     """
     if L is None:
         L = build_regular_family(f, n)
     p = np.asarray(p, dtype=float)
-    fj = f(p)
-    Lv = operator_eval(L, p).values
+    if fj is None:
+        fj = f(p)
+    Lv = operator_eval(L, p, fj if L.source is f else None).values
     J = np.zeros(p.shape[:-1] + (n, n))
     J[...] = np.eye(n)
     J[..., n - 1, :] = fj.gradient

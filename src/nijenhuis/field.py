@@ -3,31 +3,40 @@
 An operator field is an n x n matrix of scalar fields. Evaluation returns
 the entry values and entry gradients together (``OperatorEval``), which is
 exactly the data the coordinate torsion formula consumes. Entry Hessians
-are deliberately not part of the contract: derived families carry partial
+are deliberately not part of the contract: entries are built as order-1
+jets (``Jet2`` with Hessian None), since derived families carry partial
 derivatives of a generating function inside their entries, and an order-2
-jet of the generator cannot supply entry second derivatives. Entry values
-and gradients stay exact because jet value/gradient propagation never reads
-operand Hessians.
+jet of the generator cannot supply entry second derivatives anyway. Entry
+values and gradients stay exact because jet value/gradient propagation
+never reads operand Hessians.
+
+A family's entries are rational in one source: the 2-jet of its
+generating function f, or the stacked jets of its coefficient fields
+sigma_1..sigma_n. ``OperatorField.source(p)`` evaluates it; the family's
+rule and guard both take it as ``(p, src)``, so a sweep evaluates the
+source once per chunk and hands it to the guard, the rule and the
+expected values alike. A family without a source (polynomial entries, or
+entries given as expressions) has source None and its rule receives None.
 
 Points axis: every evaluation takes one point of shape (n,) or an array of
 points of shape (..., n), the leading axes being the batch shape. A scalar
 field returns a ``Jet2`` of that batch shape; ``operator_eval`` returns
-values (..., n, n) and entry gradients (..., n, n, n). Rules
-(``ScalarField.rule``, ``OperatorField.matrix_rule``) and guards receive
-the whole array and answer for all of its points; a guard returns one
-margin per point. Jet evaluation raises numpy overflow and invalid
-operations as ``FloatingPointError`` (an ArithmeticError), so an
+values (..., n, n) and entry gradients (..., n, n, n). Sources, rules and
+guards receive the whole array and answer for all of its points; a guard
+returns one margin per point. Jet evaluation raises numpy overflow and
+invalid operations as ``FloatingPointError`` (an ArithmeticError), so an
 overflowing point fails loudly instead of turning into inf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .jet import Jet2, SingularPointError, broadcast_jet, constant_jet
+from .jet import (Jet2, SingularPointError, _constant, broadcast_jet,
+                  constant_jet)
 from .expr import Expr, evaluate, format_expression, parse_expression
 
 __all__ = [
@@ -77,10 +86,11 @@ class SingularEntry(SingularPointError):
 
 
 class ScalarField:
-    """A scalar function of n variables, evaluated to an order-2 jet.
+    """A scalar function of n variables, evaluated to a jet.
 
     ``f(p)`` takes a point (n,) or points (..., n) and returns a jet of
-    batch shape p.shape[:-1].
+    batch shape p.shape[:-1]: order 2 for an expression or a constant;
+    a family's entry fields (``OperatorField.entry``) give order 1.
     """
 
     def __init__(self, rule: Callable[[np.ndarray], Jet2], dim: int,
@@ -112,10 +122,11 @@ class ScalarField:
 
 
 def as_jet(x, dim: int) -> Jet2:
-    """Coerce a matrix-rule entry (jet or plain number) to a jet."""
+    """Coerce a matrix-rule entry (jet or plain number) to a jet; a plain
+    number becomes an order-1 constant."""
     if isinstance(x, Jet2):
         return x
-    return constant_jet(float(x), dim)
+    return _constant(float(x), dim, order=1)
 
 
 @dataclass
@@ -128,24 +139,33 @@ class OperatorEval:
 
 
 class OperatorField:
-    """An n x n operator field L with optional sampling guard.
+    """An n x n operator field L with an optional source and sampling guard.
 
-    ``matrix_rule(p)`` returns the full matrix of entry jets at the points
-    p in one shot, which lets families share one jet evaluation of their
-    generating function across all entries; entries may be plain numbers.
-    ``guard(p)``, when present, returns a nonnegative margin per point;
-    sweeps reject points whose margin falls below their threshold before
-    touching the entries (denominator about to vanish).
+    ``source(p)``, when present, evaluates what the entries are rational
+    in at the points p (see the module docstring); ``source_at(p)`` is
+    None without one. ``matrix_rule(p, src)`` returns the full matrix of
+    entry jets at the points p from src = source_at(p), which lets
+    families share one jet evaluation of their generating function across
+    all entries; entries may be plain numbers. ``guard(p, src)``, when
+    present, returns a nonnegative margin per point read from src; sweeps
+    reject points whose margin falls below their threshold before touching
+    the entries (denominator about to vanish).
     """
 
     def __init__(self, dim: int,
-                 matrix_rule: Callable[[np.ndarray], Sequence[Sequence]],
+                 matrix_rule: Callable[[np.ndarray, Any], Sequence[Sequence]],
                  label: str = "",
-                 guard: Optional[Callable[[np.ndarray], float]] = None):
+                 guard: Optional[Callable[[np.ndarray, Any], Any]] = None,
+                 source: Optional[Callable[[np.ndarray], Any]] = None):
         self.dim = int(dim)
         self.matrix_rule = matrix_rule
         self.label = label
         self.guard = guard
+        self.source = source
+
+    def source_at(self, p):
+        """The source at the points p, or None for a field without one."""
+        return None if self.source is None else self.source(p)
 
     def __repr__(self) -> str:
         return f"OperatorField(dim={self.dim}, label={self.label!r})"
@@ -168,7 +188,7 @@ class OperatorField:
                 f"{n} x {n} operator needs entries in {n} variables, "
                 f"entries declare {dim}")
 
-        def rule(p):
+        def rule(p, src):
             rows = []
             for i, row in enumerate(entries):
                 cells = []
@@ -184,13 +204,16 @@ class OperatorField:
 
         return cls(n, rule, label=label, guard=guard)
 
-    def entries(self, p: Sequence[float]) -> list:
-        """Evaluate all entry jets at the points p (shape (n,) or (..., n));
+    def entries(self, p: Sequence[float], src=None) -> list:
+        """Evaluate all entry jets at the points p (shape (n,) or (..., n))
+        from src, the source at p, which is evaluated here when not given;
         singular entries raise SingularEntry, and an error of a family's
         generating function propagates as that function raised it."""
         p = _points(p, self.dim, "operator")
         with np.errstate(**JET_ERRSTATE):
-            rows = self.matrix_rule(p)
+            if src is None:
+                src = self.source_at(p)
+            rows = self.matrix_rule(p, src)
         return [[as_jet(x, self.dim) for x in row] for row in rows]
 
     def entry(self, i: int, j: int) -> ScalarField:
@@ -205,11 +228,13 @@ class OperatorField:
         return ScalarField(rule, n, label=f"{self.label}[{i},{j}]")
 
 
-def operator_eval(L: OperatorField, p: Sequence[float]) -> OperatorEval:
+def operator_eval(L: OperatorField, p: Sequence[float],
+                  src=None) -> OperatorEval:
     """Evaluate L at the points p (shape (n,) or (..., n)) to entry values
-    (..., n, n) and entry gradients (..., n, n, n)."""
+    (..., n, n) and entry gradients (..., n, n, n); src is L's source at p,
+    evaluated here when not given."""
     p = np.asarray(p, dtype=float)
-    rows = L.entries(p)
+    rows = L.entries(p, src)
     n = L.dim
     batch = p.shape[:-1]
     values = np.empty(batch + (n, n))

@@ -58,35 +58,47 @@ def charpoly(M: np.ndarray) -> np.ndarray:
 
 
 def coordinate_sigma(f: ScalarField, n: int, signs: Sequence[float]
-                     ) -> Callable[[np.ndarray], np.ndarray]:
+                     ) -> Callable[..., np.ndarray]:
     """Expected coefficients (signs * (x1, ..., x(n-1)), f) of points (..., n).
 
     signs has length n-1; a -1 covers the planar convention where the first
-    coefficient is -x1 rather than x1.
+    coefficient is -x1 rather than x1. The result is expected(P, fj): f's
+    values come from fj, f's jet at P, or from evaluating f when fj is
+    None, as for an operator that has no source.
     """
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (n - 1,):
         raise ValueError(f"signs must have length {n - 1}")
-    return lambda P: np.concatenate(
-        [signs * P[..., :n - 1], f(P).value[..., None]], axis=-1)
+
+    def expected(P, fj=None):
+        if fj is None:
+            fj = f(P)
+        return np.concatenate([signs * P[..., :n - 1], fj.value[..., None]],
+                              axis=-1)
+
+    return expected
 
 
 def verify_sigma_fields(L: OperatorField,
-                        expected: Callable[[np.ndarray], np.ndarray],
+                        expected: Callable[[np.ndarray, object], np.ndarray],
                         domain, samples: int, seed: int, tol: float,
                         min_denominator: float = 0.0,
                         subject: str = "",
                         params: Optional[dict] = None) -> VerificationReport:
     """Sweep asserting charpoly(L(p)) matches expected(p) componentwise.
 
-    expected maps points (..., n) to their coefficients (..., n). The raw
-    residual is the absolute max deviation; the pass gate divides by
-    (1 + max |L entry|) since quotient entries inflate roundoff.
+    expected(P, src) maps points (..., n) to their coefficients (..., n),
+    given src, L's source at P (None when L has none). L's source is
+    evaluated once per chunk, and the same value feeds L's guard, its
+    entries and expected, so expected must read src only as L's own
+    source: an expectation about another field evaluates that field
+    itself. The raw residual is the absolute max deviation; the pass gate
+    divides by (1 + max |L entry|) since quotient entries inflate roundoff.
     """
-    def eval_chunk(P):
-        ev = operator_eval(L, P)
+    def eval_chunk(P, src):
+        ev = operator_eval(L, P, src)
         sigma = charpoly(ev.values)
-        raw = np.max(np.abs(sigma - expected(P)), axis=-1)
+        raw = np.max(np.abs(sigma - expected(P, src)), axis=-1)
         scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
         return raw, raw / scale, {}
 
@@ -96,7 +108,7 @@ def verify_sigma_fields(L: OperatorField,
         params=params if params is not None else
         {"dim": L.dim, "samples": samples, "seed": seed, "tol": tol},
         gate_name="sigma_max_deviation",
-        guard=L.guard, min_margin=min_denominator)
+        guard=L.guard, min_margin=min_denominator, source=L.source_at)
 
 
 def verify_sigma_coords(L: OperatorField, f: ScalarField, n: int,
@@ -110,8 +122,11 @@ def verify_sigma_coords(L: OperatorField, f: ScalarField, n: int,
     """
     if signs is None:
         signs = np.ones(n - 1)
+    expected = coordinate_sigma(f, n, signs)
+    if L.source is not f:   # src is not f's jet: evaluate f instead
+        own, expected = expected, lambda P, src: own(P)
     return verify_sigma_fields(
-        L, coordinate_sigma(f, n, signs), domain, samples, seed, tol,
+        L, expected, domain, samples, seed, tol,
         min_denominator=min_denominator,
         subject=f"coordinate invariant recovery for {L.label or 'operator'}",
         params={"dim": n, "f": f.label, "samples": samples, "seed": seed,

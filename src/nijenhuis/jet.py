@@ -1,4 +1,5 @@
-"""Order-2 forward-mode jets: value, gradient and Hessian pushed through arithmetic.
+"""Forward-mode jets: value, gradient and, at order 2, Hessian pushed
+through arithmetic.
 
 A ``Jet2`` carries the 2-jet of a scalar quantity at one point of R^n or at
 a whole array of points at once (vectorised forward mode). Shapes follow
@@ -6,13 +7,20 @@ one contract, with ``...`` the leading batch (points) shape:
 
     value     (...)
     gradient  (..., n)
-    hessian   (..., n, n)
+    hessian   (..., n, n), or None at order 1
 
 A jet at a single point has batch shape ``()``; its value is a numpy float
 scalar. Jets of different batch shapes combine by numpy broadcasting, so a
 constant (batch ``()``) mixes freely with a jet over a chunk of points.
 Every rule below is elementwise along the batch axes, which makes a chunk's
 result equal, bit for bit, to evaluating each point on its own.
+
+Order 1 is a mode of the same class, not a second class: a jet whose
+``hessian`` is None carries value and gradient only. Any operation with an
+order-1 operand gives an order-1 result, and so do ``chain``, ``at`` and
+``broadcast_jet``. Value and gradient rules never read a Hessian, so they
+are the same, bit for bit, at either order; order 1 only skips the work
+for callers that never consume second derivatives (operator entries).
 
 All elementary operations propagate derivatives exactly (no finite
 differences). The Hessian is kept exactly symmetric: the public
@@ -109,6 +117,11 @@ def _col2(v):
     return v[..., None, None] if v.ndim else v
 
 
+def _order1(a: "Jet2", b: "Jet2") -> bool:
+    """Whether a binary operation on a and b gives an order-1 jet."""
+    return a.hessian is None or b.hessian is None
+
+
 def _outer(a, b):
     """Batched outer product of gradients: (..., n) x (..., n) -> (..., n, n)."""
     return a[..., :, None] * b[..., None, :]
@@ -123,14 +136,19 @@ def _zeros(shape: tuple) -> np.ndarray:
     return np.ndarray(shape, float, _ZERO, strides=(0,) * len(shape))
 
 
-def _constant(c: float, n: int) -> "Jet2":
+def _constant(c: float, n: int, order: int = 2) -> "Jet2":
     """Constant jet for coercing plain numbers: batch (), shared zeros."""
-    return _jet(np.float64(c), _zeros((n,)), _zeros((n, n)))
+    return _jet(np.float64(c), _zeros((n,)),
+                _zeros((n, n)) if order == 2 else None)
 
 
 class Jet2:
     """2-jet (value, gradient, Hessian) of a scalar at a point, or at a
-    batch of points, of R^n."""
+    batch of points, of R^n; at order 1 the Hessian is None.
+
+    The constructor builds order-2 jets: a Hessian of None there means a
+    zero Hessian.
+    """
 
     __slots__ = ("value", "gradient", "hessian")
 
@@ -159,10 +177,16 @@ class Jet2:
     def dim(self) -> int:
         return self.gradient.shape[-1]
 
+    @property
+    def order(self) -> int:
+        return 1 if self.hessian is None else 2
+
     def at(self, index) -> "Jet2":
-        """The jet at one batch index (a view, no copy)."""
+        """The jet at a batch index (a view for a basic index, a copy for
+        an index array or mask)."""
+        h = self.hessian
         return _jet(self.value[index], self.gradient[index],
-                    self.hessian[index])
+                    None if h is None else h[index])
 
     def __repr__(self) -> str:
         return (f"Jet2({np.asarray(self.value).tolist()!r}, "
@@ -187,7 +211,7 @@ class Jet2:
             return NotImplemented
         return _jet(self.value + o.value,
                     self.gradient + o.gradient,
-                    self.hessian + o.hessian)
+                    None if _order1(self, o) else self.hessian + o.hessian)
 
     __radd__ = __add__
 
@@ -197,7 +221,7 @@ class Jet2:
             return NotImplemented
         return _jet(self.value - o.value,
                     self.gradient - o.gradient,
-                    self.hessian - o.hessian)
+                    None if _order1(self, o) else self.hessian - o.hessian)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -206,16 +230,21 @@ class Jet2:
         return o.__sub__(self)
 
     def __neg__(self):
-        return _jet(-self.value, -self.gradient, -self.hessian)
+        h = self.hessian
+        return _jet(-self.value, -self.gradient, None if h is None else -h)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         sv, ov = self.value, o.value
+        # the value before the gradient, so an overflowing value raises first
+        v = sv * ov
+        g = _col(sv) * o.gradient + _col(ov) * self.gradient
+        if _order1(self, o):
+            return _jet(v, g, None)
         outer = _outer(self.gradient, o.gradient)
-        return _jet(sv * ov,
-                    _col(sv) * o.gradient + _col(ov) * self.gradient,
+        return _jet(v, g,
                     _col2(sv) * o.hessian + _col2(ov) * self.hessian
                     + outer + outer.swapaxes(-1, -2))
 
@@ -231,6 +260,8 @@ class Jet2:
             raise DenominatorVanishes(den, mask=bad)
         v = self.value / den
         g = (self.gradient - _col(v) * o.gradient) / _col(den)
+        if _order1(self, o):
+            return _jet(v, g, None)
         cross = _outer(g, o.gradient)
         h = (self.hessian - _col2(v) * o.hessian
              - cross - cross.swapaxes(-1, -2)) / _col2(den)
@@ -247,7 +278,7 @@ class Jet2:
             raise TypeError("jet exponent must be an integer")
         k = int(k)
         if k == 0:
-            return _constant(1.0, self.dim)
+            return _constant(1.0, self.dim, self.order)
         if k < 0:
             return _constant(1.0, self.dim) / (self ** (-k))
         # Left-to-right product, so tests can replay the operation order.
@@ -286,9 +317,9 @@ def constant_jet(c: float, n: int) -> Jet2:
     return Jet2(float(c), np.zeros(n))
 
 
-def coordinate_jet(i: int, p) -> Jet2:
+def coordinate_jet(i: int, p, order: int = 2) -> Jet2:
     """Jet of the i-th coordinate (1-based) at point p, or at the points of
-    an array p of shape (..., n).
+    an array p of shape (..., n), at the given order (1 or 2).
 
     Index n names the distinguished last coordinate.
     """
@@ -298,6 +329,8 @@ def coordinate_jet(i: int, p) -> Jet2:
         raise IndexError(f"coordinate index {i} out of range 1..{n}")
     g = np.zeros(p.shape)
     g[..., i - 1] = 1.0
+    if order == 1:
+        return _jet(p[..., i - 1][()], g, None)
     return Jet2(p[..., i - 1], g)
 
 
@@ -305,6 +338,8 @@ def chain(g, dg, d2g, u: Jet2) -> Jet2:
     """Compose a scalar function (value g, derivatives dg, d2g at u.value,
     each of u's batch shape) with u."""
     g, dg, d2g = (np.asarray(x, dtype=float)[()] for x in (g, dg, d2g))
+    if u.hessian is None:
+        return _jet(g, _col(dg) * u.gradient, None)
     return _jet(g, _col(dg) * u.gradient,
                 _col2(dg) * u.hessian
                 + _col2(d2g) * _outer(u.gradient, u.gradient))
@@ -314,8 +349,8 @@ def broadcast_jet(jet: Jet2, batch: tuple) -> Jet2:
     """The jet with its batch shape broadcast to `batch` (read-only views)."""
     if jet.gradient.shape[:-1] == batch:
         return jet
-    n = jet.dim
+    n, h = jet.dim, jet.hessian
     return _jet(np.broadcast_to(jet.value, batch),
                 np.broadcast_to(jet.gradient, batch + (n,)),
-                np.broadcast_to(jet.hessian, batch + (n, n)))
+                None if h is None else np.broadcast_to(h, batch + (n, n)))
 

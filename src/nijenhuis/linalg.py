@@ -67,15 +67,16 @@ def plu_det(M: np.ndarray):
 def _take(a: Jet2, rows, cols) -> Jet2:
     """A stack of matrix jets indexed on its two trailing (matrix) axes."""
     idx = (Ellipsis, rows, cols)
+    h = a.hessian
     return _jet(a.value[idx], a.gradient[idx + (_ALL,)],
-                a.hessian[idx + (_ALL, _ALL)])
+                None if h is None else h[idx + (_ALL, _ALL)])
 
 
 def _reshape(a: Jet2, batch: tuple) -> Jet2:
     """The jet with its batch axes reshaped to `batch`."""
-    n = a.dim
+    n, h = a.dim, a.hessian
     return _jet(a.value.reshape(batch)[()], a.gradient.reshape(batch + (n,)),
-                a.hessian.reshape(batch + (n, n)))
+                None if h is None else h.reshape(batch + (n, n)))
 
 
 def invert_with_det(A: Jet2):
@@ -84,7 +85,8 @@ def invert_with_det(A: Jet2):
     A is a jet of batch shape (..., n, n): one n x n matrix per point.
     Every matrix is eliminated with its own pivots, the first row of
     largest |value| down the column, exactly as it would be alone; all
-    derivatives come from the jet product and quotient rules. Returns
+    derivatives come from the jet product and quotient rules, at A's order
+    (an order-1 A carries no Hessians through the elimination). Returns
     (inverse, det), jets of batch shapes (..., n, n) and (...). Raises
     NumericallySingular when a matrix's best pivot is zero, and
     DenominatorVanishes when a pivot row cannot be divided by its pivot;
@@ -98,9 +100,11 @@ def invert_with_det(A: Jet2):
     stack = np.arange(a.value.shape[0])
     eye = np.broadcast_to(np.eye(n), a.value.shape)
     # the augmented matrix [A | I]; the identity's derivatives are zero
+    h = a.hessian
     a = _jet(np.concatenate([a.value, eye], axis=-1),
              np.concatenate([a.gradient, np.zeros_like(a.gradient)], axis=-2),
-             np.concatenate([a.hessian, _zeros(a.hessian.shape)], axis=-3))
+             None if h is None else
+             np.concatenate([h, _zeros(h.shape)], axis=-3))
     # a row swap negates det; negation commutes exactly with the products,
     # so the signs are applied once at the end
     sign = np.ones((stack.size, 1, 1))
@@ -132,7 +136,8 @@ def invert_with_det(A: Jet2):
         a = a - _take(a, _ALL, slice(k, k + 1)) * row
         a.value[:, k] = row.value[:, 0]
         a.gradient[:, k] = row.gradient[:, 0]
-        a.hessian[:, k] = row.hessian[:, 0]
+        if a.hessian is not None:
+            a.hessian[:, k] = row.hessian[:, 0]
     det = det * Jet2(sign, np.zeros(sign.shape + (A.dim,)))
     return (_reshape(_take(a, _ALL, slice(n, None)), batch + (n, n)),
             _reshape(det, batch))

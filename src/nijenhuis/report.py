@@ -115,46 +115,62 @@ def sample_box(box, n: int, samples: int, seed: int) -> np.ndarray:
     return rng.uniform(bounds[:, 0], bounds[:, 1], size=(samples, n))
 
 
-def _surviving(fn: Callable, P: np.ndarray, idx: np.ndarray):
-    """Evaluate fn on P[idx], dropping the points where it raises.
+def _at(src: tuple, keep: np.ndarray) -> tuple:
+    """The source values (a 0- or 1-tuple) at the kept points."""
+    return tuple(None if s is None else s.at(keep) for s in src)
+
+
+def _surviving(fn: Callable, P: np.ndarray, idx: np.ndarray,
+               src: tuple = ()):
+    """Evaluate fn(P[idx], *src) with src the source at P[idx] (or no
+    source: ()), dropping the points where it raises.
 
     A SingularPointError rejects the points its mask marks (all for a 0-d
-    mask), and fn runs again on the rest; a mask that is None, marks no
-    point or has another shape propagates the error. Returns the surviving
-    indices and fn's result on them (None if none survive).
+    mask), and fn runs again on the rest, with the source indexed to them,
+    never evaluated again; a mask that is None, marks no point or has
+    another shape propagates the error. Returns the surviving indices, the
+    source at them and fn's result on them (None if none survive).
     """
     while idx.size:
         try:
-            return idx, fn(P[idx])
+            return idx, src, fn(P[idx], *src)
         except SingularPointError as exc:
             mask = exc.mask
             if (mask is None or np.shape(mask) not in ((), idx.shape)
                     or not np.any(mask)):
                 raise
-            idx = idx[~np.broadcast_to(mask, idx.shape)]
-    return idx, None
+            keep = ~np.broadcast_to(mask, idx.shape)
+            idx, src = idx[keep], _at(src, keep)
+    return idx, src, None
 
 
 def run_sweep(points: Sequence[np.ndarray],
-              eval_chunk: Callable[[np.ndarray], tuple],
+              eval_chunk: Callable[..., tuple],
               tol: float,
               subject: str,
               params: dict,
               gate_name: str,
-              guard: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+              guard: Optional[Callable[..., np.ndarray]] = None,
               min_margin: float = 0.0,
-              extra_checks: Sequence[str] = ()) -> VerificationReport:
+              extra_checks: Sequence[str] = (),
+              source: Optional[Callable[[np.ndarray], object]] = None
+              ) -> VerificationReport:
     """Run a point sweep chunk by chunk and reduce to a VerificationReport.
 
     eval_chunk(P) takes points P of shape (B, n) and returns (raw, rel,
     extras): raw the absolute residuals (B,), rel the tolerance-gated
     relative residuals (B,), and extras a dict of named informational
     values (B,) (reported as non-gating checks, reduced by max |.|).
-    guard(P) returns one margin per point. A SingularPointError of either
-    rejects the points its mask marks, of shape (B,) or 0-d for all of
-    them, as does a guard margin below min_margin; any other error, or a
-    mask that is None or marks nothing, propagates. The guard and
-    eval_chunk run under JET_ERRSTATE, so an overflow in a residual raises.
+    guard(P) returns one margin per point. With a source, source(P) is
+    evaluated once per chunk, and the guard and eval_chunk take its value
+    at their points as a second argument: guard(P, src), eval_chunk(P,
+    src). The value is a jet (or None), and a rejection indexes it with
+    ``.at`` instead of evaluating it again. A SingularPointError of the
+    source, the guard or eval_chunk rejects the points its mask marks, of
+    shape (B,) or 0-d for all of them, as does a guard margin below
+    min_margin; any other error, or a mask that is None or marks nothing,
+    propagates. All three run under JET_ERRSTATE, so an overflow in a
+    residual raises.
     A non-finite relative residual fails the gate. The reduction keeps the
     first point of largest rel, as a point-by-point scan would, so reports
     do not depend on SWEEP_CHUNK.
@@ -172,12 +188,17 @@ def run_sweep(points: Sequence[np.ndarray],
     for start in range(0, len(points), SWEEP_CHUNK):
         P = points[start:start + SWEEP_CHUNK]
         idx = np.arange(len(P))
+        src = ()
         with np.errstate(**JET_ERRSTATE):
+            if source is not None:
+                idx, _, value = _surviving(source, P, idx)
+                src = (value,)
             if guard is not None:
-                idx, margin = _surviving(guard, P, idx)
+                idx, src, margin = _surviving(guard, P, idx, src)
                 if idx.size:
-                    idx = idx[~(margin < min_margin)]
-            idx, result = _surviving(eval_chunk, P, idx)
+                    keep = ~(margin < min_margin)
+                    idx, src = idx[keep], _at(src, keep)
+            idx, _, result = _surviving(eval_chunk, P, idx, src)
         if not idx.size:
             continue
         raw, rel, extras = result

@@ -115,11 +115,12 @@ def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
     accepted point. max_residual in the report is the raw component max.
     Points where evaluation fails (singular locus) or where the operator's
     guard margin drops below min_denominator are rejected and counted.
+    L's source is evaluated once per chunk and shared by guard and entries.
     """
     points = sample_box(domain, L.dim, samples, seed)
 
-    def eval_chunk(P):
-        ev = operator_eval(L, P)
+    def eval_chunk(P, src):
+        ev = operator_eval(L, P, src)
         raw = np.max(np.abs(torsion_from_eval(ev)), axis=(-3, -2, -1))
         scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
         return raw, raw / scale, {}
@@ -130,4 +131,4 @@ def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
         params={"dim": L.dim, "samples": samples, "seed": seed, "tol": tol,
                 "min_denominator": min_denominator},
         gate_name="torsion_relative",
-        guard=L.guard, min_margin=min_denominator)
+        guard=L.guard, min_margin=min_denominator, source=L.source_at)

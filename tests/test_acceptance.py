@@ -154,7 +154,7 @@ def test_criterion_04_bracket_oracle_equivalence():
                 if tried >= 5:
                     break
                 p = rng.uniform(-1.0, 1.0, size=n)
-                if L.guard is not None and L.guard(p) < 0.3:
+                if L.guard is not None and L.guard(p, L.source_at(p)) < 0.3:
                     continue
                 tried += 1
                 exact = torsion_coordinate(L, p)

@@ -1,5 +1,8 @@
 """Points axis: a chunk of points evaluates exactly as its points one by one."""
 
+import collections
+import csv
+import io
 import json
 
 import numpy as np
@@ -17,6 +20,7 @@ from nijenhuis.field import OperatorField, ScalarField, operator_eval
 from nijenhuis.invariants import charpoly
 from nijenhuis.jet import SingularPointError
 from nijenhuis.linalg import plu_det
+from nijenhuis.report import sample_box
 from nijenhuis.singularity import (DELTA_TAYLOR, NewtonDivergenceError,
                                    morse_coordinate, morse_reduce,
                                    morse_remainder_field, pde_residuals,
@@ -116,7 +120,7 @@ def _operators():
 def test_operator_layers_match_points(L):
     P = np.random.default_rng(SEED).uniform(-0.9, 0.9, size=(11, L.dim))
     if L.guard is not None:
-        P = P[L.guard(P) > 0.1]
+        P = P[L.guard(P, L.source_at(P)) > 0.1]
     ev = operator_eval(L, P)
     N = torsion_from_eval(ev)
     sigma = charpoly(ev.values)
@@ -425,6 +429,12 @@ CHUNK_INVOCATIONS = [
     pytest.param(("construct", "--family", "diffnondeg", "--n", "2",
                   "--sigma", "x1,1e4*x1+y^3/3", "--point", "0.1", "5e-5"),
                  id="construct-diffnondeg-pivot-division"),
+    # guard rejections on both sides of chunk boundaries: the surviving
+    # points' rule and expectations read f's jet indexed, not re-evaluated
+    pytest.param(("verify", "--family", "theorem1", "--n", "3",
+                  "--f", "y^2 + 0.3*x1*y + x2", "--check", "all",
+                  "--samples", "100", "--seed", "9", "--format", "csv"),
+                 id="verify-theorem1-source-rejections"),
 ]
 
 
@@ -445,3 +455,67 @@ def test_reports_do_not_depend_on_chunk_size(argv, capsys, monkeypatch):
     for chunk in (1, CHUNK):
         monkeypatch.setattr(nijenhuis.report, "SWEEP_CHUNK", chunk)
         assert _reports(capsys, argv) == reference, chunk
+
+
+# -- one evaluation of each generating field per chunk and check -------------------
+
+SAMPLES, COUNT_CHUNK = 300, 128
+
+# family flags, box, and the checks whose sweeps evaluate f or sigma (the
+# pde check's Newton iteration evaluates f once per step by design)
+SOURCE_FAMILIES = {
+    # the guard |f_y| >= 0.05 rejects points in every chunk
+    "theorem1": (("--family", "theorem1", "--n", "3",
+                  "--f", "y^2 + 0.3*x1*y + x2"), [-1.0, 1.0],
+                 ("torsion", "sigma", "conjugation")),
+    "2d": (("--family", "2d", "--f", "x1*x1/4 + y^2 + 0.3*y"), [-1.0, 1.0],
+           ("torsion", "sigma", "conjugation")),
+    # no source: only the sigma expectation and the conjugation sweep
+    # evaluate f = y^2, whose guard rejects |2y| < 0.05
+    "theorem2": (("--family", "theorem2", "--n", "3"), [-1.0, 1.0],
+                 ("torsion", "sigma", "conjugation")),
+    "companion": (("--family", "companion", "--n", "3",
+                   "--sigma", "x1+y^2,x2*y,y+x1"), [-1.0, 1.0],
+                  ("torsion", "sigma")),
+    # the jet inverse's pivot division fails inside the rule for about
+    # half the points: rejections that index the source
+    "diffnondeg": (("--family", "diffnondeg", "--n", "2",
+                    "--sigma", "x1,1e4*x1+y^3/3"), [-1.0, 1.0, 1e-5, 2e-4],
+                   ("torsion", "sigma")),
+}
+
+
+@pytest.mark.parametrize("family", SOURCE_FAMILIES)
+def test_each_generating_field_is_evaluated_once_per_chunk(
+        family, capsys, monkeypatch):
+    flags, box, checks = SOURCE_FAMILIES[family]
+    monkeypatch.setattr(nijenhuis.report, "SWEEP_CHUNK", COUNT_CHUNK)
+    calls = collections.Counter()
+    call = ScalarField.__call__
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, p: calls.update([id(self)])
+                        or call(self, p))
+    chunks = -(-SAMPLES // COUNT_CHUNK)
+    argv = ["verify", *flags, "--samples", str(SAMPLES), "--seed", "5",
+            "--box", *map(str, box), "--format", "csv"]
+    n = int(flags[flags.index("--n") + 1]) if "--n" in flags else 2
+    bounds = np.reshape(box, (-1, 2)) if len(box) > 2 else box
+    sampled = sample_box(bounds, n, SAMPLES, 5)
+    boundary_rejections = False
+    for check in checks:
+        calls.clear()
+        assert run(argv + ["--check", check]) in (0, 1)   # ran to the end
+        assert max(calls.values(), default=0) <= chunks, (check, calls)
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        kept = {tuple(float(r[f"point_{i}"]) for i in range(1, n + 1))
+                for r in rows}
+        rejected = [k for k, p in enumerate(sampled) if tuple(p) not in kept]
+        assert len(rejected) == SAMPLES - len(rows)
+        boundary_rejections |= (min(rejected, default=SAMPLES) < COUNT_CHUNK
+                                <= max(rejected, default=-1))
+    assert boundary_rejections or family == "companion"
+    if family != "theorem2":   # theorem2's --check all adds the pde sweep
+        calls.clear()
+        assert run(argv + ["--check", "all"]) in (0, 1)
+        capsys.readouterr()
+        assert max(calls.values()) <= chunks * len(checks)

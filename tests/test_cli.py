@@ -305,6 +305,18 @@ def test_overflow_exits_three_naming_the_overflow(capsys):
     assert "overflow" in doc["error"]
 
 
+def test_overflow_in_a_discarded_entry_hessian_does_not_abort(capsys):
+    # entries are order-1 jets: the second derivatives of 1e155*x1^2*y that
+    # once overflowed were never read, so the true cause is reported
+    code, doc = invoke_json(capsys, "construct", "--family", "theorem1",
+                            "--n", "2", "--f", "y + 1e155*x1^2*y",
+                            "--point", "0.001", "0.5")
+    assert code == 3
+    assert doc["error"] == (
+        "entry (2,1) singular at point [0.001, 0.5]: denominator vanishes "
+        "(value 1.000000e+149)")
+
+
 def test_verify_csv_collects_rows(capsys):
     code, out = invoke(capsys, "verify", "--family", "theorem2", "--n", "3",
                        "--samples", "25", "--format", "csv")

@@ -113,8 +113,8 @@ def test_sigma_fields_detects_mismatch():
     f = ScalarField.from_expression("y^2 + x1", 2)
     L = build_regular_family(f, 2)
 
-    def wrong_expected(P):
-        return np.stack([P[..., 0] + 1.0, f(P).value], axis=-1)
+    def wrong_expected(P, fj):   # fj: f's jet, the source of L
+        return np.stack([P[..., 0] + 1.0, fj.value], axis=-1)
 
     rep = verify_sigma_fields(L, wrong_expected, np.array([[-1.0, 1.0]] * 2),
                               samples=100, seed=5, tol=1e-9,

@@ -1,10 +1,14 @@
-"""Order-2 jet arithmetic checked against finite-difference oracles."""
+"""Order-2 jet arithmetic checked against finite-difference oracles, and
+order-1 jets against order 2."""
+
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nijenhuis.jet import (Jet2, DenominatorVanishes, DomainError,
-                           constant_jet, coordinate_jet)
+from nijenhuis.jet import (Jet2, DenominatorVanishes, DomainError, _jet,
+                           broadcast_jet, chain, constant_jet, coordinate_jet)
 
 SEED = 20240817
 GRAD_TOL = 5e-8
@@ -207,3 +211,67 @@ def test_dimension_mismatch_rejected():
     b = constant_jet(1.0, 3)
     with pytest.raises(ValueError, match="dimension"):
         a + b
+
+
+# -- order 1 against order 2 ------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def jet_pairs(draw):
+    """Two order-2 jets in n variables, each of batch () or (4,), with
+    values in [0.5, 2] so quotients and square roots are defined."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 3))
+
+    def jet():
+        batch = draw(st.sampled_from([(), (4,)]))
+        return Jet2(rng.uniform(0.5, 2.0, size=batch),
+                    rng.uniform(-1.0, 1.0, size=batch + (n,)),
+                    rng.uniform(-1.0, 1.0, size=batch + (n, n)))
+
+    return jet(), jet()
+
+
+def order1(u: Jet2) -> Jet2:
+    return _jet(u.value, u.gradient, None)
+
+
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+UNARY = [
+    operator.neg, Jet2.sqrt, Jet2.exp, Jet2.sin, Jet2.cos,
+    lambda u: u ** 3, lambda u: u ** 0, lambda u: u ** -2,
+    lambda u: 2.5 - u, lambda u: u * 3.0, lambda u: 1.5 / u,
+    lambda u: chain(np.tanh(u.value), 1.0 + u.value, -u.value, u),
+    lambda u: u.at(Ellipsis),
+    lambda u: broadcast_jet(u, (2, 4)),
+]
+
+
+def assert_order(result: Jet2, reference: Jet2, order: int):
+    assert same_bits(result.value, reference.value)
+    assert same_bits(result.gradient, reference.gradient)
+    assert result.order == order
+    if order == 2:
+        assert same_bits(result.hessian, reference.hessian)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(jet_pairs())
+def test_order1_operands_give_the_order2_values_and_gradients(pair):
+    a, b = pair
+    for op in BINARY:
+        reference = op(a, b)
+        for oa in (1, 2):
+            for ob in (1, 2):
+                result = op(a if oa == 2 else order1(a),
+                            b if ob == 2 else order1(b))
+                assert_order(result, reference, min(oa, ob))
+    for fn in UNARY:
+        reference = fn(a)
+        assert_order(fn(order1(a)), reference, 1)
+        assert_order(fn(a), reference, 2)
