@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import re
@@ -26,16 +27,16 @@ import numpy as np
 
 from .field import (JET_ERRSTATE, ScalarField, OperatorField,
                     operator_eval)
-from .construct import (build_2d, build_companion, build_diff_nondegenerate,
-                        build_morse_canonical, build_regular_family,
-                        conjugation_residual)
+from .construct import (_fy_margin, build_2d, build_companion,
+                        build_diff_nondegenerate, build_morse_canonical,
+                        build_regular_family, conjugation_residual)
 from .torsion import (DEFAULT_MIN_DENOMINATOR, torsion_from_eval,
-                      torsion_bracket_fd, verify_zero_torsion)
-from .invariants import charpoly, coordinate_sigma, verify_sigma_fields
+                      torsion_bracket_fd, torsion_identity)
+from .invariants import charpoly, coordinate_sigma, sigma_identity
 from .singularity import (morse_reduce, morse_remainder_field,
                           remainder_from_expression, smoothness_numerators,
                           verify_morse_normal_form, verify_pde)
-from .report import VerificationReport, normalize_box, sample_box, run_sweep
+from .report import Identity, Reports, normalize_box, sample_box, run_sweep
 
 __all__ = ["main", "run", "UsageError"]
 
@@ -87,11 +88,13 @@ def _finite_float(text: str) -> float:
 
 # -- argument plumbing ---------------------------------------------------------
 
-def _add_output_flags(sp):
+def _add_output_flags(sp, handler):
+    """The last flags of every subcommand, and the handler that runs it."""
     sp.add_argument("--format", choices=("json", "csv", "text"),
                     default="json", help="report format (default json)")
     sp.add_argument("--out", default=None, metavar="PATH",
                     help="write the report to PATH instead of standard output")
+    sp.set_defaults(handler=handler)
 
 
 def _add_operator_flags(sp):
@@ -127,7 +130,10 @@ def _add_sweep_flags(sp, samples_default=1000):
                     help="pass tolerance (default depends on the check)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one (parsing leaves no state in it)."""
     p = _Parser(prog="nijenhuis",
                 description="Construct operator families with vanishing "
                             "torsion, verify their defining identities, and "
@@ -137,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("construct", help="evaluate a family at points")
     _add_operator_flags(sp)
     _add_point_flag(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=handle_construct)
+    _add_output_flags(sp, handle_construct)
 
     sp = sub.add_parser("torsion", help="evaluate torsion at points")
     _add_operator_flags(sp)
@@ -149,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fd-step", type=_finite_float, default=None,
                     metavar="H",
                     help="also run the finite-difference oracle with step H")
-    _add_output_flags(sp)
-    sp.set_defaults(handler=handle_torsion)
+    _add_output_flags(sp, handle_torsion)
 
     sp = sub.add_parser("verify", help="run verification sweeps")
     _add_operator_flags(sp)
@@ -162,23 +166,20 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULT_MIN_DENOMINATOR, metavar="M",
                     help="reject sample points whose denominator margin "
                          "|f_y| falls below M (default 0.05)")
-    _add_output_flags(sp)
-    sp.set_defaults(handler=handle_verify)
+    _add_output_flags(sp, handle_verify)
 
     sp = sub.add_parser("charpoly",
                         help="characteristic coefficients at points")
     _add_operator_flags(sp)
     _add_point_flag(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=handle_charpoly)
+    _add_output_flags(sp, handle_charpoly)
 
     sp = sub.add_parser("diagnose",
                         help="smoothness-fraction diagnostics of f")
     sp.add_argument("--f", metavar="EXPR", required=True)
     sp.add_argument("--n", type=int, required=True)
     _add_point_flag(sp, "diagnostic point (repeatable)", required=True)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=handle_diagnose)
+    _add_output_flags(sp, handle_diagnose)
 
     sp = sub.add_parser("pde-check",
                         help="remainder-system residuals for R")
@@ -188,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flag(sp, "base point with n-1 coordinates "
                         "(repeatable; default: sampled box)")
     _add_sweep_flags(sp)
-    _add_output_flags(sp)
-    sp.set_defaults(handler=handle_pde_check)
+    _add_output_flags(sp, handle_pde_check)
 
     sp = sub.add_parser("morse-reduce",
                         help="parametric reduction of f, or a normal-form "
@@ -205,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="defect tolerance for --box mode (default 1e-9)")
     sp.add_argument("--y0", type=_finite_float, default=0.0,
                     help="Newton seed (default 0)")
-    _add_output_flags(sp)
-    sp.set_defaults(handler=handle_morse_reduce)
+    _add_output_flags(sp, handle_morse_reduce)
 
     return p
 
@@ -293,13 +292,10 @@ def _matrix_operator(spec: str, n_flag: Optional[int]) -> OperatorField:
 
 
 class _Context(NamedTuple):
-    """An operator and what its family knows about it.
-
-    sigma(P, src) maps points (..., n) and the operator's source there to
-    the expected characteristic coefficients (..., n); f is the
-    determinant coefficient; conjugated is the operator the conjugation
-    identity J L = Ltilde J is stated for; checks are the checks that
-    `--check all` runs.
+    """An operator and what its family knows about it: sigma(P, src), the
+    expected coefficients (..., n) at points (..., n) from the sweep's
+    source there; f, the determinant coefficient; conjugated, the operator
+    J L = Ltilde J is stated for if not op; the checks `--check all` runs.
     """
 
     op: OperatorField
@@ -308,12 +304,6 @@ class _Context(NamedTuple):
     f: Optional[ScalarField] = None
     conjugated: Optional[OperatorField] = None
     checks: tuple = ("torsion",)
-
-
-def _fields_sigma(P, sigma_jets):
-    """Expected coefficients: the values of the coefficient fields, read
-    from the companion and diffnondeg source (their stacked jets)."""
-    return sigma_jets.value
 
 
 def _build_context(args) -> _Context:
@@ -346,21 +336,21 @@ def _build_context(args) -> _Context:
     if family == "theorem1":
         _require(args.f is not None, "--family theorem1 requires --f")
         f = _field(args.f, n)
-        op = build_regular_family(f, n)
-        return _Context(op, {"family": "theorem1", "n": n, "f": args.f},
-                        coordinate_sigma(f, n, np.ones(n - 1)), f, op,
-                        ("torsion", "sigma", "conjugation"))
+        return _Context(build_regular_family(f, n),
+                        {"family": "theorem1", "n": n, "f": args.f},
+                        coordinate_sigma(f, n, np.ones(n - 1)), f,
+                        checks=("torsion", "sigma", "conjugation"))
 
     if family == "theorem2":
         _require(n >= 3, "--family theorem2 requires --n > 2")
         sign = args.sign
         f_text = "y^2" if sign > 0 else "-y^2"
         f = _field(f_text, n)
-        op = build_morse_canonical(n, sign)
-        return _Context(op, {"family": "theorem2", "n": n, "f": f_text,
-                             "sign": sign},
-                        coordinate_sigma(f, n, np.ones(n - 1)), f, op,
-                        ("torsion", "sigma", "conjugation", "pde"))
+        return _Context(build_morse_canonical(n, sign),
+                        {"family": "theorem2", "n": n, "f": f_text,
+                         "sign": sign},
+                        coordinate_sigma(f, n, np.ones(n - 1)), f,
+                        checks=("torsion", "sigma", "conjugation", "pde"))
 
     if family == "companion":
         if args.sigma is None:
@@ -370,14 +360,14 @@ def _build_context(args) -> _Context:
         fields = _sigma_fields(sigma_text, n)
         return _Context(build_companion(fields),
                         {"family": "companion", "n": n, "sigma": sigma_text},
-                        _fields_sigma, checks=("torsion", "sigma"))
+                        lambda P, sj: sj.value, checks=("torsion", "sigma"))
 
     if family == "diffnondeg":
         _require(args.sigma is not None, "--family diffnondeg requires --sigma")
         fields = _sigma_fields(args.sigma, n)
         return _Context(build_diff_nondegenerate(fields),
                         {"family": "diffnondeg", "n": n, "sigma": args.sigma},
-                        _fields_sigma, checks=("torsion", "sigma"))
+                        lambda P, sj: sj.value, checks=("torsion", "sigma"))
 
     raise UsageError(f"unknown family {family!r}")
 
@@ -546,44 +536,18 @@ def handle_charpoly(args) -> _Report:
                                       ("sigma", _names("sigma_", n))])
 
 
-def _sweep(ctx: _Context, check: str, bounds: np.ndarray,
-           args) -> VerificationReport:
-    """Run one `verify` check over the box for the context's operator."""
-    tol = args.tol if args.tol is not None else DEFAULT_TOLS[check]
-    n = ctx.op.dim
+def _identity(ctx: _Context, check: str, tol: float,
+              min_margin: float) -> Identity:
+    """The identity a `verify` check states for the context's operator."""
     if check == "torsion":
-        return verify_zero_torsion(ctx.op, bounds, args.samples, args.seed,
-                                   tol, min_denominator=args.min_denominator)
+        return torsion_identity(tol, ctx.op.guard, min_margin)
     if check == "sigma":
-        _require(ctx.sigma is not None,
-                 "sigma check needs a family with known coefficients")
-        return verify_sigma_fields(ctx.op, ctx.sigma, bounds, args.samples,
-                                   args.seed, tol,
-                                   min_denominator=args.min_denominator)
-    f = ctx.f
-    _require(f is not None, f"{check} check requires a family with an f "
-                            "(theorem1, 2d, or theorem2)")
-    if check == "pde":
-        base_points = sample_box(bounds[:n - 1], n - 1, args.samples,
-                                 args.seed)
-        return verify_pde(morse_remainder_field(f, n), n, base_points, tol)
-
-    # the sweep's source is f itself: the guard and J, Ltilde read its jet,
-    # and so does the operator when f is its source too
-    def eval_chunk(P, fj):
-        raw, scale = conjugation_residual(f, n, P, L=ctx.conjugated, fj=fj)
-        return raw, raw / scale, {}
-
-    def guard(P, fj):
-        return abs(fj.gradient[..., -1])
-
-    return run_sweep(
-        sample_box(bounds, n, args.samples, args.seed), eval_chunk, tol,
-        subject=f"conjugation identity for f={f.label}",
-        params={"n": n, "f": f.label, "samples": args.samples,
-                "seed": args.seed, "tol": tol},
-        gate_name="conjugation_relative",
-        guard=guard, min_margin=args.min_denominator, source=f)
+        return sigma_identity(ctx.sigma, tol, ctx.op.guard, min_margin)
+    # the sweep's source is f; conjugated, if any, is evaluated from its jet
+    return Identity("conjugation", "conjugation_relative", tol,
+                    lambda ev, P, fj: conjugation_residual(
+                        ctx.f, ctx.op.dim, P, ctx.conjugated or ev, fj),
+                    _fy_margin, min_margin)
 
 
 def handle_verify(args) -> _Report:
@@ -591,11 +555,36 @@ def handle_verify(args) -> _Report:
     n = ctx.op.dim
     bounds = _box_bounds(args, n)
     wanted = ctx.checks if args.check == "all" else (args.check,)
-    reports = [(check, _sweep(ctx, check, bounds, args)) for check in wanted]
+    _require(ctx.sigma is not None or "sigma" not in wanted,
+             "sigma check needs a family with known coefficients")
+    _require(ctx.f is not None or {"conjugation", "pde"}.isdisjoint(wanted),
+             f"{args.check} check requires a family with an f "
+             "(theorem1, 2d, or theorem2)")
+    tol = {c: DEFAULT_TOLS[c] if args.tol is None else args.tol
+           for c in wanted}
+    subject = f"verify {ctx.params['family']} [{', '.join(wanted)}]"
+    params = {**ctx.params, "check": args.check, "box": bounds.tolist(),
+              "samples": args.samples, "seed": args.seed, "tol": args.tol,
+              "min_denominator": args.min_denominator}
+    # one sweep checks every identity at the same points, with f as source
+    # if there is one; pde's base points have n-1 coordinates: its own sweep
+    names = [c for c in wanted if c != "pde"]
+    reports = Reports()
+    if names:
+        reports = run_sweep(
+            sample_box(bounds, n, args.samples, args.seed),
+            [_identity(ctx, c, tol[c], args.min_denominator) for c in names],
+            subject, params, source=ctx.f or ctx.op.source, operator=ctx.op)
+    if "pde" in wanted:
+        names.append("pde")
+        reports.append(verify_pde(
+            morse_remainder_field(ctx.f, n), n,
+            sample_box(bounds[:n - 1], n - 1, args.samples, args.seed),
+            tol["pde"]))
 
     worst_rel, worst_point = -1.0, None
     parts = []
-    for name, rep in reports:
+    for name, rep in zip(names, reports):
         if rep.checks[0].max > worst_rel:   # strict: a NaN gate max never wins
             worst_rel, worst_point = rep.checks[0].max, rep.worst_point
         points = rep.records["point"]
@@ -607,19 +596,12 @@ def handle_verify(args) -> _Report:
     records = dict(zip(("check", "point", "raw", "rel"),
                        map(np.concatenate, zip(*parts))))
     payload = _payload(
-        f"verify {ctx.params['family']} [{', '.join(wanted)}]",
-        params={**ctx.params,
-                "check": args.check,
-                "box": bounds.tolist(),
-                "samples": args.samples, "seed": args.seed,
-                "tol": args.tol,
-                "min_denominator": args.min_denominator},
-        accepted=sum(r.accepted for _, r in reports),
-        rejected=sum(r.rejected for _, r in reports),
-        max_residual=max(r.max_residual for _, r in reports),
+        subject, params=params,
+        accepted=reports.accepted, rejected=reports.rejected,
+        max_residual=max(r.max_residual for r in reports),
         worst_point=None if worst_point is None else worst_point.tolist(),
-        checks=[c.to_dict() for _, r in reports for c in r.checks],
-        **{"pass": all(r.passed for _, r in reports)})
+        checks=[c.to_dict() for r in reports for c in r.checks],
+        **{"pass": all(r.passed for r in reports)})
     columns = [("check", ["check"]), ("point", _names("point_", n)),
                ("raw", ["raw"]), ("rel", ["relative"])]
     return _Report(payload, records, columns)

@@ -12,11 +12,10 @@ never reads operand Hessians.
 
 A family's entries are rational in one source: the 2-jet of its
 generating function f, or the stacked jets of its coefficient fields
-sigma_1..sigma_n. ``OperatorField.source(p)`` evaluates it; the family's
-rule and guard both take it as ``(p, src)``, so a sweep evaluates the
-source once per chunk and hands it to the guard, the rule and the
-expected values alike. A family without a source (polynomial entries, or
-entries given as expressions) has source None and its rule receives None.
+sigma_1..sigma_n. ``OperatorField.source(p)`` evaluates it, and the rule
+and guard take it as ``(p, src)``, so a sweep evaluates it once per chunk
+for all of them. A family without a source (polynomial entries, or
+entries given as expressions) has source None and ignores src.
 
 Points axis: every evaluation takes one point of shape (n,) or an array of
 points of shape (..., n), the leading axes being the batch shape. A scalar
@@ -137,6 +136,11 @@ class OperatorEval:
     values: np.ndarray        # shape (..., n, n)
     entry_grads: np.ndarray   # shape (..., n, n, n), last axis the derivative
 
+    def at(self, index) -> "OperatorEval":
+        """The evaluation at a batch index array or mask."""
+        return OperatorEval(self.point[index], self.values[index],
+                            self.entry_grads[index])
+
 
 class OperatorField:
     """An n x n operator field L with an optional source and sampling guard.
@@ -173,8 +177,9 @@ class OperatorField:
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence[ScalarField]],
                      label: str = "",
-                     guard: Optional[Callable[[np.ndarray], float]] = None
+                     guard: Optional[Callable[[np.ndarray], Any]] = None
                      ) -> "OperatorField":
+        """Entries as scalar fields; with no source, guard takes p alone."""
         n = len(entries)
         for row in entries:
             if len(row) != n:
@@ -202,7 +207,7 @@ class OperatorField:
                 rows.append(cells)
             return rows
 
-        return cls(n, rule, label=label, guard=guard)
+        return cls(n, rule, label=label, guard=guard and (lambda p, _: guard(p)))
 
     def entries(self, p: Sequence[float], src=None) -> list:
         """Evaluate all entry jets at the points p (shape (n,) or (..., n))

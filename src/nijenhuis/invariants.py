@@ -14,12 +14,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .field import OperatorField, ScalarField, operator_eval
+from .field import OperatorField, ScalarField
 from .linalg import plu_det
-from .report import VerificationReport, run_sweep, sample_box
+from .report import Identity, VerificationReport, run_sweep, sample_box
 
-__all__ = ["charpoly", "coordinate_sigma", "verify_sigma_fields",
-           "verify_sigma_coords"]
+__all__ = ["charpoly", "coordinate_sigma", "sigma_identity",
+           "verify_sigma_fields", "verify_sigma_coords"]
 
 
 def charpoly(M: np.ndarray) -> np.ndarray:
@@ -52,8 +52,9 @@ def charpoly(M: np.ndarray) -> np.ndarray:
         first = np.argwhere(bad)[0] if bad.ndim else ()
         raise ArithmeticError(
             "characteristic coefficient recursion disagrees with the "
-            f"elimination determinant: sigma_n={sigma[(*first, n - 1)]!r}, "
-            f"(-1)^n det={np.asarray(expected_last)[tuple(first)]!r}")
+            "elimination determinant: "
+            f"sigma_n={float(sigma[(*first, n - 1)])!r}, "
+            f"(-1)^n det={float(np.asarray(expected_last)[tuple(first)])!r}")
     return sigma
 
 
@@ -62,21 +63,34 @@ def coordinate_sigma(f: ScalarField, n: int, signs: Sequence[float]
     """Expected coefficients (signs * (x1, ..., x(n-1)), f) of points (..., n).
 
     signs has length n-1; a -1 covers the planar convention where the first
-    coefficient is -x1 rather than x1. The result is expected(P, fj): f's
-    values come from fj, f's jet at P, or from evaluating f when fj is
-    None, as for an operator that has no source.
+    coefficient is -x1 rather than x1. The result is expected(P, fj), which
+    reads f's values from fj, f's jet at P.
     """
     signs = np.asarray(signs, dtype=float)
     if signs.shape != (n - 1,):
         raise ValueError(f"signs must have length {n - 1}")
 
-    def expected(P, fj=None):
-        if fj is None:
-            fj = f(P)
+    def expected(P, fj):
         return np.concatenate([signs * P[..., :n - 1], fj.value[..., None]],
                               axis=-1)
 
     return expected
+
+
+def sigma_identity(expected: Callable[[np.ndarray, object], np.ndarray],
+                   tol: float, guard=None, min_margin: float = 0.0
+                   ) -> Identity:
+    """Invariant recovery as a sweep identity: charpoly of the operator's
+    values against expected(P, src), src the sweep's source at P. The gate
+    divides the max deviation by (1 + max |L entry|), since quotient
+    entries inflate roundoff."""
+    def residual(ev, P, src):
+        sigma = charpoly(ev.values)
+        raw = np.max(np.abs(sigma - expected(P, src)), axis=-1)
+        return raw, 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
+
+    return Identity("sigma", "sigma_max_deviation", tol, residual, guard,
+                    min_margin)
 
 
 def verify_sigma_fields(L: OperatorField,
@@ -85,49 +99,33 @@ def verify_sigma_fields(L: OperatorField,
                         min_denominator: float = 0.0,
                         subject: str = "",
                         params: Optional[dict] = None) -> VerificationReport:
-    """Sweep asserting charpoly(L(p)) matches expected(p) componentwise.
-
-    expected(P, src) maps points (..., n) to their coefficients (..., n),
-    given src, L's source at P (None when L has none). L's source is
-    evaluated once per chunk, and the same value feeds L's guard, its
-    entries and expected, so expected must read src only as L's own
-    source: an expectation about another field evaluates that field
-    itself. The raw residual is the absolute max deviation; the pass gate
-    divides by (1 + max |L entry|) since quotient entries inflate roundoff.
-    """
-    def eval_chunk(P, src):
-        ev = operator_eval(L, P, src)
-        sigma = charpoly(ev.values)
-        raw = np.max(np.abs(sigma - expected(P, src)), axis=-1)
-        scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
-        return raw, raw / scale, {}
-
+    """Sweep of sigma_identity: expected(P, src) maps points (..., n) and
+    L's source there (None when L has none) to coefficients (..., n)."""
     return run_sweep(
-        sample_box(domain, L.dim, samples, seed), eval_chunk, tol,
+        sample_box(domain, L.dim, samples, seed),
+        [sigma_identity(expected, tol, L.guard, min_denominator)],
         subject=subject or f"invariant recovery for {L.label or 'operator'}",
         params=params if params is not None else
         {"dim": L.dim, "samples": samples, "seed": seed, "tol": tol},
-        gate_name="sigma_max_deviation",
-        guard=L.guard, min_margin=min_denominator, source=L.source_at)
+        source=L.source, operator=L)[0]
 
 
 def verify_sigma_coords(L: OperatorField, f: ScalarField, n: int,
                         domain, samples: int, seed: int, tol: float,
                         signs: Optional[Sequence[int]] = None,
                         min_denominator: float = 0.0) -> VerificationReport:
-    """Sweep asserting sigma_i = (+/-) p_i for i < n and sigma_n = f(p).
-
-    signs (length n-1, default all +1) covers the planar convention where
-    the first coefficient is -x1 rather than x1.
-    """
+    """Sweep asserting sigma_i = (+/-) p_i for i < n and sigma_n = f(p),
+    with f the sweep's source; signs (length n-1, default all +1) covers
+    the planar convention sigma_1 = -x1."""
+    if L.source not in (None, f):
+        raise ValueError("L must take f as its source, or have none")
     if signs is None:
         signs = np.ones(n - 1)
-    expected = coordinate_sigma(f, n, signs)
-    if L.source is not f:   # src is not f's jet: evaluate f instead
-        own, expected = expected, lambda P, src: own(P)
-    return verify_sigma_fields(
-        L, expected, domain, samples, seed, tol,
-        min_denominator=min_denominator,
+    return run_sweep(
+        sample_box(domain, L.dim, samples, seed),
+        [sigma_identity(coordinate_sigma(f, n, signs), tol, L.guard,
+                        min_denominator)],
         subject=f"coordinate invariant recovery for {L.label or 'operator'}",
         params={"dim": n, "f": f.label, "samples": samples, "seed": seed,
-                "tol": tol, "signs": [float(s) for s in signs]})
+                "tol": tol, "signs": [float(s) for s in signs]},
+        source=f, operator=L)[0]

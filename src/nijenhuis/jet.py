@@ -74,17 +74,19 @@ def _first(values, mask) -> float:
 
 
 class DenominatorVanishes(SingularPointError):
-    """Division by a (numerically) zero jet value."""
+    """Division by a jet value that is zero, or tiny beside its numerator."""
 
-    def __init__(self, denominator, context: str = "", mask=None):
+    def __init__(self, denominator, mask=None, numerator=0.0):
         self.mask = mask
         if mask is not None:
             denominator = _first(denominator, mask)
-        self.denominator = denominator
-        msg = f"denominator vanishes (value {denominator:.6e})"
-        if context:
-            msg += f" in {context}"
-        super().__init__(msg)
+            numerator = _first(numerator, mask)
+        self.denominator, self.numerator = denominator, numerator
+        super().__init__(
+            f"denominator vanishes (value {denominator:.6e})"
+            if abs(denominator) <= DIV_EPS_REL else
+            "denominator vanishes relative to its numerator (value "
+            f"{denominator:.6e}, numerator {numerator:.6e})")
 
 
 class DomainError(SingularPointError):
@@ -257,7 +259,7 @@ class Jet2:
         den = o.value
         bad = np.abs(den) <= DIV_EPS_REL * np.maximum(1.0, np.abs(self.value))
         if bad.any():
-            raise DenominatorVanishes(den, mask=bad)
+            raise DenominatorVanishes(den, mask=bad, numerator=self.value)
         v = self.value / den
         g = (self.gradient - _col(v) * o.gradient) / _col(den)
         if _order1(self, o):

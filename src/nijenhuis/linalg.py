@@ -131,7 +131,8 @@ def invert_with_det(A: Jet2):
         except DenominatorVanishes as exc:
             raise DenominatorVanishes(
                 exc.denominator,
-                mask=exc.mask.any(axis=(-2, -1)).reshape(batch)) from None
+                mask=exc.mask.any(axis=(-2, -1)).reshape(batch),
+                numerator=exc.numerator) from None
         # every other row r becomes a[r] - a[r, k] * row; row k becomes row
         a = a - _take(a, _ALL, slice(k, k + 1)) * row
         a.value[:, k] = row.value[:, 0]

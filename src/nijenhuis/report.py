@@ -3,9 +3,9 @@
 Every verification sweep reduces to the same shape: draw seeded sample
 points from a box, reject points on the singular locus (counted, never
 silent), evaluate a residual at the rest, and report the raw maximum, the
-relative maximum that gates pass/fail, and the worst point. The runner
-evaluates the samples in chunks of SWEEP_CHUNK points along a leading
-points axis; the report does not depend on the chunk size. The JSON form
+relative maximum that gates pass/fail, and the worst point. A sweep checks
+its identities in chunks of SWEEP_CHUNK points (a leading points axis), one
+rejection mask and report each, independent of the chunk size. The JSON form
 is stable: schema, subject, params, accepted, rejected, max_residual,
 worst_point, checks[] (name, max, pass), pass, wall_ms — with wall_ms the
 only field that varies between identical runs.
@@ -13,19 +13,22 @@ only field that varies between identical runs.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .field import JET_ERRSTATE
+from .field import JET_ERRSTATE, OperatorField, operator_eval
 from .jet import SingularPointError
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
     "DomainEntirelySingular",
+    "Identity",
+    "Reports",
     "normalize_box",
     "sample_box",
     "run_sweep",
@@ -115,121 +118,129 @@ def sample_box(box, n: int, samples: int, seed: int) -> np.ndarray:
     return rng.uniform(bounds[:, 0], bounds[:, 1], size=(samples, n))
 
 
-def _at(src: tuple, keep: np.ndarray) -> tuple:
-    """The source values (a 0- or 1-tuple) at the kept points."""
-    return tuple(None if s is None else s.at(keep) for s in src)
+class Identity(NamedTuple):
+    """An identity a sweep checks: residual(ev, P, src) at points P (B, n),
+    with the sweep's operator evaluation and source there (or None), gives
+    (raw, scale[, dict of non-gating values]), gated by raw / scale <= tol.
+    A guard(P, src) margin below min_margin rejects a point for it alone."""
+
+    check: str
+    gate: str
+    tol: float
+    residual: Callable[..., tuple]
+    guard: Optional[Callable[..., np.ndarray]] = None
+    min_margin: float = 0.0
 
 
-def _surviving(fn: Callable, P: np.ndarray, idx: np.ndarray,
-               src: tuple = ()):
-    """Evaluate fn(P[idx], *src) with src the source at P[idx] (or no
-    source: ()), dropping the points where it raises.
+class Reports(list):
+    """A sweep's reports, one per identity; its counts sum over them."""
+
+    accepted = property(lambda self: sum(r.accepted for r in self))
+    rejected = property(lambda self: sum(r.rejected for r in self))
+
+
+def _take(x, at: np.ndarray, idx: np.ndarray):
+    """x (a jet, evaluation or None) at sorted indices at, at idx in at."""
+    if x is None or len(idx) == len(at):
+        return x
+    return x.at(np.searchsorted(at, idx))
+
+
+def _surviving(fn: Callable, P: np.ndarray, idx: np.ndarray, *args):
+    """Evaluate fn(P[idx], *args), args being values at P[idx] (jets,
+    operator evaluations or None), dropping the points where it raises.
 
     A SingularPointError rejects the points its mask marks (all for a 0-d
-    mask), and fn runs again on the rest, with the source indexed to them,
-    never evaluated again; a mask that is None, marks no point or has
-    another shape propagates the error. Returns the surviving indices, the
-    source at them and fn's result on them (None if none survive).
+    mask), and fn runs again on the rest with args indexed to them; a mask
+    that is None, marks no point or has another shape propagates the error.
+    Returns the surviving indices and fn's result (None if none survive).
     """
     while idx.size:
         try:
-            return idx, src, fn(P[idx], *src)
+            return idx, fn(P[idx], *args)
         except SingularPointError as exc:
             mask = exc.mask
             if (mask is None or np.shape(mask) not in ((), idx.shape)
                     or not np.any(mask)):
                 raise
             keep = ~np.broadcast_to(mask, idx.shape)
-            idx, src = idx[keep], _at(src, keep)
-    return idx, src, None
+            idx, args = idx[keep], [a if a is None else a.at(keep) for a in args]
+    return idx, None
 
 
-def run_sweep(points: Sequence[np.ndarray],
-              eval_chunk: Callable[..., tuple],
-              tol: float,
-              subject: str,
-              params: dict,
-              gate_name: str,
-              guard: Optional[Callable[..., np.ndarray]] = None,
-              min_margin: float = 0.0,
-              extra_checks: Sequence[str] = (),
-              source: Optional[Callable[[np.ndarray], object]] = None
-              ) -> VerificationReport:
-    """Run a point sweep chunk by chunk and reduce to a VerificationReport.
+def _records(identity: Identity, P, ev, src) -> dict:
+    """The residual's records at the points P: point, raw, rel, extras."""
+    raw, scale, *extras = identity.residual(ev, P, src)
+    raw = np.asarray(raw, dtype=float)
+    return {"point": P, "raw": raw, "rel": raw / scale, **dict(*extras)}
 
-    eval_chunk(P) takes points P of shape (B, n) and returns (raw, rel,
-    extras): raw the absolute residuals (B,), rel the tolerance-gated
-    relative residuals (B,), and extras a dict of named informational
-    values (B,) (reported as non-gating checks, reduced by max |.|).
-    guard(P) returns one margin per point. With a source, source(P) is
-    evaluated once per chunk, and the guard and eval_chunk take its value
-    at their points as a second argument: guard(P, src), eval_chunk(P,
-    src). The value is a jet (or None), and a rejection indexes it with
-    ``.at`` instead of evaluating it again. A SingularPointError of the
-    source, the guard or eval_chunk rejects the points its mask marks, of
-    shape (B,) or 0-d for all of them, as does a guard margin below
-    min_margin; any other error, or a mask that is None or marks nothing,
-    propagates. All three run under JET_ERRSTATE, so an overflow in a
-    residual raises.
-    A non-finite relative residual fails the gate. The reduction keeps the
-    first point of largest rel, as a point-by-point scan would, so reports
-    do not depend on SWEEP_CHUNK.
-    The report's records hold the accepted points and their residuals.
+
+def run_sweep(points: Sequence[np.ndarray], identities: Sequence[Identity],
+              subject: str, params: dict,
+              source: Optional[Callable[[np.ndarray], object]] = None,
+              operator: Optional[OperatorField] = None) -> Reports:
+    """Check identities at the same points chunk by chunk; one report each.
+
+    Per chunk of points (B, n), source(P) is evaluated once, and
+    operator_eval(operator, P, src) once at the points some guard keeps,
+    for every guard and residual. A SingularPointError of the source or
+    the operator rejects the points its mask marks ((B,), or 0-d for all)
+    for every identity; one of a guard or a residual, or a margin below
+    min_margin, for that identity alone; other errors propagate, as
+    `_surviving` says. Identities run in order under JET_ERRSTATE; the
+    first that accepts nothing raises DomainEntirelySingular. Records hold
+    the accepted points; the worst is the first non-finite rel (a failed
+    gate), else the first largest, whatever SWEEP_CHUNK is.
     """
     t0 = time.perf_counter()
     points = np.asarray(points, dtype=float)
-    max_raw = 0.0
-    max_rel = 0.0
-    finite = True
-    worst: Optional[np.ndarray] = None
-    accepted = 0
-    extras_max = {name: 0.0 for name in extra_checks}
-    records = {name: [] for name in ("point", "raw", "rel", *extra_checks)}
+    accepted = [[] for _ in identities]
     for start in range(0, len(points), SWEEP_CHUNK):
         P = points[start:start + SWEEP_CHUNK]
-        idx = np.arange(len(P))
-        src = ()
         with np.errstate(**JET_ERRSTATE):
+            idx, src = np.arange(len(P)), None
             if source is not None:
-                idx, _, value = _surviving(source, P, idx)
-                src = (value,)
-            if guard is not None:
-                idx, src, margin = _surviving(guard, P, idx, src)
-                if idx.size:
-                    keep = ~(margin < min_margin)
-                    idx, src = idx[keep], _at(src, keep)
-            idx, _, result = _surviving(eval_chunk, P, idx, src)
-        if not idx.size:
-            continue
-        raw, rel, extras = result
-        raw = np.asarray(raw, dtype=float)
-        rel = np.asarray(rel, dtype=float)
-        if finite:
-            # the first non-finite point, else the first point of largest rel
-            bad = ~np.isfinite(rel)
-            k = int(np.argmax(bad if bad.any() else rel))
-            if worst is None or bad[k] or rel[k] > max_rel:
-                max_rel, worst, finite = rel[k], P[idx[k]], not bad[k]
-        max_raw = np.maximum(max_raw, np.max(raw))
-        for name, values in extras.items():
-            extras_max[name] = np.maximum(extras_max[name],
-                                          np.max(np.abs(values)))
-        for name, values in (("point", P[idx]), ("raw", raw), ("rel", rel),
-                             *extras.items()):
-            records[name].append(values)
-        accepted += idx.size
-    if accepted == 0:
+                idx, src = _surviving(source, P, idx)
+            kept = []
+            for identity in identities:
+                i = idx
+                if identity.guard is not None:
+                    i, margin = _surviving(identity.guard, P, i, src)
+                    if i.size:
+                        i = i[~(margin < identity.min_margin)]
+                kept.append(i)
+            ev, live = None, idx
+            if operator is not None:
+                live = functools.reduce(np.union1d, kept)
+                live, ev = _surviving(
+                    functools.partial(operator_eval, operator), P, live,
+                    _take(src, idx, live))
+            alive = np.zeros(len(P), dtype=bool)
+            alive[live] = True
+            for identity, i, chunks in zip(identities, kept, accepted):
+                i = i[alive[i]]
+                i, records = _surviving(functools.partial(_records, identity),
+                                        P, i, _take(ev, live, i),
+                                        _take(src, idx, i))
+                if i.size:
+                    chunks.append(records)
+    if not all(accepted):
         raise DomainEntirelySingular(len(points))
-    max_rel = float(max_rel)
-    passed = finite and max_rel <= tol
-    checks = [CheckResult(gate_name, max_rel, passed)]
-    checks += [CheckResult(name, float(extras_max[name]), True)
-               for name in extra_checks]
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return VerificationReport(
-        subject=subject, params=params, accepted=accepted,
-        rejected=len(points) - accepted, max_residual=float(max_raw),
-        worst_point=worst.copy(), checks=checks, passed=passed,
-        wall_ms=wall_ms,
-        records={name: np.concatenate(chunks)
-                 for name, chunks in records.items()})
+    reports = Reports()
+    for identity, chunks in zip(identities, accepted):
+        records = {name: np.concatenate([c[name] for c in chunks])
+                   for name in chunks[0]}
+        rel = records["rel"]
+        bad = ~np.isfinite(rel)
+        k = int(np.argmax(bad if bad.any() else rel))
+        max_rel = float(rel[k])
+        passed = not bad[k] and max_rel <= identity.tol
+        checks = [CheckResult(identity.gate, max_rel, passed)] + [
+            CheckResult(name, float(np.maximum(0.0, np.max(np.abs(v)))), True)
+            for name, v in list(records.items())[3:]]
+        reports.append(VerificationReport(
+            subject, params, len(rel), len(points) - len(rel),
+            float(np.maximum(0.0, np.max(records["raw"]))),
+            records["point"][k].copy(), checks, passed, wall_ms, records))
+    return reports

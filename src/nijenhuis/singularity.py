@@ -21,7 +21,7 @@ import numpy as np
 from .jet import Jet2, SingularPointError, _outer
 from .expr import Var, parse_expression
 from .field import ScalarField
-from .report import VerificationReport, normalize_box, run_sweep
+from .report import Identity, VerificationReport, normalize_box, run_sweep
 
 __all__ = [
     "FractionDiagnostic",
@@ -351,7 +351,7 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
     axes = [np.linspace(lo, hi, grid) for lo, hi in normalize_box(box, n)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
 
-    def eval_chunk(P):
+    def defect(ev, P, src):
         try:
             try:
                 data = morse_reduce(f, n, P[:, :-1], y0=y0)
@@ -360,19 +360,19 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
                 # scan, so an error of f there is raised in its place
                 first = np.all(P[:, :-1] == exc.x, axis=-1).argmax()
                 if first:
-                    eval_chunk(P[:first])
+                    defect(ev, P[:first], src)
                 raise
             ytil = morse_coordinate(f, data, P[:, -1])
-            defect = np.abs(f(P).value - (data.sign * ytil * ytil + data.R))
+            raw = np.abs(f(P).value - (data.sign * ytil * ytil + data.R))
         except SingularPointError as exc:
             raise ArithmeticError(str(exc)) from exc
-        return defect, defect, {}
+        return raw, 1.0
 
     return run_sweep(
-        points, eval_chunk, tol,
+        points, [Identity("normal_form", "normal_form_defect", tol, defect)],
         subject=f"normal-form defect grid for f={f.label or '<rule>'}",
-        params={"dim": n, "f": f.label, "grid": grid, "tol": tol, "y0": y0},
-        gate_name="normal_form_defect")
+        params={"dim": n, "f": f.label, "grid": grid, "tol": tol,
+                "y0": y0})[0]
 
 
 def morse_remainder_field(f: ScalarField, n: int,
@@ -407,15 +407,12 @@ def verify_pde(R: ScalarField, n: int, points, tol: float = 1e-10,
     Gate is the absolute system max (the residuals are polynomial in the
     jet outputs); factor2 rides along as a non-gating check.
     """
-    def eval_chunk(X):
+    def residual(ev, X, src):
         res = pde_residuals(R, n, X)
-        raw = res.system_max()
-        return raw, raw, {"factor2": res.factor2}
+        return res.system_max(), 1.0, {"factor2": res.factor2}
 
     return run_sweep(
-        points, eval_chunk, tol,
+        points, [Identity("pde", "pde_system", tol, residual)],
         subject=subject or f"remainder system sweep for R={R.label or '<rule>'}",
         params=params if params is not None else
-        {"dim": n, "R": R.label, "tol": tol},
-        gate_name="pde_system",
-        extra_checks=("factor2",))
+        {"dim": n, "R": R.label, "tol": tol})[0]

@@ -29,12 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .field import OperatorField, OperatorEval, operator_eval
-from .report import VerificationReport, run_sweep, sample_box
+from .report import Identity, VerificationReport, run_sweep, sample_box
 
 __all__ = [
     "torsion_from_eval",
     "torsion_coordinate",
     "torsion_bracket_fd",
+    "torsion_identity",
     "verify_zero_torsion",
     "DEFAULT_MIN_DENOMINATOR",
 ]
@@ -105,30 +106,29 @@ def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
     return centre, bracket + corr
 
 
+def torsion_identity(tol: float, guard=None,
+                     min_margin: float = 0.0) -> Identity:
+    """Vanishing torsion as a sweep identity. The gate is relative: max |N|
+    / (1 + max |L entry|) <= tol; the raw residual is the component max."""
+    def residual(ev: OperatorEval, P, src) -> tuple:
+        raw = np.max(np.abs(torsion_from_eval(ev)), axis=(-3, -2, -1))
+        return raw, 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
+
+    return Identity("torsion", "torsion_relative", tol, residual, guard,
+                    min_margin)
+
+
 def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
                         tol: float,
                         min_denominator: float = DEFAULT_MIN_DENOMINATOR
                         ) -> VerificationReport:
-    """Seeded sweep asserting the torsion vanishes on the sampled box.
-
-    Pass gate is relative: max |N| / (1 + max |L entry|) <= tol at every
-    accepted point. max_residual in the report is the raw component max.
-    Points where evaluation fails (singular locus) or where the operator's
-    guard margin drops below min_denominator are rejected and counted.
-    L's source is evaluated once per chunk and shared by guard and entries.
-    """
-    points = sample_box(domain, L.dim, samples, seed)
-
-    def eval_chunk(P, src):
-        ev = operator_eval(L, P, src)
-        raw = np.max(np.abs(torsion_from_eval(ev)), axis=(-3, -2, -1))
-        scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
-        return raw, raw / scale, {}
-
+    """Seeded sweep of torsion_identity over the box. Points where
+    evaluation fails (singular locus) or where the operator's guard margin
+    drops below min_denominator are rejected and counted."""
     return run_sweep(
-        points, eval_chunk, tol,
+        sample_box(domain, L.dim, samples, seed),
+        [torsion_identity(tol, L.guard, min_denominator)],
         subject=f"zero-torsion sweep of {L.label or 'operator'}",
         params={"dim": L.dim, "samples": samples, "seed": seed, "tol": tol,
                 "min_denominator": min_denominator},
-        gate_name="torsion_relative",
-        guard=L.guard, min_margin=min_denominator, source=L.source_at)
+        source=L.source, operator=L)[0]

@@ -377,7 +377,27 @@ def test_newton_masks_mark_failing_points_of_the_base_batch(case, batch,
 
 # -- reports do not depend on the chunk size ---------------------------------------
 
+# conjugation's guard |f_y| = |2y| rejects |y| < 0.2, points that the
+# torsion and sigma checks keep (theorem2's operator has no guard)
+THEOREM2_CONJUGATION_GUARD = (
+    "verify", "--family", "theorem2", "--n", "3", "--check", "all",
+    "--samples", "300", "--seed", "6", "--min-denominator", "0.4")
+# f fails where y + x1 + 1 <= 0 and the guard rejects |f_y| < 0.05, for every
+# check alike: the planar operator and its regular form, which conjugation
+# evaluates, have negated quotient numerators, so they fail at the same points
+PLANAR_SOURCE_AND_GUARD = (
+    "verify", "--family", "2d", "--f", "sqrt(y + x1 + 1) + y^2",
+    "--check", "all", "--samples", "300", "--seed", "6")
+
+
 CHUNK_INVOCATIONS = [
+    # --check all runs one sweep in which each identity keeps its own
+    # rejections (see test_check_all_keeps_each_identity_s_rejections)
+    pytest.param(THEOREM2_CONJUGATION_GUARD, id="verify-theorem2-conj-guard"),
+    pytest.param(THEOREM2_CONJUGATION_GUARD + ("--format", "csv"),
+                 id="verify-theorem2-conj-guard-csv"),
+    pytest.param(PLANAR_SOURCE_AND_GUARD + ("--format", "csv"),
+                 id="verify-2d-source-and-guard-csv"),
     ("verify", "--family", "theorem1", "--n", "3",
      "--f", "y^2 + x1*x2 + 0.3*y", "--check", "all", "--samples", "40"),
     ("verify", "--family", "2d", "--f", "x1*x1/4 + y^2 + 0.3*y",
@@ -457,7 +477,7 @@ def test_reports_do_not_depend_on_chunk_size(argv, capsys, monkeypatch):
         assert _reports(capsys, argv) == reference, chunk
 
 
-# -- one evaluation of each generating field per chunk and check -------------------
+# -- one evaluation of each generating field per chunk -------------------------------
 
 SAMPLES, COUNT_CHUNK = 300, 128
 
@@ -515,7 +535,38 @@ def test_each_generating_field_is_evaluated_once_per_chunk(
                                 <= max(rejected, default=-1))
     assert boundary_rejections or family == "companion"
     if family != "theorem2":   # theorem2's --check all adds the pde sweep
-        calls.clear()
-        assert run(argv + ["--check", "all"]) in (0, 1)
-        capsys.readouterr()
-        assert max(calls.values()) <= chunks * len(checks)
+        # one sweep for every check: each field is evaluated once per
+        # chunk, and the operator as often as for one check alone
+        evals = collections.Counter()
+        evaluate = nijenhuis.report.operator_eval
+        monkeypatch.setattr(nijenhuis.report, "operator_eval",
+                            lambda *a: evals.update([check]) or evaluate(*a))
+        for check in (*checks, "all"):
+            calls.clear()
+            assert run(argv + ["--check", check]) in (0, 1)
+            capsys.readouterr()
+        assert max(calls.values()) <= chunks
+        assert evals["all"] == max(evals[check] for check in checks)
+
+
+# -- one sweep for every identity of --check all ----------------------------------
+
+@pytest.mark.parametrize("argv", [THEOREM2_CONJUGATION_GUARD,
+                                  PLANAR_SOURCE_AND_GUARD],
+                         ids=["theorem2", "2d"])
+def test_check_all_keeps_each_identity_s_rejections(argv, capsys):
+    code, out = _reports(capsys, argv + ("--format", "csv"))
+    assert code == 0
+    rows = collections.Counter(r["check"]
+                               for r in csv.DictReader(io.StringIO(out)))
+    at = argv.index("--check") + 1
+    for check in rows:
+        # each identity accepts what a sweep of its check alone accepts
+        alone = _reports(capsys, argv[:at] + (check,) + argv[at + 1:])[1]
+        assert rows[check] == alone["accepted"], check
+    y = sample_box((-1.0, 1.0), 3 if "theorem2" in argv else 2, 300, 6)[:, -1]
+    if "theorem2" in argv:
+        assert rows["torsion"] == rows["sigma"] == 300
+        assert rows["conjugation"] == np.count_nonzero(np.abs(2 * y) >= 0.4)
+    else:
+        assert rows["torsion"] == rows["sigma"] == rows["conjugation"] < 300

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -312,9 +313,11 @@ def test_overflow_in_a_discarded_entry_hessian_does_not_abort(capsys):
                             "--n", "2", "--f", "y + 1e155*x1^2*y",
                             "--point", "0.001", "0.5")
     assert code == 3
+    # the denominator is small only against f_x^2 = 1e304: the text says so
     assert doc["error"] == (
         "entry (2,1) singular at point [0.001, 0.5]: denominator vanishes "
-        "(value 1.000000e+149)")
+        "relative to its numerator (value 1.000000e+149, numerator "
+        "-1.000000e+304)")
 
 
 def test_verify_csv_collects_rows(capsys):
@@ -551,3 +554,60 @@ def test_csv_coordinates_pass_back_through_point(capsys, argv, key):
         again += ["--point", *(row[i] for i in coords)]
     assert any("e-" in arg for arg in again)
     assert invoke(capsys, *again, "--format", "csv") == (0, out)
+
+
+# -- one parser per process ---------------------------------------------------
+
+PARSER_RUNS = [
+    ("verify", "--family", "theorem1", "--n", "3", "--f", "y^2 + x1*x2 + y",
+     "--check", "all", "--samples", "40", "--seed", "2"),
+    ("torsion", "--matrix", "diag:y,x", "--point", "1", "2",
+     "--point", "0.5", "-1e-05", "--format", "csv"),
+    ("verify", "--family", "2d"),                      # usage error, exit 2
+    ("construct", "--family", "theorem1", "--n", "2", "--f", "y^3/3+y",
+     "--point", "0.1", "0.2", "--point", "0.3", "0.4", "--point", "1", "2",
+     "--format", "text"),
+    ("--help",),
+    ("verify", "--bogus"),
+    ("charpoly", "--family", "theorem1", "--n", "2", "--f", "y^3/3+y",
+     "--point", "0.5", "0.25"),
+    ("verify", "--help"),
+    ("morse-reduce", "--f", "y^2 + x1*y", "--n", "2", "--point", "0.6"),
+    ("verify", "--family", "theorem1", "--n", "3", "--f", "y^2 + x1*x2 + y",
+     "--check", "all", "--samples", "40", "--seed", "2", "--format", "csv"),
+]
+
+
+def _run_captured(capsys, argv):
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:   # --help
+        code = ("exit", exc.code)
+    out = capsys.readouterr().out
+    return code, [ln for ln in out.splitlines() if "wall_ms" not in ln]
+
+
+def test_one_parser_serves_back_to_back_runs(capsys):
+    from nijenhuis.cli import build_parser
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in PARSER_RUNS:
+        build_parser.cache_clear()
+        fresh.append(_run_captured(capsys, argv))
+    shared = [_run_captured(capsys, argv) for argv in PARSER_RUNS * 2]
+    assert shared == fresh * 2
+    assert [code for code, _ in fresh] == [0, 1, 2, 0, ("exit", 0), 2, 0,
+                                           ("exit", 0), 0, 0]
+
+
+def test_charpoly_disagreement_prints_plain_floats(capsys):
+    # the known ill-conditioned diffnondeg sweep: one point still aborts it
+    code, doc = invoke_json(capsys, "verify", "--family", "diffnondeg",
+                            "--n", "3", "--sigma", "x1+y^2,x2*y+x1^2,y+x1*x2",
+                            "--check", "all", "--samples", "1000",
+                            "--seed", "1")
+    assert code == 3
+    assert re.fullmatch(
+        r"characteristic coefficient recursion disagrees with the "
+        r"elimination determinant: sigma_n=0\.9232\d+, "
+        r"\(-1\)\^n det=0\.9232\d+", doc["error"]), doc["error"]

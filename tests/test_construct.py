@@ -183,3 +183,12 @@ def test_conjugation_residual_detects_wrong_operator():
     raw, scale = conjugation_residual(f3, 3, np.array([0.4, 0.2, 0.6]),
                                       L=wrong)
     assert raw > 1e-3 * scale
+
+
+def test_conjugation_residual_rejects_an_operator_of_another_f():
+    # f's jet would be read as g's: a wrong residual, so an error instead
+    f = ScalarField.from_expression("y^2 + x1 + x2", 3)
+    g = ScalarField.from_expression("y^3 + y + x1", 3)
+    with pytest.raises(ValueError, match="f as its source"):
+        conjugation_residual(f, 3, np.array([0.4, 0.2, 0.6]),
+                             L=build_regular_family(g, 3))

@@ -6,6 +6,8 @@ import pytest
 from nijenhuis.field import (OperatorField, ScalarField, SingularEntry,
                              operator_eval)
 from nijenhuis.jet import SingularPointError
+from nijenhuis.report import sample_box
+from nijenhuis.torsion import verify_zero_torsion
 
 SEED = 911
 
@@ -89,7 +91,13 @@ def test_entry_accessor():
 
 
 def test_guard_passthrough():
+    # from_entries' guard takes the points alone, and a sweep can run it
     f = ScalarField.from_expression("y", 2)
     L = OperatorField.from_entries([[f, f], [f, f]],
-                                   guard=lambda p: abs(p[1]))
-    assert L.guard(np.array([0.0, 0.25])) == 0.25
+                                   guard=lambda p: abs(p[..., 1]))
+    box = np.array([[-1.0, 1.0]] * 2)
+    rep = verify_zero_torsion(L, box, samples=50, seed=SEED, tol=1.0,
+                              min_denominator=0.25)
+    small = np.abs(sample_box(box, 2, 50, SEED)[:, 1]) < 0.25
+    assert rep.rejected == np.count_nonzero(small) > 0
+    assert np.all(np.abs(rep.records["point"][:, 1]) >= 0.25)

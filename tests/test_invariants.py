@@ -91,12 +91,13 @@ def test_sigma_recovery_planar_family_sign_convention():
 def test_coordinate_sigma_is_batched():
     f = ScalarField.from_expression("x1*x2 + y^2", 3)
     P = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(4, 3))
-    got = coordinate_sigma(f, 3, (-1.0, 1.0))(P)
+    got = coordinate_sigma(f, 3, (-1.0, 1.0))(P, f(P))
     assert got.shape == (4, 3)
     assert np.array_equal(got[:, 0], -P[:, 0])
     assert np.array_equal(got[:, 1], P[:, 1])
     assert np.array_equal(got[:, 2], f(P).value)
-    assert np.array_equal(coordinate_sigma(f, 3, (-1.0, 1.0))(P[0]), got[0])
+    assert np.array_equal(coordinate_sigma(f, 3, (-1.0, 1.0))(P[0], f(P[0])),
+                          got[0])
     with pytest.raises(ValueError, match="length 2"):
         coordinate_sigma(f, 3, (1.0,))
 
@@ -107,6 +108,15 @@ def test_sigma_recovery_canonical_family():
     rep = verify_sigma_coords(L, f, 4, np.array([[-1.0, 1.0]] * 4),
                               samples=300, seed=5, tol=1e-9)
     assert rep.passed
+
+
+def test_sigma_coords_rejects_an_operator_of_another_f():
+    f = ScalarField.from_expression("y^2 + x1", 2)
+    g = ScalarField.from_expression("y^3 + y", 2)
+    with pytest.raises(ValueError, match="f as its source"):
+        verify_sigma_coords(build_regular_family(g, 2), f, 2,
+                            np.array([[-1.0, 1.0]] * 2), samples=10, seed=5,
+                            tol=1e-9)
 
 
 def test_sigma_fields_detects_mismatch():

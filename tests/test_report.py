@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import nijenhuis.report
-from nijenhuis.jet import DenominatorVanishes, SingularPointError
-from nijenhuis.report import (CheckResult, VerificationReport, normalize_box,
-                              run_sweep, sample_box)
+from nijenhuis.jet import (DenominatorVanishes, SingularPointError,
+                          coordinate_jet)
+from nijenhuis.report import (CheckResult, DomainEntirelySingular, Identity,
+                              VerificationReport, normalize_box, run_sweep,
+                              sample_box)
 
 
 def test_normalize_box_uniform():
@@ -58,12 +60,12 @@ def test_nonfinite_relative_residual_fails_the_gate():
     # a NaN after a finite residual once slipped past `rel > max_rel`
     points = np.array([[0.0], [1.0], [2.0]])
 
-    def evaluate(P):
+    def residual(ev, P, src):
         rel = np.where(P[..., 0] > 0.5, np.nan, 1e-20)
-        return np.abs(rel), rel, {}
+        return np.abs(rel), 1.0
 
-    rep = run_sweep(points, evaluate, 1e-10, subject="nan probe", params={},
-                    gate_name="probe")
+    rep = run_sweep(points, [Identity("probe", "probe", 1e-10, residual)],
+                    subject="nan probe", params={})[0]
     assert not rep.passed
     assert not rep.checks[0].passed
     assert np.isnan(rep.checks[0].max)
@@ -74,14 +76,15 @@ def test_records_hold_the_accepted_points_in_order(monkeypatch):
     monkeypatch.setattr(nijenhuis.report, "SWEEP_CHUNK", 3)
     points = np.linspace(-1.0, 1.0, 10)[:, None]
 
-    def evaluate(P):
+    def residual(ev, P, src):
         x = P[..., 0]
-        return 2.0 * x, x, {"twice": 4.0 * x}
+        return 2.0 * x, 2.0, {"twice": 4.0 * x}
 
-    rep = run_sweep(points, evaluate, 10.0, subject="records probe",
-                    params={}, gate_name="probe",
-                    guard=lambda P: np.abs(P[..., 0]), min_margin=0.5,
-                    extra_checks=("twice",))
+    identity = Identity("probe", "probe", 10.0, residual,
+                        guard=lambda P, src: np.abs(P[..., 0]),
+                        min_margin=0.5)
+    rep = run_sweep(points, [identity], subject="records probe",
+                    params={})[0]
     kept = points[np.abs(points[:, 0]) >= 0.5]
     assert rep.accepted == len(kept) and rep.rejected == 10 - len(kept)
     rec = rep.records
@@ -94,13 +97,12 @@ def test_records_hold_the_accepted_points_in_order(monkeypatch):
 
 
 def test_overflow_in_a_residual_raises():
-    def eval_chunk(P):
-        raw = P[:, 0] * 1e308 * 10.0
-        return raw, raw, {}
+    def residual(ev, P, src):
+        return P[:, 0] * 1e308 * 10.0, 1.0
 
     with pytest.raises(FloatingPointError, match="overflow"):
-        run_sweep(np.ones((3, 2)), eval_chunk, 1e-9, subject="s", params={},
-                  gate_name="g")
+        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)],
+                  subject="s", params={})
 
 
 @pytest.mark.parametrize("mask", [None, np.zeros(3, dtype=bool),
@@ -109,15 +111,15 @@ def test_overflow_in_a_residual_raises():
 def test_an_error_without_a_usable_mask_propagates(mask):
     calls = []
 
-    def eval_chunk(P):
+    def residual(ev, P, src):
         calls.append(len(P))
         exc = SingularPointError("rule failed")
         exc.mask = mask
         raise exc
 
     with pytest.raises(SingularPointError, match="rule failed"):
-        run_sweep(np.ones((3, 2)), eval_chunk, 1e-9, subject="s", params={},
-                  gate_name="g")
+        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)],
+                  subject="s", params={})
     assert calls == [3]   # never retried point by point
 
 
@@ -126,14 +128,50 @@ def test_a_0d_mask_rejects_its_whole_chunk(monkeypatch):
     points = np.arange(10.0)[:, None] - 3.5
     calls = []
 
-    def eval_chunk(P):
+    def residual(ev, P, src):
         calls.append(len(P))
         if P[0, 0] < 0:   # a failure that does not depend on the point
             raise DenominatorVanishes(0.0, mask=np.array(True))
-        return P[:, 0], P[:, 0], {}
+        return P[:, 0], 1.0
 
-    rep = run_sweep(points, eval_chunk, 10.0, subject="s", params={},
-                    gate_name="g")
+    rep = run_sweep(points, [Identity("g", "g", 10.0, residual)],
+                    subject="s", params={})[0]
     assert (rep.accepted, rep.rejected) == (6, 4)
     assert np.array_equal(rep.records["point"], points[4:])
     assert calls == [4, 4, 2]
+
+
+def test_identities_share_the_source_and_keep_their_own_rejections(
+        monkeypatch):
+    monkeypatch.setattr(nijenhuis.report, "SWEEP_CHUNK", 4)
+    points = np.arange(10.0)[:, None]
+    sources = []
+
+    def source(P):
+        sources.append(len(P))
+        return coordinate_jet(1, P)
+
+    def even(ev, P, x):   # rejects the odd points, for itself alone
+        odd = P[:, 0] % 2 == 1
+        if odd.any():
+            raise DenominatorVanishes(0.0, mask=odd)
+        return x.value, 1.0
+
+    def value(ev, P, x):
+        return x.value, 1.0
+
+    reports = run_sweep(
+        points, [Identity("even", "e", 1e9, even),
+                 Identity("large", "l", 1e9, value,
+                          guard=lambda P, x: x.value, min_margin=3.0)],
+        subject="s", params={}, source=source)
+    assert sources == [4, 4, 2]   # once per chunk for both identities
+    assert [r.records["point"][:, 0].tolist() for r in reports] == [
+        [0.0, 2.0, 4.0, 6.0, 8.0], [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]]
+    assert (reports.accepted, reports.rejected) == (12, 8)
+    # the first identity, in order, that accepts nothing aborts the sweep
+    with pytest.raises(DomainEntirelySingular):
+        run_sweep(points, [Identity("large", "l", 1e9, value,
+                                    guard=lambda P, x: x.value,
+                                    min_margin=99.0)],
+                  subject="s", params={}, source=source)
