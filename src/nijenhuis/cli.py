@@ -566,15 +566,19 @@ def handle_verify(args) -> _Report:
     params = {**ctx.params, "check": args.check, "box": bounds.tolist(),
               "samples": args.samples, "seed": args.seed, "tol": args.tol,
               "min_denominator": args.min_denominator}
-    # one sweep checks every identity at the same points, with f as source
-    # if there is one; pde's base points have n-1 coordinates: its own sweep
+    # one sweep checks every identity at the same points; its source is f
+    # where the sigma or conjugation identity reads f's jet, else the
+    # operator's own (theorem2's has none); pde's base points have n-1
+    # coordinates: its own sweep
     names = [c for c in wanted if c != "pde"]
+    reads_f = not {"sigma", "conjugation"}.isdisjoint(names)
     reports = Reports()
     if names:
         reports = run_sweep(
             sample_box(bounds, n, args.samples, args.seed),
             [_identity(ctx, c, tol[c], args.min_denominator) for c in names],
-            subject, params, source=ctx.f or ctx.op.source, operator=ctx.op)
+            subject, params, source=(ctx.f if reads_f else None)
+            or ctx.op.source, operator=ctx.op)
     if "pde" in wanted:
         names.append("pde")
         reports.append(verify_pde(

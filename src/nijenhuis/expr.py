@@ -13,6 +13,15 @@ chaining. A number literal that overflows to infinity is an error.
 Builtins: sqrt, exp, sin, cos. Bare 'x' is accepted as an alias for 'x1'
 and normalized at parse time. Every error reports a byte offset into the
 input string.
+
+``evaluate`` gives the full 2-jet in all n variables, or with
+``fiber=True`` the fiber jet along y alone: (f, f_y, f_yy) as a ``Jet2``
+with n = 1. There x1..x(n-1) and the constants are plain arrays and numpy
+floats, a node whose operands are all plain runs plain numpy (with the
+jet rules' division and sqrt checks, and integer powers as left-to-right
+products), and only the nodes that depend on y build jets. Its value, f_y
+and f_yy are those of the full jet: the same operations on the same
+values, less terms that are products with an exact zero.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .jet import Jet2, _constant, broadcast_jet, coordinate_jet
+from .jet import (Jet2, _constant, broadcast_jet, coordinate_jet, divide,
+                  sqrt)
 
 __all__ = [
     "ExpressionError",
@@ -273,37 +283,79 @@ def parse_expression(text: str, n: int) -> Expr:
 
 # -- evaluation ---------------------------------------------------------------
 
-def evaluate(e: Expr, p: Sequence[float]) -> Jet2:
+def evaluate(e: Expr, p: Sequence[float], fiber: bool = False) -> Jet2:
     """Evaluate the 2-jet of e at point p (shape (n,)) or at every point of
-    an array p of shape (..., n); the jet's batch shape is p.shape[:-1]."""
+    an array p of shape (..., n); the jet's batch shape is p.shape[:-1].
+
+    With fiber=True the jet is taken along y alone (n = 1): gradient
+    (..., 1) and Hessian (..., 1, 1) hold f_y and f_yy.
+    """
     p = np.asarray(p, dtype=float)
-    return broadcast_jet(_evaluate(e, p, {}), p.shape[:-1])
+    jet = _evaluate(e, p, {}, fiber)
+    if not isinstance(jet, Jet2):   # a fiber jet of an f without y
+        jet = _constant(jet, 1)
+    return broadcast_jet(jet, p.shape[:-1])
 
 
-def _evaluate(node, p: np.ndarray, coords: dict) -> Jet2:
+# the builtins on plain values, with the jet rules' domain checks
+_PLAIN_CALLS = {"sqrt": sqrt, "exp": np.exp, "sin": np.sin, "cos": np.cos}
+
+
+def _power(x, k: int):
+    """x ** k of plain values, as Jet2.__pow__ forms it."""
+    if k == 0:
+        return np.float64(1.0)
+    if k < 0:
+        return divide(np.float64(1.0), _power(x, -k))
+    acc = x
+    for _ in range(k - 1):
+        acc = acc * x
+    return acc
+
+
+def _evaluate(node, p: np.ndarray, coords: dict, fiber: bool):
     # A module-level recursion (not a closure over itself), so a failed
-    # evaluation leaves no reference cycle holding its jets.
+    # evaluation leaves no reference cycle holding its jets. In a fiber
+    # evaluation a result is plain (an array or numpy float) until y enters.
     if isinstance(node, Const):
-        return _constant(node.value, p.shape[-1])
+        return np.float64(node.value) if fiber else _constant(
+            node.value, p.shape[-1])
     if isinstance(node, Var):
-        jet = coords.get(node.index)
-        if jet is None:
-            jet = coords[node.index] = coordinate_jet(node.index, p)
-        return jet
-    if isinstance(node, Add):
-        return _evaluate(node.left, p, coords) + _evaluate(node.right, p, coords)
-    if isinstance(node, Sub):
-        return _evaluate(node.left, p, coords) - _evaluate(node.right, p, coords)
-    if isinstance(node, Mul):
-        return _evaluate(node.left, p, coords) * _evaluate(node.right, p, coords)
-    if isinstance(node, Div):
-        return _evaluate(node.left, p, coords) / _evaluate(node.right, p, coords)
+        value = coords.get(node.index)
+        if value is None:
+            n = p.shape[-1]
+            if not fiber:
+                value = coordinate_jet(node.index, p)
+            elif node.index == n:
+                value = coordinate_jet(1, p[..., n - 1:])
+            else:
+                value = p[..., node.index - 1]
+            coords[node.index] = value
+        return value
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        left = _evaluate(node.left, p, coords, fiber)
+        right = _evaluate(node.right, p, coords, fiber)
+        if isinstance(node, Add):
+            return left + right
+        if isinstance(node, Sub):
+            return left - right
+        if isinstance(node, Mul):
+            return left * right
+        if isinstance(left, Jet2) or isinstance(right, Jet2):
+            return left / right
+        return divide(left, right)
     if isinstance(node, Neg):
-        return -_evaluate(node.operand, p, coords)
+        return -_evaluate(node.operand, p, coords, fiber)
     if isinstance(node, Pow):
-        return _evaluate(node.base, p, coords) ** node.exponent
+        base = _evaluate(node.base, p, coords, fiber)
+        if isinstance(base, Jet2):
+            return base ** node.exponent
+        return _power(base, node.exponent)
     if isinstance(node, Call):
-        return getattr(_evaluate(node.arg, p, coords), node.func)()
+        arg = _evaluate(node.arg, p, coords, fiber)
+        if isinstance(arg, Jet2):
+            return getattr(arg, node.func)()
+        return _PLAIN_CALLS[node.func](arg)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -25,6 +25,13 @@ guards receive the whole array and answer for all of its points; a guard
 returns one margin per point. Jet evaluation raises numpy overflow and
 invalid operations as ``FloatingPointError`` (an ArithmeticError), so an
 overflowing point fails loudly instead of turning into inf.
+
+Fiber jets: ``f(p, fiber=True)`` asks only for f, f_y and f_yy, what the
+Morse reduction reads. An expression field then differentiates along y
+alone (a ``Jet2`` with n = 1, its base coordinates and constants plain
+numpy values, see ``expr``); a field without an expression returns its
+full jet. Either way the caller reads ``gradient[..., -1]`` and
+``hessian[..., -1, -1]``.
 """
 
 from __future__ import annotations
@@ -89,18 +96,26 @@ class ScalarField:
 
     ``f(p)`` takes a point (n,) or points (..., n) and returns a jet of
     batch shape p.shape[:-1]: order 2 for an expression or a constant;
-    a family's entry fields (``OperatorField.entry``) give order 1.
+    a family's entry fields (``OperatorField.entry``) give order 1. A field
+    built from an expression keeps its AST in ``expr`` (else None).
     """
 
     def __init__(self, rule: Callable[[np.ndarray], Jet2], dim: int,
-                 label: str = ""):
+                 label: str = "", expr: Optional[Expr] = None):
         self.rule = rule
         self.dim = int(dim)
         self.label = label
+        self.expr = expr
 
-    def __call__(self, p: Sequence[float]) -> Jet2:
+    def __call__(self, p: Sequence[float], fiber: bool = False) -> Jet2:
+        """The jet at the points p; with fiber=True an expression field
+        gives its jet along y alone (gradient (..., 1), Hessian
+        (..., 1, 1)) and any other field its full jet, so callers read
+        f_y and f_yy at gradient[..., -1] and hessian[..., -1, -1]."""
         p = _points(p, self.dim, "field")
         with np.errstate(**JET_ERRSTATE):
+            if fiber and self.expr is not None:
+                return evaluate(self.expr, p, fiber=True)
             return broadcast_jet(self.rule(p), p.shape[:-1])
 
     def __repr__(self) -> str:
@@ -113,7 +128,8 @@ class ScalarField:
             ast = parse_expression(source, dim)
         else:
             ast = source
-        return cls(lambda p: evaluate(ast, p), dim, format_expression(ast))
+        return cls(lambda p: evaluate(ast, p), dim, format_expression(ast),
+                   expr=ast)
 
     @classmethod
     def constant(cls, c: float, dim: int) -> "ScalarField":

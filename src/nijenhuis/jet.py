@@ -29,6 +29,21 @@ through elementwise-symmetric formulas, so ``max |H[i,j] - H[j,i]|`` stays
 identically zero through any op sequence. Internal results are built by
 ``_jet``, which skips the constructor's validation and symmetrization.
 
+Plain operands: ``+ - * /`` and their reflected forms also take an
+ndarray or a numpy float (``np.floating``) as a constant operand. The
+value operation runs on it as it is, and the jet's derivatives are shared
+(``u + c``, ``u - c``) or scaled (``c * u``, ``u / c``); ``c - u`` and
+``c / u`` run the full rules with zero derivatives for c. ``Jet2`` sets
+``__array_ufunc__ = None``, so numpy hands these operations to the jet
+whichever side the plain operand is on. Python numbers are coerced to
+constant jets with the full rules, as before: dropping the terms of an
+exact zero can flip the sign of a zero derivative, so the package's full
+2-jets never meet a plain operand. The fiber jets of
+``expr.evaluate(..., fiber=True)`` do: there only y is a jet (n = 1), and
+the base coordinates and constants are plain arrays and numpy floats.
+Operations on plain values alone are plain numpy; ``divide`` and ``sqrt``
+here apply the jet rules' checks to them.
+
 Failures that depend on the point (a vanishing denominator, an argument
 outside a function's domain) raise a ``SingularPointError`` whose ``mask``
 (batch-shaped booleans) marks the failing points, so a sweep can reject
@@ -49,6 +64,8 @@ __all__ = [
     "constant_jet",
     "coordinate_jet",
     "chain",
+    "divide",
+    "sqrt",
     "DIV_EPS_REL",
 ]
 
@@ -99,6 +116,30 @@ class DomainError(SingularPointError):
 
 Scalar = Union[int, float, np.floating]
 
+# Operands a jet takes as plain constants, not coerced to constant jets
+# (np.float64 is a Python float too, so this test comes first).
+_PLAIN = (np.ndarray, np.floating)
+
+
+def divide(num, den):
+    """num / den on plain values, raising DenominatorVanishes where
+    |den| <= DIV_EPS_REL * max(1, |num|), the jet quotient's own test."""
+    bad = np.abs(den) <= DIV_EPS_REL * np.maximum(1.0, np.abs(num))
+    if bad.any():
+        raise DenominatorVanishes(den, mask=bad, numerator=num)
+    return num / den
+
+
+def sqrt(x):
+    """The square root of plain values, raising DomainError where x <= 0."""
+    bad = x <= 0.0
+    if bad.any():
+        first = _first(x, bad)
+        raise DomainError(
+            f"sqrt requires a positive argument (value {first:.6e})",
+            mask=bad)
+    return np.sqrt(x)
+
 
 def _jet(value, gradient, hessian) -> "Jet2":
     """Internal constructor: no validation, no symmetrization."""
@@ -138,9 +179,11 @@ def _zeros(shape: tuple) -> np.ndarray:
     return np.ndarray(shape, float, _ZERO, strides=(0,) * len(shape))
 
 
-def _constant(c: float, n: int, order: int = 2) -> "Jet2":
-    """Constant jet for coercing plain numbers: batch (), shared zeros."""
-    return _jet(np.float64(c), _zeros((n,)),
+def _constant(c, n: int, order: int = 2) -> "Jet2":
+    """Constant jet of c (a number, or plain values of any batch shape)
+    with shared zero derivatives."""
+    return _jet(np.float64(c) if isinstance(c, (int, float)) else c,
+                _zeros((n,)),
                 _zeros((n, n)) if order == 2 else None)
 
 
@@ -153,6 +196,9 @@ class Jet2:
     """
 
     __slots__ = ("value", "gradient", "hessian")
+
+    # numpy defers every binary operation with a jet to the jet's methods
+    __array_ufunc__ = None
 
     def __init__(self, value, gradient, hessian=None):
         g = np.asarray(gradient, dtype=float)
@@ -201,13 +247,17 @@ class Jet2:
             if other.dim != self.dim:
                 raise ValueError("jet dimension mismatch")
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _PLAIN):   # c - u and c / u, at any batch shape
+            return _constant(other, self.dim)
+        if isinstance(other, (int, float, np.integer)):
             return _constant(float(other), self.dim)
         return None
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, _PLAIN):
+            return _jet(self.value + other, self.gradient, self.hessian)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -218,6 +268,8 @@ class Jet2:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _PLAIN):
+            return _jet(self.value - other, self.gradient, self.hessian)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -236,6 +288,10 @@ class Jet2:
         return _jet(-self.value, -self.gradient, None if h is None else -h)
 
     def __mul__(self, other):
+        if isinstance(other, _PLAIN):
+            h = self.hessian
+            return _jet(self.value * other, _col(other) * self.gradient,
+                        None if h is None else _col2(other) * h)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -253,14 +309,15 @@ class Jet2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, _PLAIN):
+            h = self.hessian
+            return _jet(divide(self.value, other), self.gradient / _col(other),
+                        None if h is None else h / _col2(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         den = o.value
-        bad = np.abs(den) <= DIV_EPS_REL * np.maximum(1.0, np.abs(self.value))
-        if bad.any():
-            raise DenominatorVanishes(den, mask=bad, numerator=self.value)
-        v = self.value / den
+        v = divide(self.value, den)
         g = (self.gradient - _col(v) * o.gradient) / _col(den)
         if _order1(self, o):
             return _jet(v, g, None)
@@ -292,13 +349,7 @@ class Jet2:
     # -- elementary functions ----------------------------------------------
 
     def sqrt(self) -> "Jet2":
-        bad = self.value <= 0.0
-        if bad.any():
-            first = _first(self.value, bad)
-            raise DomainError(
-                f"sqrt requires a positive argument (value {first:.6e})",
-                mask=bad)
-        v = np.sqrt(self.value)
+        v = sqrt(self.value)
         return chain(v, 0.5 / v, -0.25 / (v * self.value), self)
 
     def exp(self) -> "Jet2":

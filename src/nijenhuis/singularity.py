@@ -9,6 +9,12 @@ When the determinant coefficient has a Morse critical point in y,
 ``pde_residuals`` evaluates the system the remainder R must satisfy for the
 operator to extend across the singular locus (whose only smooth solution is
 R = 0 for n > 2, with the extra planar solution R = x1^2/4 at n = 2).
+
+The reduction, its quadratic factor and the normal-form defect read only
+f, f_y and f_yy, so they evaluate f's fiber jet, ``f(p, fiber=True)``,
+which differentiates along y alone. A reduction that fails (non-Morse, or
+Newton diverges) raises a SingularPointError whose mask marks the failing
+base points, so a remainder sweep rejects them like any singular point.
 """
 
 from __future__ import annotations
@@ -55,8 +61,12 @@ EPS_DIV, TOL_NUM = 1e-12, 1e-10
 MAX_NEWTON_ITERS, TOL_NEWTON = 50, 1e-13
 
 
-class NonMorseError(ArithmeticError):
-    """The critical point of y -> f(x, y) has |f_yy| below EPS_MORSE."""
+class NonMorseError(SingularPointError):
+    """The critical point of y -> f(x, y) has |f_yy| below EPS_MORSE.
+
+    Like NewtonDivergenceError, it names the first failing base point x;
+    morse_reduce sets its mask (see there).
+    """
 
     def __init__(self, x, c: float, fyy: float):
         self.x = np.asarray(x, dtype=float)
@@ -67,7 +77,7 @@ class NonMorseError(ArithmeticError):
             f"(f_yy = {fyy:.6e})")
 
 
-class NewtonDivergenceError(ArithmeticError):
+class NewtonDivergenceError(SingularPointError):
     """Newton iteration on f_y failed to converge."""
 
     def __init__(self, x, y0: float, iters: int, detail: str):
@@ -232,14 +242,18 @@ def pde_residuals(R: ScalarField, n: int, x) -> PdeResiduals:
 def morse_reduce(f: ScalarField, n: int, x, y0: float = 0.0) -> MorseData:
     """Newton on y -> f_y(x, y) from y0 at base points x (..., n-1).
 
-    All live points step together, one batched f evaluation per step; a
-    point stops where |f_y| <= TOL_NEWTON * (1 + |f_yy|). Raises the error
-    of the first failing point in C order: NonMorseError when |f_yy| <
-    EPS_MORSE at the critical point, NewtonDivergenceError when the
-    iteration cannot converge (iterate escapes, the step divisor f_yy
-    vanishes away from a root, or MAX_NEWTON_ITERS run out), or f's error
-    with its mask, if any, redrawn in x's batch shape to mark the points
-    whose own reduction raises it.
+    All live points step together, one batched evaluation of f's fiber
+    jet (f, f_y, f_yy) per step; a point stops where |f_y| <= TOL_NEWTON *
+    (1 + |f_yy|). Raises the error of the first failing point in C order:
+    NonMorseError when |f_yy| < EPS_MORSE at the critical point,
+    NewtonDivergenceError when the iteration cannot converge (iterate
+    escapes, the step divisor f_yy vanishes away from a root, or
+    MAX_NEWTON_ITERS run out), or f's error. A failing point stops, and
+    the others iterate on, so the error's mask, in x's batch shape, marks
+    every point whose own reduction fails (at any step, f's masked errors
+    included, and every point still live when the iterations run out). An
+    error of f without a usable mask names no point: it is raised as it
+    is, once the points after the first failing one have been stopped.
     """
     if f.dim != n:
         raise ValueError(f"f has dimension {f.dim}, expected {n}")
@@ -252,51 +266,68 @@ def morse_reduce(f: ScalarField, n: int, x, y0: float = 0.0) -> MorseData:
     R, fyy_at_c = np.empty((2, len(X)))   # at convergence, where c = y
     live = np.arange(len(X))
     iters = np.zeros(len(X), dtype=int)
-    # The error of the first point that failed so far: the live points
-    # after it can no longer fail first, so they stop with it.
-    failure = None
+    # The error of the first point in C order that failed so far, that
+    # point, and every point that failed: the live points after the first
+    # can no longer fail first, but they iterate on, so that the error's
+    # mask marks every failing point and a sweep rejects them in one go.
+    failure, first = None, len(X)
+    failed = np.zeros(len(X), dtype=bool)
     calls = it = 0
     while live.size and it < MAX_NEWTON_ITERS:
         calls += 1
         iters[live] += 1
         try:
-            jet = f(np.column_stack((X[live], y[live])))
+            jet = f(np.column_stack((X[live], y[live])), fiber=True)
         except ArithmeticError as exc:
             mask = getattr(exc, "mask", None)
-            first = 0
-            if np.shape(mask) == live.shape:   # redraw it over x's batch
-                first, marked = np.argmax(mask), live[mask]
-                exc.mask = np.isin(np.arange(len(X)), marked).reshape(batch)
-            live, failure = live[:first], exc
+            if np.shape(mask) == live.shape and mask.any():
+                bad = live[mask]
+                failed[bad] = True
+                if bad[0] < first:
+                    failure, first = exc, bad[0]
+                live = live[~mask]
+            elif live[-1] > first:
+                # an error that names no point may be a later point's:
+                # those stop, and the points before the first go on
+                live = live[live < first]
+            else:
+                raise   # it stops every point evaluated with it
             continue
         it += 1
-        fy, fyy = jet.gradient[:, n - 1], jet.hessian[:, n - 1, n - 1]
+        fy, fyy = jet.gradient[:, -1], jet.hessian[:, -1, -1]
         done = np.abs(fy) <= TOL_NEWTON * (1.0 + np.abs(fyy))
         flat = np.abs(fyy) < EPS_MORSE
         ok, step = done & ~flat, ~done & ~flat
         R[live[ok]], fyy_at_c[live[ok]] = jet.value[ok], fyy[ok]
         with np.errstate(over="ignore"):   # an overflowing step escapes
             y[live[step]] -= fy[step] / fyy[step]
-        escaped = step & ~(np.abs(y[live]) <= 1e8)
-        if (flat | escaped).any():
-            j = int(np.argmax(flat | escaped))
-            k = live[j]
-            step[j:] = False
-            if done[j]:
-                failure = NonMorseError(X[k], float(y[k]), float(fyy[j]))
-            elif flat[j]:
-                # not at a root of f_y, yet the Newton divisor has vanished
-                failure = NewtonDivergenceError(
-                    X[k], y0, it, f"f_yy vanished at y={float(y[k])!r} "
-                                  f"with f_y={float(fy[j])!r}")
-            else:
-                failure = NewtonDivergenceError(
-                    X[k], y0, it, f"iterate left the domain (y={float(y[k])!r})")
+        bad = flat | (step & ~(np.abs(y[live]) <= 1e8))   # or escaped
+        if bad.any():
+            failed[live[bad]] = True
+            j = int(np.argmax(bad))
+            if live[j] < first:
+                first = k = live[j]
+                if done[j]:
+                    failure = NonMorseError(X[k], float(y[k]),
+                                            float(fyy[j]))
+                elif flat[j]:
+                    # not at a root of f_y, yet the Newton divisor vanished
+                    failure = NewtonDivergenceError(
+                        X[k], y0, it, f"f_yy vanished at y={float(y[k])!r} "
+                                      f"with f_y={float(fy[j])!r}")
+                else:
+                    failure = NewtonDivergenceError(
+                        X[k], y0, it, f"iterate left the domain "
+                                      f"(y={float(y[k])!r})")
+            step &= ~bad
         live = live[step]
     if live.size:
-        failure = NewtonDivergenceError(X[live[0]], y0, MAX_NEWTON_ITERS,
-                                        "maximum iterations reached")
+        failed[live] = True
+        if live[0] < first:
+            failure = NewtonDivergenceError(X[live[0]], y0, MAX_NEWTON_ITERS,
+                                            "maximum iterations reached")
     if failure is not None:
+        failure.mask = failed.reshape(batch)
         raise failure
     c, R, sign, fyy_at_c, iters = (
         a.reshape(batch) if batch else a.item() for a in
@@ -318,7 +349,7 @@ def quadratic_factor(f: ScalarField, data: MorseData, y):
     d = np.asarray(np.subtract(y, data.c))
     far = np.abs(d) >= DELTA_TAYLOR
     probe = np.where(far, y, data.c + d / 3.0)
-    jet = f(np.concatenate([data.x, probe[..., None]], axis=-1))
+    jet = f(np.concatenate([data.x, probe[..., None]], axis=-1), fiber=True)
     # the quotient runs on the far points only: near ones may have d = 0
     return np.divide(jet.value - data.R, d * d, where=far,
                      out=np.asarray(jet.hessian[..., -1, -1] / 2.0))[()]
@@ -341,10 +372,11 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
 
     The box covers all n axes; the grid runs over x1..x(n-1), y in C
     order through run_sweep, which reduces, straightens and measures each
-    chunk. Reduction failures propagate (they are errors of the input,
-    not sample rejections; f's SingularPointError becomes a plain
-    ArithmeticError). The worst point is the first grid point of largest
-    defect; the records hold every grid point and its defect.
+    chunk; every step reads f's fiber jet only. Reduction failures and
+    f's errors propagate as plain ArithmeticErrors with the same text:
+    they are errors of the input, not sample rejections. The worst point
+    is the first grid point of largest defect; the records hold every grid
+    point and its defect.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2 points per axis, got {grid}")
@@ -363,7 +395,8 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
                     defect(ev, P[:first], src)
                 raise
             ytil = morse_coordinate(f, data, P[:, -1])
-            raw = np.abs(f(P).value - (data.sign * ytil * ytil + data.R))
+            raw = np.abs(f(P, fiber=True).value
+                         - (data.sign * ytil * ytil + data.R))
         except SingularPointError as exc:
             raise ArithmeticError(str(exc)) from exc
         return raw, 1.0

@@ -366,13 +366,83 @@ def test_newton_masks_mark_failing_points_of_the_base_batch(case, batch,
     X = np.random.default_rng(seed).uniform(-2.5, 1.5, size=batch + (n - 1,))
     try:
         morse_reduce(f, n, X)
-    except SingularPointError as exc:
+    except SingularPointError as exc:   # f's errors and Newton's own
         assert np.shape(exc.mask) == batch and exc.mask.any()
         for k in zip(*np.nonzero(exc.mask)):
             with pytest.raises(SingularPointError):
                 morse_reduce(f, n, X[k])
-    except ArithmeticError:
-        pass  # Newton's own failures carry no mask
+    except FloatingPointError:
+        pass  # an overflow (exp of an escaping iterate) names no point
+
+
+# -- fiber jets: f, f_y and f_yy of the full jet ----------------------------------
+
+# the cubic-in-y f of the benchmark's morse-grid workload
+BENCH_MORSE_F = ("y^3/10 + (1 + 0.1*x2)*y^2 - 0.6*sin(x1)*y + x1*x2 "
+                 "+ 0.5*x2^2")
+FIBER_F = ([(text, n) for n, text in MORSE_F.items()] + MASKED_F
+           + [(BENCH_MORSE_F, 3)])
+
+
+def _fiber_agrees(f, P):
+    """f(P, fiber=True) against f(P): the value bit for bit, f_y and f_yy
+    under == (so +-0 agree), or the same error, text and mask. Returns
+    the mask of f's error (None if it raised none)."""
+    try:
+        full = f(P)
+    except SingularPointError as exc:
+        with pytest.raises(type(exc)) as err:
+            f(P, fiber=True)
+        assert str(err.value) == str(exc)
+        assert np.array_equal(err.value.mask, exc.mask)
+        return exc.mask
+    fiber = f(P, fiber=True)
+    batch = P.shape[:-1]
+    assert fiber.gradient.shape == batch + (1,)
+    assert fiber.hessian.shape == batch + (1, 1)
+    assert same_bits(fiber.value, full.value)
+    assert np.array_equal(fiber.gradient[..., 0], full.gradient[..., -1])
+    assert np.array_equal(fiber.hessian[..., 0, 0], full.hessian[..., -1, -1])
+    return None
+
+
+@pytest.mark.parametrize("text, n", FIBER_F)
+def test_fiber_jets_match_full_jets(text, n):
+    f = ScalarField.from_expression(text, n)
+    P = np.random.default_rng(SEED).uniform(-2.5, 1.5, size=(40, n))
+    alive, failed = np.arange(len(P)), 0
+    while (mask := _fiber_agrees(f, P[alive])) is not None:
+        failed += 1
+        alive = alive[~np.broadcast_to(mask, alive.shape)]
+    assert alive.size and (failed > 0) == ((text, n) in MASKED_F)
+    for p in P:
+        _fiber_agrees(f, p)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(expression_and_points())
+def test_random_fiber_jets_match_full_jets(case):
+    ast, n, P = case
+    f = ScalarField.from_expression(ast, n)
+    for points in (P, P[0], P[1]):
+        try:
+            f(points)
+        except FloatingPointError:
+            continue   # perhaps in a derivative that the fiber jet drops
+        except SingularPointError:
+            pass
+        _fiber_agrees(f, points)
+
+
+def test_a_field_without_an_expression_gives_its_full_jet():
+    f = ScalarField.from_expression(MORSE_F[3], 3)
+    rule_built = ScalarField(f.rule, 3)
+    P = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(CHUNK, 3))
+    full, fiber = rule_built(P), rule_built(P, fiber=True)
+    assert fiber.gradient.shape == (CHUNK, 3)
+    for name in ("value", "gradient", "hessian"):
+        assert same_bits(getattr(fiber, name), getattr(full, name))
 
 
 # -- reports do not depend on the chunk size ---------------------------------------
@@ -513,8 +583,8 @@ def test_each_generating_field_is_evaluated_once_per_chunk(
     calls = collections.Counter()
     call = ScalarField.__call__
     monkeypatch.setattr(ScalarField, "__call__",
-                        lambda self, p: calls.update([id(self)])
-                        or call(self, p))
+                        lambda self, p, **kw: calls.update([id(self)])
+                        or call(self, p, **kw))
     chunks = -(-SAMPLES // COUNT_CHUNK)
     argv = ["verify", *flags, "--samples", str(SAMPLES), "--seed", "5",
             "--box", *map(str, box), "--format", "csv"]

@@ -522,19 +522,60 @@ def test_csv_and_text_agree_with_json(capsys, kind, data):
 def test_a_failing_f_in_a_pde_sweep_is_not_evaluated_point_by_point(
         capsys, monkeypatch):
     # sqrt fails inside the Newton reduction of the remainder at some base
-    # points; each batched failure rejects the points its mask marks
+    # points, and Newton diverges at others; each batched failure rejects
+    # the points its mask marks, and the sweep reports on the rest
     calls = []
     call = ScalarField.__call__
     monkeypatch.setattr(ScalarField, "__call__",
-                        lambda self, p: calls.append(1) or call(self, p))
+                        lambda self, p, **kw: calls.append(1)
+                        or call(self, p, **kw))
     code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
                             "--n", "2", "--f", "sqrt(y + x1 + 1) + y^2",
                             "--check", "pde", "--samples", "300")
-    assert code == 3
-    assert doc["error"] == (
-        "Newton iteration diverged from y0=0.0 at x=[-0.2581554322751225] "
-        "after 50 iterations: maximum iterations reached")
+    assert code == 1
+    assert (doc["accepted"], doc["rejected"]) == (181, 119)
     assert len(calls) <= 300
+
+
+def test_a_theorem2_torsion_sweep_evaluates_no_f(capsys, monkeypatch):
+    # torsion reads no source, and theorem2's operator has none: only the
+    # sigma and conjugation identities read the jet of f = y^2
+    argv = ("verify", "--family", "theorem2", "--n", "3", "--samples", "600",
+            "--format", "csv")
+    code, every = invoke(capsys, *argv, "--check", "all")
+    assert code == 0
+    calls = []
+    call = ScalarField.__call__
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, p, **kw: calls.append(1)
+                        or call(self, p, **kw))
+    code, out = invoke(capsys, *argv, "--check", "torsion")
+    assert code == 0 and calls == []
+    header, *rows = out.splitlines()
+    assert len(rows) == 600
+    assert [header, *rows] == [line for line in every.splitlines()
+                               if line.startswith(("check,", "torsion,"))]
+
+
+# the x1-derivatives of this f overflow at x1 = +-1; the Morse reduction
+# reads only f, f_y and f_yy, while the remainder's jet needs them all
+OVERFLOW_IN_X = "x1^64*1e306*y^2+y^2+y"
+
+
+@pytest.mark.parametrize("where", [("--point", "1"),
+                                   ("--box", "-1", "1", "--samples", "3")])
+def test_morse_reduction_ignores_an_overflow_along_x(capsys, where):
+    code, doc = invoke_json(capsys, "morse-reduce", "--f", OVERFLOW_IN_X,
+                            "--n", "2", *where)
+    assert code == 0 and "error" not in doc
+
+
+def test_remainder_system_still_fails_on_an_overflow_along_x(capsys):
+    code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
+                            "--n", "2", "--f", OVERFLOW_IN_X,
+                            "--check", "pde", "--samples", "20")
+    assert code == 3
+    assert doc["error"] == "overflow encountered in multiply"
 
 
 @pytest.mark.parametrize("argv, key", [

@@ -275,3 +275,43 @@ def test_order1_operands_give_the_order2_values_and_gradients(pair):
         reference = fn(a)
         assert_order(fn(order1(a)), reference, 1)
         assert_order(fn(a), reference, 2)
+
+
+# -- plain operands ---------------------------------------------------------------
+
+PLAIN_OPS = [operator.add, operator.sub, operator.mul, operator.truediv,
+             lambda a, b: b + a, lambda a, b: b - a, lambda a, b: b * a,
+             lambda a, b: b / a]
+
+
+@pytest.mark.parametrize("op", PLAIN_OPS)
+@pytest.mark.parametrize("order", [1, 2])
+def test_plain_operands_act_as_constant_jets(op, order):
+    # an ndarray or numpy float on either side is a constant: the value
+    # operation is the same, bit for bit, and the derivatives equal those
+    # of the constant jet's full quotient, product or sum rules
+    rng = np.random.default_rng(SEED + 3)
+    P = rng.uniform(0.5, 2.0, size=(5, 3))
+    u = coordinate_jet(1, P, order) * coordinate_jet(3, P, order) ** 2
+    for c in (np.float64(1.7), rng.uniform(-2.0, -0.5, size=5)):
+        flat = _jet(c, np.zeros(3), np.zeros((3, 3)) if order == 2 else None)
+        got, want = op(u, c), op(u, flat)
+        assert isinstance(got, Jet2) and got.order == order
+        assert got.value.tobytes() == want.value.tobytes()
+        assert np.array_equal(got.gradient, want.gradient)
+        if order == 2:
+            assert np.array_equal(got.hessian, want.hessian)
+
+
+def test_plain_division_keeps_the_jet_checks():
+    u = coordinate_jet(1, np.array([[1.0], [2.0], [3.0]]))
+    den = np.array([1.0, 1e-15, 0.0])
+    with pytest.raises(DenominatorVanishes) as plain:
+        u / den
+    with pytest.raises(DenominatorVanishes) as jet:
+        u / _jet(den, np.zeros(1), np.zeros((1, 1)))
+    assert str(plain.value) == str(jet.value)
+    assert plain.value.mask.tolist() == jet.value.mask.tolist() == [
+        False, True, True]
+    with pytest.raises(DenominatorVanishes, match="value 0.0"):
+        np.float64(1.0) / (u - u)

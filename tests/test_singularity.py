@@ -272,9 +272,9 @@ def test_normal_form_grid_evaluates_f_per_chunk(monkeypatch):
     calls = []
     original = ScalarField.__call__
 
-    def counted(field, p):
+    def counted(field, p, **kw):
         calls.append(np.shape(p))
-        return original(field, p)
+        return original(field, p, **kw)
 
     monkeypatch.setattr(ScalarField, "__call__", counted)
     rep = verify_morse_normal_form(f, 3, (-0.5, 0.5), grid=5)
