@@ -23,8 +23,10 @@ Family rules, guards and ``conjugation_residual`` take one point (n,) or an
 array of points (..., n), as the field contract in ``field.py`` describes.
 Each family names its source: f itself for the regular and planar
 families, the stacked coefficient jets for companion and diffnondeg, and
-none for the Morse canonical family. Rules build their entries as order-1
-jets, so no entry Hessian is ever formed.
+none for the Morse canonical family. Every rule returns the operator as
+one order-1 matrix jet of batch (..., n, n), so no entry Hessian is ever
+formed: companion and diffnondeg compute it whole, and the families built
+entry by entry write their grid into it with ``field._matrix_jet``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .jet import (Jet2, SingularPointError, DenominatorVanishes, _jet,
                   coordinate_jet)
 from .field import (ScalarField, OperatorField, OperatorEval, SingularEntry,
-                    operator_eval)
+                    _matrix_jet, operator_eval)
 from .linalg import plu_det, invert_with_det, matmul, NumericallySingular
 
 __all__ = [
@@ -116,14 +118,6 @@ def _companion_jets(sigma: Jet2) -> Jet2:
     return _jet(value, gradient, None)
 
 
-def _entry_jets(M: Jet2) -> list:
-    """The n x n grid of entry jets of an order-1 jet of batch shape
-    (..., n, n)."""
-    n = M.value.shape[-1]
-    return [[_jet(M.value[..., i, j][()], M.gradient[..., i, j, :], None)
-             for j in range(n)] for i in range(n)]
-
-
 def _check_sigma(sigma: Sequence[ScalarField]) -> int:
     n = len(sigma)
     if n < 2:
@@ -146,7 +140,7 @@ def build_companion(sigma: Sequence[ScalarField]) -> OperatorField:
     n = _check_sigma(sigma)
 
     def rule(p, sj):
-        return _entry_jets(_companion_jets(sj))
+        return _companion_jets(sj)
 
     return OperatorField(n, rule, label="companion",
                          source=_sigma_source(sigma))
@@ -180,7 +174,7 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
             Jinv, _ = invert_with_det(J)
         except (NumericallySingular, DenominatorVanishes) as exc:
             raise DegeneratePointError(p, det, mask=exc.mask) from None
-        return _entry_jets(matmul(Jinv, matmul(Ltilde, J)))
+        return matmul(Jinv, matmul(Ltilde, J))
 
     return OperatorField(n, rule, label="diffnondeg",
                          source=_sigma_source(sigma))
@@ -220,7 +214,7 @@ def build_2d(f: ScalarField) -> OperatorField:
             low = (-(x * fx) + fx * fx + fj) / fy
         except DenominatorVanishes as exc:
             raise SingularEntry(2, 1, p, exc) from None
-        return [[x - fx, -fy], [low, fx]]
+        return _matrix_jet([[x - fx, -fy], [low, fx]], p)
 
     return OperatorField(2, rule, label="2d", guard=_fy_margin, source=f)
 
@@ -271,7 +265,7 @@ def build_regular_family(f: ScalarField, n: int) -> OperatorField:
                 raise SingularEntry(n, c + 1, p, exc) from None
         row[n - 1] = -fx[n - 2]
         rows.append(row)
-        return rows
+        return _matrix_jet(rows, p)
 
     return OperatorField(n, rule, label="regular", guard=_fy_margin,
                          source=f)
@@ -306,7 +300,7 @@ def build_morse_canonical(n: int, sign: int) -> OperatorField:
         row = [0.0] * n
         row[0] = (-0.5) * y
         rows.append(row)
-        return rows
+        return _matrix_jet(rows, p)
 
     return OperatorField(n, rule, label=f"morse-canonical({sign:+d})")
 

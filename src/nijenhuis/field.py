@@ -1,14 +1,16 @@
 """Scalar and operator (1,1-tensor) fields evaluated through jets.
 
-An operator field is an n x n matrix of scalar fields. Evaluation returns
-the entry values and entry gradients together (``OperatorEval``), which is
-exactly the data the coordinate torsion formula consumes. Entry Hessians
-are deliberately not part of the contract: entries are built as order-1
-jets (``Jet2`` with Hessian None), since derived families carry partial
-derivatives of a generating function inside their entries, and an order-2
-jet of the generator cannot supply entry second derivatives anyway. Entry
-values and gradients stay exact because jet value/gradient propagation
-never reads operand Hessians.
+An operator field is an n x n matrix of scalar fields. Its rule returns
+the whole matrix as one order-1 jet (``Jet2`` of batch (..., n, n) with
+Hessian None), and evaluation hands that jet's value and gradient on as
+entry values and entry gradients (``OperatorEval``), exactly the data the
+coordinate torsion formula consumes. Entry Hessians are deliberately not
+part of the contract: derived families carry partial derivatives of a
+generating function inside their entries, and an order-2 jet of the
+generator cannot supply entry second derivatives anyway. Entry values and
+gradients stay exact because jet value/gradient propagation never reads
+operand Hessians. A family built entry by entry writes its grid of entry
+jets and plain numbers into one matrix jet with ``_matrix_jet``.
 
 A family's entries are rational in one source: the 2-jet of its
 generating function f, or the stacked jets of its coefficient fields
@@ -19,12 +21,13 @@ entries given as expressions) has source None and ignores src.
 
 Points axis: every evaluation takes one point of shape (n,) or an array of
 points of shape (..., n), the leading axes being the batch shape. A scalar
-field returns a ``Jet2`` of that batch shape; ``operator_eval`` returns
-values (..., n, n) and entry gradients (..., n, n, n). Sources, rules and
-guards receive the whole array and answer for all of its points; a guard
-returns one margin per point. Jet evaluation raises numpy overflow and
-invalid operations as ``FloatingPointError`` (an ArithmeticError), so an
-overflowing point fails loudly instead of turning into inf.
+field returns a ``Jet2`` of that batch shape; a rule returns a matrix jet
+of batch shape (..., n, n), so ``operator_eval`` returns values (..., n, n)
+and entry gradients (..., n, n, n). Sources, rules and guards receive the
+whole array and answer for all of its points; a guard returns one margin
+per point. Jet evaluation raises numpy overflow and invalid operations as
+``FloatingPointError`` (an ArithmeticError), so an overflowing point fails
+loudly instead of turning into inf.
 
 Fiber jets: ``f(p, fiber=True)`` asks only for f, f_y and f_yy, what the
 Morse reduction reads. An expression field then differentiates along y
@@ -41,7 +44,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .jet import (Jet2, SingularPointError, _constant, broadcast_jet,
+from .jet import (Jet2, SingularPointError, _jet, broadcast_jet,
                   constant_jet)
 from .expr import Expr, evaluate, format_expression, parse_expression
 
@@ -51,7 +54,6 @@ __all__ = [
     "OperatorEval",
     "SingularEntry",
     "operator_eval",
-    "as_jet",
 ]
 
 # Floating-point policy of every jet evaluation: an overflow or an invalid
@@ -136,12 +138,17 @@ class ScalarField:
         return cls(lambda p: constant_jet(c, dim), dim, repr(float(c)))
 
 
-def as_jet(x, dim: int) -> Jet2:
-    """Coerce a matrix-rule entry (jet or plain number) to a jet; a plain
-    number becomes an order-1 constant."""
-    if isinstance(x, Jet2):
-        return x
-    return _constant(float(x), dim, order=1)
+def _matrix_jet(rows, p: np.ndarray) -> Jet2:
+    """The order-1 matrix jet, batch (..., n, n), of an n x n grid of entry
+    jets and plain numbers at the points p (..., n)."""
+    n = p.shape[-1]
+    values = np.empty(p.shape[:-1] + (n, n))
+    grads = np.empty(p.shape[:-1] + (n, n, n))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):   # a plain number has no gradient
+            values[..., i, j] = getattr(x, "value", x)
+            grads[..., i, j, :] = getattr(x, "gradient", 0.0)
+    return _jet(values, grads, None)
 
 
 @dataclass
@@ -163,17 +170,19 @@ class OperatorField:
 
     ``source(p)``, when present, evaluates what the entries are rational
     in at the points p (see the module docstring); ``source_at(p)`` is
-    None without one. ``matrix_rule(p, src)`` returns the full matrix of
-    entry jets at the points p from src = source_at(p), which lets
-    families share one jet evaluation of their generating function across
-    all entries; entries may be plain numbers. ``guard(p, src)``, when
+    None without one. ``matrix_rule(p, src)`` returns the operator at the
+    points p (..., n) from src = source_at(p) as one order-1 jet of batch
+    (..., n, n), which lets families share one jet evaluation of their
+    generating function across all entries; a rule that builds its entries
+    one by one, as jets or plain numbers, ends with ``_matrix_jet``. A
+    singular entry raises SingularEntry. ``guard(p, src)``, when
     present, returns a nonnegative margin per point read from src; sweeps
     reject points whose margin falls below their threshold before touching
     the entries (denominator about to vanish).
     """
 
     def __init__(self, dim: int,
-                 matrix_rule: Callable[[np.ndarray, Any], Sequence[Sequence]],
+                 matrix_rule: Callable[[np.ndarray, Any], Jet2],
                  label: str = "",
                  guard: Optional[Callable[[np.ndarray, Any], Any]] = None,
                  source: Optional[Callable[[np.ndarray], Any]] = None):
@@ -221,21 +230,9 @@ class OperatorField:
                     except SingularPointError as exc:
                         raise SingularEntry(i + 1, j + 1, p, exc) from exc
                 rows.append(cells)
-            return rows
+            return _matrix_jet(rows, p)
 
         return cls(n, rule, label=label, guard=guard and (lambda p, _: guard(p)))
-
-    def entries(self, p: Sequence[float], src=None) -> list:
-        """Evaluate all entry jets at the points p (shape (n,) or (..., n))
-        from src, the source at p, which is evaluated here when not given;
-        singular entries raise SingularEntry, and an error of a family's
-        generating function propagates as that function raised it."""
-        p = _points(p, self.dim, "operator")
-        with np.errstate(**JET_ERRSTATE):
-            if src is None:
-                src = self.source_at(p)
-            rows = self.matrix_rule(p, src)
-        return [[as_jet(x, self.dim) for x in row] for row in rows]
 
     def entry(self, i: int, j: int) -> ScalarField:
         """The (i, j) entry (1-based) as a standalone scalar field."""
@@ -244,7 +241,9 @@ class OperatorField:
             raise IndexError(f"entry index ({i},{j}) out of range for n={n}")
 
         def rule(p):
-            return self.entries(p)[i - 1][j - 1]
+            ev = operator_eval(self, p)
+            return _jet(ev.values[..., i - 1, j - 1][()],
+                        ev.entry_grads[..., i - 1, j - 1, :], None)
 
         return ScalarField(rule, n, label=f"{self.label}[{i},{j}]")
 
@@ -252,17 +251,13 @@ class OperatorField:
 def operator_eval(L: OperatorField, p: Sequence[float],
                   src=None) -> OperatorEval:
     """Evaluate L at the points p (shape (n,) or (..., n)) to entry values
-    (..., n, n) and entry gradients (..., n, n, n); src is L's source at p,
-    evaluated here when not given."""
-    p = np.asarray(p, dtype=float)
-    rows = L.entries(p, src)
-    n = L.dim
-    batch = p.shape[:-1]
-    values = np.empty(batch + (n, n))
-    grads = np.empty(batch + (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            jet = rows[i][j]
-            values[..., i, j] = jet.value
-            grads[..., i, j, :] = jet.gradient
-    return OperatorEval(point=p, values=values, entry_grads=grads)
+    (..., n, n) and entry gradients (..., n, n, n) from src, L's source at
+    p, which is evaluated here when not given. Singular entries raise
+    SingularEntry, and an error of a family's generating function
+    propagates as that function raised it."""
+    p = _points(p, L.dim, "operator")
+    with np.errstate(**JET_ERRSTATE):
+        if src is None:
+            src = L.source_at(p)
+        M = L.matrix_rule(p, src)
+    return OperatorEval(point=p, values=M.value, entry_grads=M.gradient)

@@ -52,8 +52,6 @@ exactly those and evaluate the rest again.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 __all__ = [
@@ -113,8 +111,6 @@ class DomainError(SingularPointError):
         self.mask = mask
         super().__init__(message)
 
-
-Scalar = Union[int, float, np.floating]
 
 # Operands a jet takes as plain constants, not coerced to constant jets
 # (np.float64 is a Python float too, so this test comes first).

@@ -153,6 +153,18 @@ class MorseData:
     iters: Union[int, np.ndarray]
 
 
+def _numerators(x, g, value) -> tuple:
+    """The quotient numerators of the regular family's last row, from the
+    base coordinates x (..., m), a gradient g (..., m) over them and a
+    value: sum_i x_i g_i - g_1 g_m - value, and g_(j-1) + g_j g_m for
+    j = 2..m (shape (..., m-1))."""
+    last = g[..., -1:]
+    # x . g as a matmul rounds as np.dot does; a sum or einsum does not
+    dot = (x[..., None, :] @ g[..., :, None])[..., 0, 0]
+    return (dot - g[..., 0] * last[..., 0] - value,
+            g[..., :-1] + g[..., 1:] * last)
+
+
 def smoothness_numerators(f: ScalarField, n: int,
                           p: Sequence[float]) -> FractionDiagnostic:
     """Classify the points p (..., n) as regular /
@@ -170,13 +182,9 @@ def smoothness_numerators(f: ScalarField, n: int,
     p = np.asarray(p, dtype=float)
     fj = f(p)
     g = fj.gradient
-    fx, fy = g[..., :n - 1], g[..., n - 1]
-    last = fx[..., n - 2:]
-    # x . f_x as a matmul rounds as np.dot does; a sum or einsum does not
-    dot = (p[..., None, :n - 1] @ fx[..., :, None])[..., 0, 0]
-    n0 = dot - fx[..., 0] * last[..., 0] - fj.value
-    numerators = np.concatenate(
-        [n0[..., None], fx[..., :n - 2] + fx[..., 1:] * last], axis=-1)
+    fy = g[..., n - 1]
+    n0, chain = _numerators(p[..., :n - 1], g[..., :n - 1], fj.value)
+    numerators = np.concatenate([n0[..., None], chain], axis=-1)
     scale = 1.0 + np.abs(fj.value) + np.max(np.abs(g), axis=-1)
     obstructed = np.any(np.abs(numerators) > TOL_NUM * scale[..., None],
                         axis=-1)
@@ -213,7 +221,11 @@ def remainder_from_expression(text: str, n: int) -> ScalarField:
 
 
 def pde_residuals(R: ScalarField, n: int, x) -> PdeResiduals:
-    """Evaluate the remainder system for R(x_1..x_(n-1)) at x (..., n-1)."""
+    """Evaluate the remainder system for R(x_1..x_(n-1)) at x (..., n-1).
+
+    The system is the vanishing of R's quotient numerators: r0 and chain
+    are ``smoothness_numerators``' formulas with R and its gradient in
+    place of f and f_x."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     m = n - 1
@@ -224,10 +236,7 @@ def pde_residuals(R: ScalarField, n: int, x) -> PdeResiduals:
     jet = R(x)
     g = jet.gradient
     last = g[..., m - 1:]
-    # x . g as a matmul rounds as np.dot does; a sum or einsum does not
-    dot = (x[..., None, :] @ g[..., :, None])[..., 0, 0]
-    r0 = dot - g[..., 0] * last[..., 0] - jet.value
-    chain = g[..., :m - 1] + g[..., 1:] * last
+    r0, chain = _numerators(x, g, jet.value)
     # (-R_(n-1))^i by Python's float pow: numpy's power rounds differently
     powers = np.arange(2, m + 1)
     neg_last_pow = ((-last).astype(object) ** powers).astype(float)
@@ -372,7 +381,9 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
 
     The box covers all n axes; the grid runs over x1..x(n-1), y in C
     order through run_sweep, which reduces, straightens and measures each
-    chunk; every step reads f's fiber jet only. Reduction failures and
+    chunk; every step reads f's fiber jet only. The defect is gated
+    relative to 1 + max(|f|, |sign * ytilde^2|, |R|), the size of its
+    terms, so a large f does not fail on rounding. Reduction failures and
     f's errors propagate as plain ArithmeticErrors with the same text:
     they are errors of the input, not sample rejections. The worst point
     is the first grid point of largest defect; the records hold every grid
@@ -395,11 +406,12 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
                     defect(ev, P[:first], src)
                 raise
             ytil = morse_coordinate(f, data, P[:, -1])
-            raw = np.abs(f(P, fiber=True).value
-                         - (data.sign * ytil * ytil + data.R))
+            fv = f(P, fiber=True).value
+            quad = data.sign * ytil * ytil
         except SingularPointError as exc:
             raise ArithmeticError(str(exc)) from exc
-        return raw, 1.0
+        return (np.abs(fv - (quad + data.R)),
+                1.0 + np.max(np.abs([fv, quad, data.R]), axis=0))
 
     return run_sweep(
         points, [Identity("normal_form", "normal_form_defect", tol, defect)],
@@ -408,21 +420,20 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
                 "y0": y0})[0]
 
 
-def morse_remainder_field(f: ScalarField, n: int,
-                          y0: float = 0.0) -> ScalarField:
+def morse_remainder_field(f: ScalarField, n: int) -> ScalarField:
     """The remainder R(x) = f(x, c(x)) as a scalar field over the base.
 
     Gradient and Hessian follow from implicit differentiation of
     f_y(x, c(x)) = 0: dR/dx_i = f_xi(x, c), and the Hessian picks up the
     rank-one correction -f_xy f_xy^T / f_yy. Every evaluation runs its own
-    Newton reduction from the same fixed seed, keeping the field pure.
+    Newton reduction from the fixed seed y0 = 0, keeping the field pure.
     """
     if f.dim != n:
         raise ValueError(f"f has dimension {f.dim}, expected {n}")
     m = n - 1
 
     def rule(x):
-        data = morse_reduce(f, n, x, y0=y0)
+        data = morse_reduce(f, n, x)
         jet = f(np.concatenate([x, np.expand_dims(data.c, -1)], axis=-1))
         cross = jet.hessian[..., :m, m]
         cgrad = -cross / np.expand_dims(data.fyy, -1)

@@ -570,6 +570,16 @@ def test_morse_reduction_ignores_an_overflow_along_x(capsys, where):
     assert code == 0 and "error" not in doc
 
 
+def test_normal_form_defect_is_gated_relative_to_the_size_of_f(capsys):
+    # f is about 1.1e305 at (-1, 1/3), where the absolute defect is 1.95e289
+    # from rounding alone: relative to f's size it is about 2.4e-16
+    code, doc = invoke_json(capsys, "morse-reduce", "--f", OVERFLOW_IN_X,
+                            "--n", "2", "--box", "-1", "1", "--samples", "4")
+    assert code == 0 and doc["pass"] is True
+    assert doc["max_residual"] > 1e289
+    assert doc["checks"][0]["max"] < 1e-15
+
+
 def test_remainder_system_still_fails_on_an_overflow_along_x(capsys):
     code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
                             "--n", "2", "--f", OVERFLOW_IN_X,
