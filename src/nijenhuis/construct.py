@@ -149,32 +149,31 @@ def build_companion(sigma: Sequence[ScalarField]) -> OperatorField:
 def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
     """Operator field J^(-1) Ltilde J from n coefficient fields.
 
-    Evaluation checks |det J| >= n * EPS_DET_PER_DIM at each point and
-    raises DegeneratePointError below that, or where the jet inverse of J
-    finds no usable pivot or cannot divide a pivot row by it. The
-    conjugation is carried out in jet arithmetic so entry gradients come
-    out exact; J and Ltilde are order-1 jets, so the conjugation carries no
-    Hessians (an entry's second derivatives would need third derivatives
-    of the coefficients, and nothing downstream reads them). J's values are
-    the coefficient gradients and its gradients the coefficient Hessians.
-    J and Ltilde are stacks of jet matrices, one per point, and the pivoted
-    jet inverse and both products run on the whole batch at once.
+    J's values are the coefficient gradients and its gradients the
+    coefficient Hessians. One pivoted elimination of J per chunk gives
+    J^(-1) and det J (`invert_with_det`); evaluation raises
+    DegeneratePointError where it finds no usable pivot or cannot divide a
+    pivot row by it (the message's det J then comes from `plu_det`), and
+    where |det J| < n * EPS_DET_PER_DIM. Both products run on the whole
+    batch at once (`matmul`). J and Ltilde are order-1 jets, so the entry
+    gradients come in closed form and no Hessian is formed (an entry's
+    second derivatives would need third derivatives of the coefficients,
+    and nothing downstream reads them).
     """
     sigma = list(sigma)
     n = _check_sigma(sigma)
 
     def rule(p, sj):
-        det = plu_det(sj.gradient)
-        bad = np.abs(det) < EPS_DET_PER_DIM * n
-        if bad.any():
-            raise DegeneratePointError(p, det, mask=bad)
         J = _jet(sj.gradient, sj.hessian, None)
-        Ltilde = _companion_jets(sj)
         try:
-            Jinv, _ = invert_with_det(J)
+            Jinv, det = invert_with_det(J)
         except (NumericallySingular, DenominatorVanishes) as exc:
-            raise DegeneratePointError(p, det, mask=exc.mask) from None
-        return matmul(Jinv, matmul(Ltilde, J))
+            raise DegeneratePointError(p, plu_det(sj.gradient),
+                                       mask=exc.mask) from None
+        bad = np.abs(det.value) < EPS_DET_PER_DIM * n
+        if bad.any():
+            raise DegeneratePointError(p, det.value, mask=bad)
+        return matmul(Jinv, matmul(_companion_jets(sj), J))
 
     return OperatorField(n, rule, label="diffnondeg",
                          source=_sigma_source(sigma))

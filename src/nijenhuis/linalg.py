@@ -1,24 +1,24 @@
-"""Small dense matrix routines: partial-pivot elimination over floats or jets.
+"""Small dense matrix routines: partial-pivot elimination on float stacks.
 
 These matrices are tiny (n <= 10 or so), so a straightforward Gauss-Jordan
 with partial pivoting is both fast enough and easy to audit. Every routine
 takes a stack of matrices (..., n, n), one per point, and eliminates all of
-them at once: each matrix gets its own pivots, so its result is bit for bit
-the one it gets on its own. The float determinant also serves as an
-independent cross-check for the recursive characteristic-polynomial
-coefficients: two unrelated algorithms must agree on det before a result
-is trusted.
+them at once: each matrix gets its own pivots, and every sum runs in a fixed
+order, so its result is bit for bit the one it gets on its own.
+`invert_with_det` and `matmul` take order-1 matrix jets (value and
+gradient): they work on the values as floats, and the gradients come in
+closed form. The float determinant also serves as an independent
+cross-check for the recursive characteristic-polynomial coefficients: two
+unrelated algorithms must agree on det before a result is trusted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jet import DenominatorVanishes, Jet2, _jet, _zeros
+from .jet import DenominatorVanishes, Jet2, _jet, divide
 
 __all__ = ["plu_det", "invert_with_det", "matmul", "NumericallySingular"]
-
-_ALL = slice(None)
 
 
 class NumericallySingular(ArithmeticError):
@@ -58,100 +58,99 @@ def plu_det(M: np.ndarray):
             det[swap] = -det[swap]
         pivot = np.where(dead, 1.0, a[:, k, k])
         det *= pivot
-        for r in range(k + 1, n):
-            a[:, r, k:] -= (a[:, r, k] / pivot)[:, None] * a[:, k, k:]
+        a[:, k + 1:, k:] -= ((a[:, k + 1:, k] / pivot[:, None])[..., None]
+                             * a[:, k, None, k:])
     det[dead] = 0.0
     return det.reshape(batch)[()]
 
 
-def _take(a: Jet2, rows, cols) -> Jet2:
-    """A stack of matrix jets indexed on its two trailing (matrix) axes."""
-    idx = (Ellipsis, rows, cols)
-    h = a.hessian
-    return _jet(a.value[idx], a.gradient[idx + (_ALL,)],
-                None if h is None else h[idx + (_ALL, _ALL)])
+def _value(A: Jet2) -> np.ndarray:
+    """The values of an order-1 matrix jet; an order-2 jet raises."""
+    if A.hessian is not None:
+        raise ValueError("the jet matrix routines take order-1 jets")
+    return A.value
 
 
-def _reshape(a: Jet2, batch: tuple) -> Jet2:
-    """The jet with its batch axes reshaped to `batch`."""
-    n, h = a.dim, a.hessian
-    return _jet(a.value.reshape(batch)[()], a.gradient.reshape(batch + (n,)),
-                None if h is None else h.reshape(batch + (n, n)))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked products: sum over k of a[..., i, k, :] * b[..., k, j, :],
+    added from k = 0 up, so a matrix's result does not depend on its stack.
+
+    The trailing axis is a gradient axis, or of length 1 (and broadcast)
+    on a value.
+    """
+    acc = a[..., :, 0, None, :] * b[..., None, 0, :, :]
+    for k in range(1, a.shape[-2]):
+        acc = acc + a[..., :, k, None, :] * b[..., None, k, :, :]
+    return acc
 
 
 def invert_with_det(A: Jet2):
-    """Gauss-Jordan inverse with partial pivoting of a stack of jet matrices.
+    """Gauss-Jordan inverse with partial pivoting of a stack of matrix jets.
 
-    A is a jet of batch shape (..., n, n): one n x n matrix per point.
-    Every matrix is eliminated with its own pivots, the first row of
-    largest |value| down the column, exactly as it would be alone; all
-    derivatives come from the jet product and quotient rules, at A's order
-    (an order-1 A carries no Hessians through the elimination). Returns
-    (inverse, det), jets of batch shapes (..., n, n) and (...). Raises
-    NumericallySingular when a matrix's best pivot is zero, and
-    DenominatorVanishes when a pivot row cannot be divided by its pivot;
-    either error's mask marks the failing matrices.
+    A is an order-1 jet of batch shape (..., n, n): one n x n matrix per
+    point. Every matrix's values are eliminated as floats with its own
+    pivots, the first row of largest |value| down the column, exactly as it
+    would be alone, and det is the signed product of those pivots. The
+    gradients come in closed form: d(A^-1) = -A^-1 dA A^-1 and
+    d det = det tr(A^-1 dA). Returns (inverse, det), order-1 jets of batch
+    shapes (..., n, n) and (...). Raises NumericallySingular when a
+    matrix's best pivot is zero, and DenominatorVanishes when a pivot row
+    cannot be divided by its pivot (`jet.divide`'s test); either error's
+    mask marks the failing matrices. An order-2 A raises ValueError.
     """
-    shape = np.shape(A.value)
+    value = _value(A)
+    shape = np.shape(value)
     if len(shape) < 2 or shape[-2] != shape[-1]:
         raise ValueError("matrix must be square")
     n, batch = shape[-1], shape[:-2]
-    a = _reshape(A, (-1, n, n))
-    stack = np.arange(a.value.shape[0])
-    eye = np.broadcast_to(np.eye(n), a.value.shape)
-    # the augmented matrix [A | I]; the identity's derivatives are zero
-    h = a.hessian
-    a = _jet(np.concatenate([a.value, eye], axis=-1),
-             np.concatenate([a.gradient, np.zeros_like(a.gradient)], axis=-2),
-             None if h is None else
-             np.concatenate([h, _zeros(h.shape)], axis=-3))
-    # a row swap negates det; negation commutes exactly with the products,
-    # so the signs are applied once at the end
-    sign = np.ones((stack.size, 1, 1))
-    det = 1.0
+    a = value.reshape(-1, n, n)
+    # the augmented matrix [A | I]
+    a = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=-1)
+    det = np.ones(a.shape[0])
     for k in range(n):
-        mag = np.abs(a.value[:, k:, k])
-        piv = np.argmax(mag, axis=1)
-        best = mag[stack, piv]
+        mag = np.abs(a[:, k:, k])
+        best = mag.max(axis=1)
         bad = best <= 0.0
         if bad.any():
             raise NumericallySingular(best[bad][0], mask=bad.reshape(batch))
-        piv += k
-        swap = piv != k
-        if swap.any():
-            perm = np.tile(np.arange(n), (stack.size, 1))
-            perm[:, k] = piv
-            perm[stack, piv] = k
-            a = a.at((stack[:, None], perm))
-            sign[swap] = -sign[swap]
-        pivot = _take(a, slice(k, k + 1), slice(k, k + 1))
-        det = det * pivot
+        piv = k + np.argmax(mag, axis=1)
+        swap = np.flatnonzero(piv != k)
+        if swap.size:
+            rows = a[swap, k].copy()
+            a[swap, k] = a[swap, piv[swap]]
+            a[swap, piv[swap]] = rows
+            det[swap] = -det[swap]
+        pivot = a[:, k, k, None]
+        det *= pivot[:, 0]
         try:
-            row = _take(a, slice(k, k + 1), _ALL) / pivot
+            row = divide(a[:, k], pivot)
         except DenominatorVanishes as exc:
             raise DenominatorVanishes(
-                exc.denominator,
-                mask=exc.mask.any(axis=(-2, -1)).reshape(batch),
+                exc.denominator, mask=exc.mask.any(axis=-1).reshape(batch),
                 numerator=exc.numerator) from None
         # every other row r becomes a[r] - a[r, k] * row; row k becomes row
-        a = a - _take(a, _ALL, slice(k, k + 1)) * row
-        a.value[:, k] = row.value[:, 0]
-        a.gradient[:, k] = row.gradient[:, 0]
-        if a.hessian is not None:
-            a.hessian[:, k] = row.hessian[:, 0]
-    det = det * Jet2(sign, np.zeros(sign.shape + (A.dim,)))
-    return (_reshape(_take(a, _ALL, slice(n, None)), batch + (n, n)),
-            _reshape(det, batch))
+        a -= a[:, :, k, None] * row[:, None, :]
+        a[:, k] = row
+    inv = a[:, :, n:]
+    m = A.gradient.shape[-1]
+    dA_inv = _dot(A.gradient.reshape(-1, n, n, m), inv[..., None])
+    trace = dA_inv[:, 0, 0]
+    for i in range(1, n):
+        trace = trace + dA_inv[:, i, i]
+    return (_jet(inv.reshape(batch + (n, n)),
+                 -_dot(inv[..., None], dA_inv).reshape(batch + (n, n, m)),
+                 None),
+            _jet(det.reshape(batch)[()],
+                 (det[:, None] * trace).reshape(batch + (m,)), None))
 
 
 def matmul(A: Jet2, B: Jet2) -> Jet2:
-    """Product of two stacks of square jet matrices, batch (..., n, n).
+    """Product of two stacks of square order-1 matrix jets, batch (..., n, n).
 
-    Entry (i, j) adds A[i, k] * B[k, j] over k = 0..n-1 from left to right.
+    Entry (i, j) adds A[i, k] * B[k, j] over k = 0..n-1 from left to right;
+    its gradient is dA B + A dB, each summed the same way. An order-2
+    operand raises ValueError.
     """
-    n = A.value.shape[-1]
-    acc = _take(A, _ALL, slice(0, 1)) * _take(B, slice(0, 1), _ALL)
-    for k in range(1, n):
-        acc = acc + (_take(A, _ALL, slice(k, k + 1))
-                     * _take(B, slice(k, k + 1), _ALL))
-    return acc
+    a, b = _value(A)[..., None], _value(B)[..., None]
+    return _jet(_dot(a, b)[..., 0],
+                _dot(A.gradient, b) + _dot(a, B.gradient), None)

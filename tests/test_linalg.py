@@ -1,7 +1,9 @@
-"""Dense elimination kernels cross-checked against numpy.
+"""Dense elimination kernels cross-checked against numpy and references.
 
-invert_with_det and matmul take stacks of jet matrices, batch (..., n, n);
-float matrices enter as jets with zero gradient.
+invert_with_det and matmul take stacks of order-1 jet matrices, batch
+(..., n, n); float matrices enter as jets with zero gradient. The jet
+Gauss-Jordan and jet product that they replace, and plu_det's row loop,
+are kept below as references.
 """
 
 import numpy as np
@@ -9,23 +11,130 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nijenhuis.jet import DenominatorVanishes, Jet2, constant_jet, coordinate_jet
+from nijenhuis.jet import (DenominatorVanishes, Jet2, _jet, _zeros,
+                           constant_jet, coordinate_jet)
 from nijenhuis.linalg import NumericallySingular, invert_with_det, matmul, plu_det
 
 SEED = 4242
 
+_ALL = slice(None)
+
+
+# -- references: the jet Gauss-Jordan, the jet product, plu_det's loop -----
+
+def _take(a: Jet2, rows, cols) -> Jet2:
+    """A stack of matrix jets indexed on its two trailing (matrix) axes."""
+    idx = (Ellipsis, rows, cols)
+    h = a.hessian
+    return _jet(a.value[idx], a.gradient[idx + (_ALL,)],
+                None if h is None else h[idx + (_ALL, _ALL)])
+
+
+def _reshape(a: Jet2, batch: tuple) -> Jet2:
+    """The jet with its batch axes reshaped to `batch`."""
+    n, h = a.dim, a.hessian
+    return _jet(a.value.reshape(batch)[()], a.gradient.reshape(batch + (n,)),
+                None if h is None else h.reshape(batch + (n, n)))
+
+
+def reference_invert_with_det(A: Jet2):
+    """Gauss-Jordan inverse of a stack of jet matrices in jet arithmetic,
+    one elimination step at a time; returns (inverse, det) jets."""
+    shape = np.shape(A.value)
+    n, batch = shape[-1], shape[:-2]
+    a = _reshape(A, (-1, n, n))
+    stack = np.arange(a.value.shape[0])
+    eye = np.broadcast_to(np.eye(n), a.value.shape)
+    h = a.hessian
+    a = _jet(np.concatenate([a.value, eye], axis=-1),
+             np.concatenate([a.gradient, np.zeros_like(a.gradient)], axis=-2),
+             None if h is None else
+             np.concatenate([h, _zeros(h.shape)], axis=-3))
+    sign = np.ones((stack.size, 1, 1))
+    det = 1.0
+    for k in range(n):
+        mag = np.abs(a.value[:, k:, k])
+        piv = np.argmax(mag, axis=1)
+        best = mag[stack, piv]
+        bad = best <= 0.0
+        if bad.any():
+            raise NumericallySingular(best[bad][0], mask=bad.reshape(batch))
+        piv += k
+        swap = piv != k
+        if swap.any():
+            perm = np.tile(np.arange(n), (stack.size, 1))
+            perm[:, k] = piv
+            perm[stack, piv] = k
+            a = a.at((stack[:, None], perm))
+            sign[swap] = -sign[swap]
+        pivot = _take(a, slice(k, k + 1), slice(k, k + 1))
+        det = det * pivot
+        try:
+            row = _take(a, slice(k, k + 1), _ALL) / pivot
+        except DenominatorVanishes as exc:
+            raise DenominatorVanishes(
+                exc.denominator,
+                mask=exc.mask.any(axis=(-2, -1)).reshape(batch),
+                numerator=exc.numerator) from None
+        a = a - _take(a, _ALL, slice(k, k + 1)) * row
+        a.value[:, k] = row.value[:, 0]
+        a.gradient[:, k] = row.gradient[:, 0]
+        if a.hessian is not None:
+            a.hessian[:, k] = row.hessian[:, 0]
+    det = det * Jet2(sign, np.zeros(sign.shape + (A.dim,)))
+    return (_reshape(_take(a, _ALL, slice(n, None)), batch + (n, n)),
+            _reshape(det, batch))
+
+
+def reference_matmul(A: Jet2, B: Jet2) -> Jet2:
+    """The jet product of two stacks of jet matrices, k from 0 up."""
+    n = A.value.shape[-1]
+    acc = _take(A, _ALL, slice(0, 1)) * _take(B, slice(0, 1), _ALL)
+    for k in range(1, n):
+        acc = acc + (_take(A, _ALL, slice(k, k + 1))
+                     * _take(B, slice(k, k + 1), _ALL))
+    return acc
+
+
+def reference_plu_det(M: np.ndarray):
+    """plu_det with its row updates one row at a time."""
+    M = np.asarray(M, dtype=float)
+    n, batch = M.shape[-1], M.shape[:-2]
+    a = M.reshape(-1, n, n).copy()
+    stack = np.arange(a.shape[0])
+    det = np.ones(a.shape[0])
+    dead = np.zeros(a.shape[0], dtype=bool)
+    for k in range(n):
+        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        dead |= a[stack, piv, k] == 0.0
+        swap = np.flatnonzero(piv != k)
+        if swap.size:
+            rows = a[swap, k].copy()
+            a[swap, k] = a[swap, piv[swap]]
+            a[swap, piv[swap]] = rows
+            det[swap] = -det[swap]
+        pivot = np.where(dead, 1.0, a[:, k, k])
+        det *= pivot
+        for r in range(k + 1, n):
+            a[:, r, k:] -= (a[:, r, k] / pivot)[:, None] * a[:, k, k:]
+    det[dead] = 0.0
+    return det.reshape(batch)[()]
+
+
+# -- helpers ---------------------------------------------------------------
 
 def float_jets(M):
-    """Float matrices (..., n, n) as jets of one variable with zero gradient."""
+    """Float matrices (..., n, n) as order-1 jets of one variable with zero
+    gradient."""
     M = np.asarray(M, dtype=float)
-    return Jet2(M, np.zeros(M.shape + (1,)))
+    return _jet(M, np.zeros(M.shape + (1,)), None)
 
 
 def stack(rows):
-    """One jet of batch (n, n) from an n x n grid of single-point jets."""
-    return Jet2(np.array([[c.value for c in row] for row in rows]),
-                np.array([[c.gradient for c in row] for row in rows]),
-                np.array([[c.hessian for c in row] for row in rows]))
+    """One order-1 jet of batch (n, n) from an n x n grid of single-point
+    jets."""
+    return _jet(np.array([[c.value for c in row] for row in rows]),
+                np.array([[c.gradient for c in row] for row in rows]), None)
 
 
 def same_bits(a, b) -> bool:
@@ -50,6 +159,17 @@ def test_det_matches_numpy_on_random_matrices():
             assert plu_det(M) == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_plu_det_matches_its_row_loop_bit_for_bit(n, size, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-2.0, 2.0, size=(size, n, n))
+    M[0, :, 0] = 0.0             # a zero column: det is exactly 0
+    if size > 1:
+        M[1, -1] = M[1, 0]       # two equal rows
+    assert same_bits(plu_det(M), reference_plu_det(M))
+
+
 def test_float_inverse_matches_numpy():
     rng = np.random.default_rng(SEED + 1)
     for n in (2, 3, 4, 5):
@@ -65,24 +185,49 @@ def test_inverse_rejects_singular():
         invert_with_det(float_jets([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def _same_error(A, kind):
+    """invert_with_det(A) raises kind as the reference does: same message
+    and mask; returns the error."""
+    with pytest.raises(kind) as err:
+        invert_with_det(A)
+    with pytest.raises(kind) as ref:
+        reference_invert_with_det(A)
+    assert str(err.value) == str(ref.value)
+    assert same_bits(err.value.mask, ref.value.mask)
+    return err.value
+
+
 def test_inverse_masks_the_failing_matrices_of_a_stack():
     M = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], 2.0 * np.eye(2)])
-    with pytest.raises(NumericallySingular) as err:
-        invert_with_det(float_jets(M))
-    assert err.value.mask.tolist() == [False, True, False]
+    err = _same_error(float_jets(M), NumericallySingular)
+    assert err.mask.tolist() == [False, True, False]
     # a pivot row that cannot be divided by its pivot: mask of batch shape
     M[1] = [[1e-13, 1.0], [0.0, 1e-13]]
-    with pytest.raises(DenominatorVanishes) as err:
-        invert_with_det(float_jets(M))
-    assert err.value.mask.tolist() == [False, True, False]
-    with pytest.raises(DenominatorVanishes) as err:
-        invert_with_det(float_jets(M[1]))
-    assert err.value.mask.shape == ()
+    err = _same_error(float_jets(M), DenominatorVanishes)
+    assert err.mask.tolist() == [False, True, False]
+    err = _same_error(float_jets(M[1]), DenominatorVanishes)
+    assert err.mask.shape == ()
+    # tiny beside its numerator: J of the sigma-fields (x1, 1e4*x1 + y^3/3)
+    # at y = 5e-5
+    err = _same_error(float_jets([[1.0, 0.0], [1e4, 2.5e-9]]),
+                      DenominatorVanishes)
+    assert err.mask.shape == ()
+
+
+def test_order_2_jets_are_refused():
+    M = np.eye(2) + 0.5
+    A = Jet2(M, np.zeros(M.shape + (1,)))    # the constructor builds order 2
+    with pytest.raises(ValueError, match="order-1"):
+        invert_with_det(A)
+    with pytest.raises(ValueError, match="order-1"):
+        matmul(A, float_jets(M))
+    with pytest.raises(ValueError, match="order-1"):
+        matmul(float_jets(M), A)
 
 
 def jet_matrix(p):
-    x = coordinate_jet(1, p)
-    y = coordinate_jet(2, p)
+    x = coordinate_jet(1, p, order=1)
+    y = coordinate_jet(2, p, order=1)
     one = constant_jet(1.0, 2)
     return stack([[x * y + 2.0, y], [one, x + 3.0]])
 
@@ -94,7 +239,6 @@ def assert_identity_jet(prod, n):
             assert abs(prod.value[i, j] - target) < 1e-14
             # derivatives of the identity vanish
             assert np.max(np.abs(prod.gradient[i, j])) < 1e-13
-            assert np.max(np.abs(prod.hessian[i, j])) < 1e-13
 
 
 def test_jet_inverse_times_matrix_is_identity_jet():
@@ -108,8 +252,8 @@ def test_zero_valued_entry_keeps_its_gradient():
     # the entry x has value 0 at x = 0 but gradient 1: the elimination
     # must not skip the row update it multiplies
     p = np.array([0.0, 0.5])
-    x = coordinate_jet(1, p)
-    y = coordinate_jet(2, p)
+    x = coordinate_jet(1, p, order=1)
+    y = coordinate_jet(2, p, order=1)
     A = stack([[y + 2.0, y * y], [x, x + 3.0]])
     inv, _ = invert_with_det(A)
     assert_identity_jet(matmul(inv, A), 2)
@@ -125,19 +269,25 @@ def test_jet_inverse_det_matches_value_path():
 
 
 def test_jet_inverse_gradient_against_finite_differences():
-    # d/dp of inv(A)[0][0] via central differences on the value path
+    # d/dp of inv(A)[0][0] and of det A via central differences on the
+    # value path
     h = 1e-6
     p = np.array([0.3, 0.9])
 
     def inv00(q):
         return np.linalg.inv(jet_matrix(q).value)[0, 0]
 
-    inv, _ = invert_with_det(jet_matrix(p))
+    def det(q):
+        return np.linalg.det(jet_matrix(q).value)
+
+    inv, d = invert_with_det(jet_matrix(p))
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
         fd = (inv00(p + e) - inv00(p - e)) / (2 * h)
         assert inv.gradient[0, 0, i] == pytest.approx(fd, abs=5e-9)
+        fd = (det(p + e) - det(p - e)) / (2 * h)
+        assert d.gradient[i] == pytest.approx(fd, abs=5e-9)
 
 
 def test_matmul_matches_numpy():
@@ -150,19 +300,20 @@ def test_matmul_matches_numpy():
 
 @st.composite
 def jet_stacks(draw):
-    """Well-conditioned jet matrices (B, n, n) whose rows are permuted per
-    point, so that some points swap rows at a step and others do not."""
-    n = draw(st.integers(2, 5))
+    """Well-conditioned order-1 jet matrices (B, n, n) whose rows are
+    permuted per point, so that some points swap rows at a step and others
+    do not."""
+    n = draw(st.integers(2, 8))
     size = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    value = rng.uniform(-0.5, 0.5, size=(size, n, n)) + 3.0 * np.eye(n)
+    value = rng.uniform(-0.5, 0.5, size=(size, n, n)) + n * np.eye(n)
     value[1] = value[1, ::-1]    # swaps at step 0, where point 0 does not
     for b in range(2, size):
         if draw(st.booleans()):
             value[b] = value[b, rng.permutation(n)]
-    gradient = rng.uniform(-1.0, 1.0, size=(size, n, n, 2))
-    hessian = rng.uniform(-1.0, 1.0, size=(size, n, n, 2, 2))
-    return Jet2(value, gradient, hessian)
+    gradient = rng.uniform(-1.0, 1.0, size=(size, n, n, dim))
+    return _jet(value, gradient, None)
 
 
 @settings(max_examples=100, deadline=None,
@@ -175,8 +326,40 @@ def test_stack_matches_each_matrix_alone_bit_for_bit(A):
         inv1, det1 = invert_with_det(alone)
         for batched, single in ((inv.value[b], inv1.value[0]),
                                 (inv.gradient[b], inv1.gradient[0]),
-                                (inv.hessian[b], inv1.hessian[0]),
                                 (det.value[b], det1.value[0]),
-                                (det.gradient[b], det1.gradient[0]),
-                                (det.hessian[b], det1.hessian[0])):
+                                (det.gradient[b], det1.gradient[0])):
             assert same_bits(batched, single)
+
+
+def _close(new, ref, bound):
+    """new agrees with ref to 1e-12 relative to bound, entry by entry: the
+    largest magnitude that the terms of ref's closed form can have."""
+    return np.all(np.abs(new - ref) <= 1e-12 * bound)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(jet_stacks(), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_matches_the_jet_elimination(A, seed):
+    # values are the reference's bit for bit; gradients agree to 1e-12
+    inv, det = invert_with_det(A)
+    ref_inv, ref_det = reference_invert_with_det(A)
+    assert same_bits(inv.value, ref_inv.value)
+    assert same_bits(det.value, ref_det.value)
+    a, da = np.abs(inv.value), np.abs(A.gradient)
+    assert _close(inv.gradient, ref_inv.gradient,
+                  np.einsum("bik,bklm,blj->bijm", a, da, a))
+    trace = np.einsum("bik,bkim->bm", a, da)
+    assert _close(det.gradient, ref_det.gradient,
+                  np.abs(det.value)[:, None] * trace)
+    rng = np.random.default_rng(seed)
+    B = _jet(rng.uniform(-1.0, 1.0, size=A.value.shape),
+             rng.uniform(-1.0, 1.0, size=A.gradient.shape), None)
+    for X, Y in ((inv, A), (A, B), (B, inv)):
+        prod, ref = matmul(X, Y), reference_matmul(X, Y)
+        assert same_bits(prod.value, ref.value)
+        x, dx, y, dy = (np.abs(v) for v in (X.value, X.gradient,
+                                            Y.value, Y.gradient))
+        assert _close(prod.gradient, ref.gradient,
+                      np.einsum("bikm,bkj->bijm", dx, y)
+                      + np.einsum("bik,bkjm->bijm", x, dy))
