@@ -18,10 +18,8 @@ from .construct import (DegeneratePointError, companion_matrix,
                         build_companion, build_diff_nondegenerate, build_2d,
                         build_regular_family, build_morse_canonical,
                         conjugation_residual)
-from .torsion import (torsion_coordinate, torsion_bracket_fd,
-                      verify_zero_torsion)
-from .invariants import (charpoly, coordinate_sigma, verify_sigma_coords,
-                         verify_sigma_fields)
+from .torsion import torsion_from_eval, torsion_bracket_fd
+from .invariants import charpoly, coordinate_sigma
 from .singularity import (FractionDiagnostic, PdeResiduals, MorseData,
                           NonMorseError, NewtonDivergenceError,
                           smoothness_numerators, remainder_from_expression,
@@ -43,9 +41,8 @@ __all__ = [
     "DegeneratePointError", "companion_matrix", "build_companion",
     "build_diff_nondegenerate", "build_2d", "build_regular_family",
     "build_morse_canonical", "conjugation_residual",
-    "torsion_coordinate", "torsion_bracket_fd", "verify_zero_torsion",
-    "charpoly", "coordinate_sigma", "verify_sigma_coords",
-    "verify_sigma_fields",
+    "torsion_from_eval", "torsion_bracket_fd",
+    "charpoly", "coordinate_sigma",
     "FractionDiagnostic", "PdeResiduals", "MorseData", "NonMorseError",
     "NewtonDivergenceError", "smoothness_numerators",
     "remainder_from_expression", "pde_residuals",

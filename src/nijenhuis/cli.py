@@ -36,7 +36,8 @@ from .invariants import charpoly, coordinate_sigma, sigma_identity
 from .singularity import (morse_reduce, morse_remainder_field,
                           remainder_from_expression, smoothness_numerators,
                           verify_morse_normal_form, verify_pde)
-from .report import Identity, Reports, normalize_box, sample_box, run_sweep
+from .report import (Identity, entry_scale, normalize_box, sample_box,
+                     run_sweep)
 
 __all__ = ["main", "run", "UsageError"]
 
@@ -388,6 +389,25 @@ def _payload(subject: str, **fields) -> dict:
     return {"schema": 1, "subject": subject, **fields}
 
 
+def _sweep_payload(subject: str, params: dict, reports) -> dict:
+    """The payload of a sweep's reports: counts summed, the largest raw
+    residual, every check, pass iff all passed, and the worst point of the
+    first report with the largest gate max (a NaN gate max never wins)."""
+    worst_rel, worst_point = -1.0, None
+    for rep in reports:
+        if rep.checks[0].max > worst_rel:
+            worst_rel, worst_point = rep.checks[0].max, rep.worst_point
+    return _payload(
+        subject, params=params,
+        accepted=sum(r.accepted for r in reports),
+        rejected=sum(r.rejected for r in reports),
+        max_residual=max(r.max_residual for r in reports),
+        worst_point=None if worst_point is None else worst_point.tolist(),
+        checks=[{"name": c.name, "max": c.max, "pass": c.passed}
+                for r in reports for c in r.checks],
+        **{"pass": all(r.passed for r in reports)})
+
+
 def _records(**arrays) -> list:
     """One dict per point from arrays along a leading points axis."""
     return [dict(zip(arrays, values))
@@ -493,7 +513,7 @@ def handle_torsion(args) -> _Report:
 
     ev, N, Nfd = _evaluate(P, evaluate, per_point)
     raw = np.max(np.abs(N), axis=(-3, -2, -1))
-    scale = 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
+    scale = entry_scale(ev.values)
     rel = raw / scale
     # the components N^i_jk with j < k above 1e-13 * scale, in C order
     keep = ((np.abs(N) > 1e-13 * scale[:, None, None, None])
@@ -572,13 +592,13 @@ def handle_verify(args) -> _Report:
     # coordinates: its own sweep
     names = [c for c in wanted if c != "pde"]
     reads_f = not {"sigma", "conjugation"}.isdisjoint(names)
-    reports = Reports()
+    reports = []
     if names:
         reports = run_sweep(
             sample_box(bounds, n, args.samples, args.seed),
             [_identity(ctx, c, tol[c], args.min_denominator) for c in names],
-            subject, params, source=(ctx.f if reads_f else None)
-            or ctx.op.source, operator=ctx.op)
+            source=(ctx.f if reads_f else None) or ctx.op.source,
+            operator=ctx.op)
     if "pde" in wanted:
         names.append("pde")
         reports.append(verify_pde(
@@ -586,11 +606,8 @@ def handle_verify(args) -> _Report:
             sample_box(bounds[:n - 1], n - 1, args.samples, args.seed),
             tol["pde"]))
 
-    worst_rel, worst_point = -1.0, None
     parts = []
     for name, rep in zip(names, reports):
-        if rep.checks[0].max > worst_rel:   # strict: a NaN gate max never wins
-            worst_rel, worst_point = rep.checks[0].max, rep.worst_point
         points = rep.records["point"]
         if points.shape[1] < n:   # pde base points: n-1 coordinates and ""
             points = np.pad(points.astype(object), ((0, 0), (0, 1)),
@@ -599,16 +616,9 @@ def handle_verify(args) -> _Report:
                       rep.records["raw"], rep.records["rel"]))
     records = dict(zip(("check", "point", "raw", "rel"),
                        map(np.concatenate, zip(*parts))))
-    payload = _payload(
-        subject, params=params,
-        accepted=reports.accepted, rejected=reports.rejected,
-        max_residual=max(r.max_residual for r in reports),
-        worst_point=None if worst_point is None else worst_point.tolist(),
-        checks=[c.to_dict() for r in reports for c in r.checks],
-        **{"pass": all(r.passed for r in reports)})
     columns = [("check", ["check"]), ("point", _names("point_", n)),
                ("raw", ["raw"]), ("rel", ["relative"])]
-    return _Report(payload, records, columns)
+    return _Report(_sweep_payload(subject, params, reports), records, columns)
 
 
 def handle_diagnose(args) -> _Report:
@@ -637,13 +647,14 @@ def handle_pde_check(args) -> _Report:
         points = _point_list(args, m)
     else:
         points = sample_box(_box_bounds(args, m), m, args.samples, args.seed)
-    rep = verify_pde(R, n, points, tol,
-                     subject=f"remainder system for R={args.R}",
-                     params={"n": n, "R": args.R, "samples": len(points),
-                             "seed": args.seed, "tol": tol})
+    rep = verify_pde(R, n, points, tol)
+    payload = _sweep_payload(
+        f"remainder system for R={args.R}",
+        {"n": n, "R": args.R, "samples": len(points), "seed": args.seed,
+         "tol": tol}, [rep])
     columns = [("point", _names("x", m)), ("raw", ["system_residual"]),
                ("factor2", ["factor2"])]
-    return _Report(rep.to_dict(), rep.records, columns)
+    return _Report(payload, rep.records, columns)
 
 
 def handle_morse_reduce(args) -> _Report:
@@ -654,9 +665,12 @@ def handle_morse_reduce(args) -> _Report:
         bounds = _box_bounds(args, n)
         rep = verify_morse_normal_form(f, n, bounds, grid=args.samples,
                                        tol=args.tol, y0=args.y0)
-        rep.params["box"] = bounds.tolist()
+        payload = _sweep_payload(
+            f"normal-form defect grid for f={f.label}",
+            {"dim": n, "f": f.label, "grid": args.samples, "tol": args.tol,
+             "y0": args.y0, "box": bounds.tolist()}, [rep])
         columns = [("point", _names("point_", n)), ("raw", ["defect"])]
-        return _Report(rep.to_dict(), rep.records, columns)
+        return _Report(payload, rep.records, columns)
     X = _point_list(args, n - 1, "--point (with n-1 coordinates) or --box")
     data = _evaluate(X, lambda X: morse_reduce(f, n, X, y0=args.y0))
     records = dict(x=X, c=data.c, R=data.R, sign=data.sign,

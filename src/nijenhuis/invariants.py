@@ -1,25 +1,24 @@
-"""Characteristic-polynomial coefficients and invariant-recovery sweeps.
+"""Characteristic-polynomial coefficients and the invariant-recovery identity.
 
 Convention throughout: chi(t) = det(t*Id - M) = t^n + sigma_1 t^(n-1) + ...
 + sigma_n, so sigma_1 = -tr M and sigma_n = (-1)^n det M. Coefficients come
 from the trace recursion M_1 = M, c_k = -tr(M_k)/k, M_(k+1) = M(M_k + c_k*Id);
 every call cross-checks sigma_n against an elimination determinant computed
 by unrelated code before returning. ``charpoly`` takes one matrix (n, n) or
-a stack (..., n, n), and the sweeps evaluate their samples chunk by chunk.
+a stack (..., n, n), so a sweep checks a whole chunk of samples at once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import OperatorField, ScalarField
+from .field import ScalarField
 from .linalg import plu_det
-from .report import Identity, VerificationReport, run_sweep, sample_box
+from .report import Identity, entry_scale
 
-__all__ = ["charpoly", "coordinate_sigma", "sigma_identity",
-           "verify_sigma_fields", "verify_sigma_coords"]
+__all__ = ["charpoly", "coordinate_sigma", "sigma_identity"]
 
 
 def charpoly(M: np.ndarray) -> np.ndarray:
@@ -87,45 +86,8 @@ def sigma_identity(expected: Callable[[np.ndarray, object], np.ndarray],
     def residual(ev, P, src):
         sigma = charpoly(ev.values)
         raw = np.max(np.abs(sigma - expected(P, src)), axis=-1)
-        return raw, 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
+        return raw, entry_scale(ev.values)
 
     return Identity("sigma", "sigma_max_deviation", tol, residual, guard,
                     min_margin)
 
-
-def verify_sigma_fields(L: OperatorField,
-                        expected: Callable[[np.ndarray, object], np.ndarray],
-                        domain, samples: int, seed: int, tol: float,
-                        min_denominator: float = 0.0,
-                        subject: str = "",
-                        params: Optional[dict] = None) -> VerificationReport:
-    """Sweep of sigma_identity: expected(P, src) maps points (..., n) and
-    L's source there (None when L has none) to coefficients (..., n)."""
-    return run_sweep(
-        sample_box(domain, L.dim, samples, seed),
-        [sigma_identity(expected, tol, L.guard, min_denominator)],
-        subject=subject or f"invariant recovery for {L.label or 'operator'}",
-        params=params if params is not None else
-        {"dim": L.dim, "samples": samples, "seed": seed, "tol": tol},
-        source=L.source, operator=L)[0]
-
-
-def verify_sigma_coords(L: OperatorField, f: ScalarField, n: int,
-                        domain, samples: int, seed: int, tol: float,
-                        signs: Optional[Sequence[int]] = None,
-                        min_denominator: float = 0.0) -> VerificationReport:
-    """Sweep asserting sigma_i = (+/-) p_i for i < n and sigma_n = f(p),
-    with f the sweep's source; signs (length n-1, default all +1) covers
-    the planar convention sigma_1 = -x1."""
-    if L.source not in (None, f):
-        raise ValueError("L must take f as its source, or have none")
-    if signs is None:
-        signs = np.ones(n - 1)
-    return run_sweep(
-        sample_box(domain, L.dim, samples, seed),
-        [sigma_identity(coordinate_sigma(f, n, signs), tol, L.guard,
-                        min_denominator)],
-        subject=f"coordinate invariant recovery for {L.label or 'operator'}",
-        params={"dim": n, "f": f.label, "samples": samples, "seed": seed,
-                "tol": tol, "signs": [float(s) for s in signs]},
-        source=f, operator=L)[0]

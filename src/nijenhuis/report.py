@@ -5,16 +5,13 @@ points from a box, reject points on the singular locus (counted, never
 silent), evaluate a residual at the rest, and report the raw maximum, the
 relative maximum that gates pass/fail, and the worst point. A sweep checks
 its identities in chunks of SWEEP_CHUNK points (a leading points axis), one
-rejection mask and report each, independent of the chunk size. The JSON form
-is stable: schema, subject, params, accepted, rejected, max_residual,
-worst_point, checks[] (name, max, pass), pass, wall_ms — with wall_ms the
-only field that varies between identical runs.
+rejection mask and report each, independent of the chunk size. Reports hold
+numbers only; the CLI alone lays them out as JSON, CSV or text.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -33,6 +30,7 @@ __all__ = [
     "sample_box",
     "run_sweep",
     "SWEEP_CHUNK",
+    "entry_scale",
 ]
 
 # Points per evaluation chunk: large enough that per-call overhead is
@@ -55,39 +53,18 @@ class CheckResult:
     max: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "max": self.max, "pass": self.passed}
-
 
 @dataclass
 class VerificationReport:
-    subject: str
-    params: dict
     accepted: int
     rejected: int
     max_residual: float
     worst_point: Optional[np.ndarray]
     checks: list
     passed: bool
-    wall_ms: float
     # Arrays over the accepted points in sweep order: "point", "raw", "rel"
-    # and one per extra check; absent from the JSON form.
+    # and one per extra check.
     records: Optional[dict] = field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "subject": self.subject,
-            "params": self.params,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "max_residual": self.max_residual,
-            "worst_point": (None if self.worst_point is None
-                            else [float(v) for v in self.worst_point]),
-            "checks": [c.to_dict() for c in self.checks],
-            "pass": self.passed,
-            "wall_ms": self.wall_ms,
-        }
 
 
 def normalize_box(box, n: int) -> np.ndarray:
@@ -116,6 +93,12 @@ def sample_box(box, n: int, samples: int, seed: int) -> np.ndarray:
     bounds = normalize_box(box, n)
     rng = np.random.default_rng(seed)
     return rng.uniform(bounds[:, 0], bounds[:, 1], size=(samples, n))
+
+
+def entry_scale(values: np.ndarray) -> np.ndarray:
+    """1 + max |L entry| of operator values (..., n, n), one per point: the
+    scale of the relative gates on L's identities."""
+    return 1.0 + np.max(np.abs(values), axis=(-2, -1))
 
 
 class Identity(NamedTuple):
@@ -176,7 +159,6 @@ def _records(identity: Identity, P, ev, src) -> dict:
 
 
 def run_sweep(points: Sequence[np.ndarray], identities: Sequence[Identity],
-              subject: str, params: dict,
               source: Optional[Callable[[np.ndarray], object]] = None,
               operator: Optional[OperatorField] = None) -> Reports:
     """Check identities at the same points chunk by chunk; one report each.
@@ -192,7 +174,6 @@ def run_sweep(points: Sequence[np.ndarray], identities: Sequence[Identity],
     the accepted points; the worst is the first non-finite rel (a failed
     gate), else the first largest, whatever SWEEP_CHUNK is.
     """
-    t0 = time.perf_counter()
     points = np.asarray(points, dtype=float)
     accepted = [[] for _ in identities]
     for start in range(0, len(points), SWEEP_CHUNK):
@@ -226,7 +207,6 @@ def run_sweep(points: Sequence[np.ndarray], identities: Sequence[Identity],
                     chunks.append(records)
     if not all(accepted):
         raise DomainEntirelySingular(len(points))
-    wall_ms = (time.perf_counter() - t0) * 1e3
     reports = Reports()
     for identity, chunks in zip(identities, accepted):
         records = {name: np.concatenate([c[name] for c in chunks])
@@ -240,7 +220,7 @@ def run_sweep(points: Sequence[np.ndarray], identities: Sequence[Identity],
             CheckResult(name, float(np.maximum(0.0, np.max(np.abs(v)))), True)
             for name, v in list(records.items())[3:]]
         reports.append(VerificationReport(
-            subject, params, len(rel), len(points) - len(rel),
+            len(rel), len(points) - len(rel),
             float(np.maximum(0.0, np.max(records["raw"]))),
-            records["point"][k].copy(), checks, passed, wall_ms, records))
+            records["point"][k].copy(), checks, passed, records))
     return reports

@@ -20,7 +20,7 @@ base points, so a remainder sweep rejects them like any singular point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -414,10 +414,7 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
                 1.0 + np.max(np.abs([fv, quad, data.R]), axis=0))
 
     return run_sweep(
-        points, [Identity("normal_form", "normal_form_defect", tol, defect)],
-        subject=f"normal-form defect grid for f={f.label or '<rule>'}",
-        params={"dim": n, "f": f.label, "grid": grid, "tol": tol,
-                "y0": y0})[0]
+        points, [Identity("normal_form", "normal_form_defect", tol, defect)])[0]
 
 
 def morse_remainder_field(f: ScalarField, n: int) -> ScalarField:
@@ -443,9 +440,8 @@ def morse_remainder_field(f: ScalarField, n: int) -> ScalarField:
     return ScalarField(rule, m, label=f"remainder of {f.label or '<rule>'}")
 
 
-def verify_pde(R: ScalarField, n: int, points, tol: float = 1e-10,
-               subject: str = "",
-               params: Optional[dict] = None) -> VerificationReport:
+def verify_pde(R: ScalarField, n: int, points,
+               tol: float = 1e-10) -> VerificationReport:
     """Sweep of the remainder system over base points.
 
     Gate is the absolute system max (the residuals are polynomial in the
@@ -455,8 +451,4 @@ def verify_pde(R: ScalarField, n: int, points, tol: float = 1e-10,
         res = pde_residuals(R, n, X)
         return res.system_max(), 1.0, {"factor2": res.factor2}
 
-    return run_sweep(
-        points, [Identity("pde", "pde_system", tol, residual)],
-        subject=subject or f"remainder system sweep for R={R.label or '<rule>'}",
-        params=params if params is not None else
-        {"dim": n, "R": R.label, "tol": tol})[0]
+    return run_sweep(points, [Identity("pde", "pde_system", tol, residual)])[0]

@@ -29,14 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from .field import OperatorField, OperatorEval, operator_eval
-from .report import Identity, VerificationReport, run_sweep, sample_box
+from .report import Identity, entry_scale
 
 __all__ = [
     "torsion_from_eval",
-    "torsion_coordinate",
     "torsion_bracket_fd",
     "torsion_identity",
-    "verify_zero_torsion",
     "DEFAULT_MIN_DENOMINATOR",
 ]
 
@@ -64,12 +62,6 @@ def torsion_from_eval(ev: OperatorEval) -> np.ndarray:
     return N
 
 
-def torsion_coordinate(L: OperatorField, p: Sequence[float]) -> np.ndarray:
-    """Torsion components (..., n, n, n) at the points p (..., n) from the
-    coordinate formula (exact derivatives)."""
-    return torsion_from_eval(operator_eval(L, p))
-
-
 def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
                        h: float = 1e-4) -> tuple:
     """Torsion at the points p (..., n) from the bracket definition with
@@ -78,10 +70,10 @@ def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
     Uses only operator values at each point's 2n+1 stencil points (the
     point, then p + h e_l and p - h e_l for l = 1..n), all evaluated in one
     batch of shape (..., 2n+1, n); entry derivatives never enter the
-    components, so they are an independent oracle for torsion_coordinate
-    with O(h^2) truncation error. Returns (centre, components): the
-    stencil's evaluation at p itself, equal to operator_eval(L, p), and the
-    components (..., n, n, n).
+    components, so they are an independent oracle for the coordinate route,
+    torsion_from_eval(operator_eval(L, p)), with O(h^2) truncation error.
+    Returns (centre, components): the stencil's evaluation at p itself,
+    equal to operator_eval(L, p), and the components (..., n, n, n).
     """
     p = np.asarray(p, dtype=float)
     n = L.dim
@@ -112,23 +104,8 @@ def torsion_identity(tol: float, guard=None,
     / (1 + max |L entry|) <= tol; the raw residual is the component max."""
     def residual(ev: OperatorEval, P, src) -> tuple:
         raw = np.max(np.abs(torsion_from_eval(ev)), axis=(-3, -2, -1))
-        return raw, 1.0 + np.max(np.abs(ev.values), axis=(-2, -1))
+        return raw, entry_scale(ev.values)
 
     return Identity("torsion", "torsion_relative", tol, residual, guard,
                     min_margin)
 
-
-def verify_zero_torsion(L: OperatorField, domain, samples: int, seed: int,
-                        tol: float,
-                        min_denominator: float = DEFAULT_MIN_DENOMINATOR
-                        ) -> VerificationReport:
-    """Seeded sweep of torsion_identity over the box. Points where
-    evaluation fails (singular locus) or where the operator's guard margin
-    drops below min_denominator are rejected and counted."""
-    return run_sweep(
-        sample_box(domain, L.dim, samples, seed),
-        [torsion_identity(tol, L.guard, min_denominator)],
-        subject=f"zero-torsion sweep of {L.label or 'operator'}",
-        params={"dim": L.dim, "samples": samples, "seed": seed, "tol": tol,
-                "min_denominator": min_denominator},
-        source=L.source, operator=L)[0]

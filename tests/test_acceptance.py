@@ -18,15 +18,16 @@ from nijenhuis.cli import run as cli_run
 from nijenhuis.construct import (build_morse_canonical, build_regular_family,
                                  conjugation_residual)
 from nijenhuis.expr import ExpressionError, format_expression, parse_expression
-from nijenhuis.field import OperatorField, ScalarField
-from nijenhuis.invariants import charpoly, verify_sigma_coords
+from nijenhuis.field import OperatorField, ScalarField, operator_eval
+from nijenhuis.invariants import charpoly, coordinate_sigma, sigma_identity
 from nijenhuis.report import normalize_box, sample_box
 from nijenhuis.singularity import (NonMorseError, morse_reduce,
                                    pde_residuals, remainder_from_expression,
                                    smoothness_numerators,
                                    verify_morse_normal_form)
-from nijenhuis.torsion import (torsion_bracket_fd, torsion_coordinate,
-                               verify_zero_torsion)
+from nijenhuis.torsion import (torsion_bracket_fd, torsion_from_eval,
+                               torsion_identity)
+from sweeps import sweep
 
 SEED = 42
 SAMPLES = 1000
@@ -62,8 +63,8 @@ def test_criterion_01_canonical_family_torsion_vanishes():
         for n in (3, 4, 5):
             for sign in (1, -1):
                 L = build_morse_canonical(n, sign)
-                rep = verify_zero_torsion(L, box(n), samples=SAMPLES,
-                                          seed=SEED, tol=1e-12)
+                rep = sweep(L, torsion_identity(1e-12), box(n),
+                            samples=SAMPLES, seed=SEED)
                 assert rep.rejected == 0, (n, sign)
                 assert rep.max_residual <= 1e-12, (n, sign, rep.max_residual)
                 assert rep.passed, (n, sign)
@@ -84,9 +85,8 @@ def test_criterion_02_regular_family_torsion_vanishes():
                     assert n == 2 and "x2" in text
                     continue
                 L = build_regular_family(f, n)
-                rep = verify_zero_torsion(L, box(n), samples=SAMPLES,
-                                          seed=SEED, tol=1e-10,
-                                          min_denominator=0.05)
+                rep = sweep(L, torsion_identity(1e-10, L.guard, 0.05), box(n),
+                            samples=SAMPLES, seed=SEED)
                 gate = rep.checks[0]
                 assert gate.name == "torsion_relative"
                 assert gate.max <= 1e-10, (n, text, gate.max)
@@ -157,7 +157,7 @@ def test_criterion_04_bracket_oracle_equivalence():
                 if L.guard is not None and L.guard(p, L.source_at(p)) < 0.3:
                     continue
                 tried += 1
-                exact = torsion_coordinate(L, p)
+                exact = torsion_from_eval(operator_eval(L, p))
 
                 def delta(h):
                     fd = torsion_bracket_fd(L, p, h=h)[1]
@@ -178,22 +178,23 @@ def test_criterion_04_bracket_oracle_equivalence():
 def test_criterion_05_invariant_recovery():
     with _Criterion(5, "invariant recovery"):
         for n in (3, 4):
+            ones = np.ones(n - 1)
             f = ScalarField.from_expression("y^2 + x1*x2 + 0.3*y", n)
             L = build_regular_family(f, n)
-            rep = verify_sigma_coords(L, f, n, box(n), samples=SAMPLES,
-                                      seed=SEED, tol=1e-9,
-                                      min_denominator=0.05)
+            rep = sweep(L, sigma_identity(coordinate_sigma(f, n, ones),
+                                          1e-9, L.guard, 0.05),
+                        box(n), samples=SAMPLES, seed=SEED)
             assert rep.max_residual <= 1e-9, (n, rep.max_residual)
             assert rep.passed
             Lc = build_morse_canonical(n, 1)
             fc = ScalarField.from_expression("y^2", n)
-            repc = verify_sigma_coords(Lc, fc, n, box(n), samples=SAMPLES,
-                                       seed=SEED, tol=1e-9)
+            repc = sweep(Lc, sigma_identity(coordinate_sigma(fc, n, ones),
+                                            1e-9),
+                         box(n), samples=SAMPLES, seed=SEED, source=fc)
             assert repc.max_residual <= 1e-9, (n, repc.max_residual)
         # frozen worked value
         f3 = ScalarField.from_expression("y^2", 3)
         L3 = build_regular_family(f3, 3)
-        from nijenhuis.field import operator_eval
         sigma = charpoly(operator_eval(L3, np.array([1.0, -1.0, 2.0])).values)
         assert np.max(np.abs(sigma - np.array([1.0, -1.0, 4.0]))) <= 1e-12
 
@@ -206,8 +207,8 @@ def test_criterion_06_negative_control():
             [ScalarField.constant(0.0, 2),
              ScalarField.from_expression("x1", 2)],
         ], label="diag(y,x)")
-        rep = verify_zero_torsion(diag, box(2), samples=SAMPLES, seed=SEED,
-                                  tol=1e-10)
+        rep = sweep(diag, torsion_identity(1e-10), box(2), samples=SAMPLES,
+                    seed=SEED)
         assert not rep.passed
         pts = sample_box(box(2), 2, SAMPLES, SEED)
         expected = float(np.max(np.abs(pts[:, 1] - pts[:, 0])))

@@ -297,6 +297,23 @@ def test_reports_are_deterministic(capsys):
     assert strip_wall(out1) == strip_wall(out2)
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "theorem2", "--n", "3", "--check", "all",
+     "--samples", "20"),
+    ("pde-check", "--R", "0", "--n", "3", "--samples", "20"),
+    ("morse-reduce", "--f", "y^2 + x1*y", "--n", "2", "--box", "-1", "1",
+     "--samples", "5"),
+], ids=["verify", "pde-check", "morse-reduce-box"])
+def test_sweep_report_key_order(capsys, argv):
+    code, doc = invoke_json(capsys, *argv)
+    assert code == 0
+    assert list(doc) == ["schema", "subject", "params", "accepted",
+                         "rejected", "max_residual", "worst_point", "checks",
+                         "pass", "wall_ms"]
+    assert doc["checks"] and all(list(c) == ["name", "max", "pass"]
+                                 for c in doc["checks"])
+
+
 def test_overflow_exits_three_naming_the_overflow(capsys):
     # once misfiled as "domain entirely singular"
     code, doc = invoke_json(capsys, "verify", "--family", "theorem1",

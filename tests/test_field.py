@@ -7,7 +7,8 @@ from nijenhuis.field import (OperatorField, ScalarField, SingularEntry,
                              operator_eval)
 from nijenhuis.jet import SingularPointError
 from nijenhuis.report import sample_box
-from nijenhuis.torsion import verify_zero_torsion
+from nijenhuis.torsion import torsion_identity
+from sweeps import sweep
 
 SEED = 911
 
@@ -96,8 +97,8 @@ def test_guard_passthrough():
     L = OperatorField.from_entries([[f, f], [f, f]],
                                    guard=lambda p: abs(p[..., 1]))
     box = np.array([[-1.0, 1.0]] * 2)
-    rep = verify_zero_torsion(L, box, samples=50, seed=SEED, tol=1.0,
-                              min_denominator=0.25)
+    rep = sweep(L, torsion_identity(1.0, L.guard, 0.25), box, samples=50,
+                seed=SEED)
     small = np.abs(sample_box(box, 2, 50, SEED)[:, 1]) < 0.25
     assert rep.rejected == np.count_nonzero(small) > 0
     assert np.all(np.abs(rep.records["point"][:, 1]) >= 0.25)

@@ -6,8 +6,8 @@ import pytest
 from nijenhuis.construct import (build_2d, build_morse_canonical,
                                  build_regular_family)
 from nijenhuis.field import ScalarField
-from nijenhuis.invariants import (charpoly, coordinate_sigma,
-                                  verify_sigma_coords, verify_sigma_fields)
+from nijenhuis.invariants import charpoly, coordinate_sigma, sigma_identity
+from sweeps import sweep
 
 SEED = 2718
 
@@ -71,9 +71,9 @@ def test_charpoly_input_validation():
 def test_sigma_recovery_regular_family():
     f = ScalarField.from_expression("y^2 + x1*x2 + 0.3*y", 3)
     L = build_regular_family(f, 3)
-    rep = verify_sigma_coords(L, f, 3, np.array([[-1.0, 1.0]] * 3),
-                              samples=300, seed=5, tol=1e-9,
-                              min_denominator=0.05)
+    rep = sweep(L, sigma_identity(coordinate_sigma(f, 3, (1.0, 1.0)), 1e-9,
+                                  L.guard, 0.05),
+                np.array([[-1.0, 1.0]] * 3), samples=300, seed=5)
     assert rep.passed
     assert rep.max_residual <= 1e-9
     assert rep.checks[0].name == "sigma_max_deviation"
@@ -82,9 +82,9 @@ def test_sigma_recovery_regular_family():
 def test_sigma_recovery_planar_family_sign_convention():
     f = ScalarField.from_expression("x1*x1/4 + y^2", 2)
     L = build_2d(f)
-    rep = verify_sigma_coords(L, f, 2, np.array([[-1.0, 1.0]] * 2),
-                              samples=300, seed=5, tol=1e-9,
-                              signs=(-1.0,), min_denominator=0.05)
+    rep = sweep(L, sigma_identity(coordinate_sigma(f, 2, (-1.0,)), 1e-9,
+                                  L.guard, 0.05),
+                np.array([[-1.0, 1.0]] * 2), samples=300, seed=5)
     assert rep.passed
 
 
@@ -105,18 +105,9 @@ def test_coordinate_sigma_is_batched():
 def test_sigma_recovery_canonical_family():
     f = ScalarField.from_expression("-y^2", 4)
     L = build_morse_canonical(4, -1)
-    rep = verify_sigma_coords(L, f, 4, np.array([[-1.0, 1.0]] * 4),
-                              samples=300, seed=5, tol=1e-9)
+    rep = sweep(L, sigma_identity(coordinate_sigma(f, 4, np.ones(3)), 1e-9),
+                np.array([[-1.0, 1.0]] * 4), samples=300, seed=5, source=f)
     assert rep.passed
-
-
-def test_sigma_coords_rejects_an_operator_of_another_f():
-    f = ScalarField.from_expression("y^2 + x1", 2)
-    g = ScalarField.from_expression("y^3 + y", 2)
-    with pytest.raises(ValueError, match="f as its source"):
-        verify_sigma_coords(build_regular_family(g, 2), f, 2,
-                            np.array([[-1.0, 1.0]] * 2), samples=10, seed=5,
-                            tol=1e-9)
 
 
 def test_sigma_fields_detects_mismatch():
@@ -126,9 +117,7 @@ def test_sigma_fields_detects_mismatch():
     def wrong_expected(P, fj):   # fj: f's jet, the source of L
         return np.stack([P[..., 0] + 1.0, fj.value], axis=-1)
 
-    rep = verify_sigma_fields(L, wrong_expected, np.array([[-1.0, 1.0]] * 2),
-                              samples=100, seed=5, tol=1e-9,
-                              min_denominator=0.05,
-                              subject="mismatch probe", params={})
+    rep = sweep(L, sigma_identity(wrong_expected, 1e-9, L.guard, 0.05),
+                np.array([[-1.0, 1.0]] * 2), samples=100, seed=5)
     assert not rep.passed
     assert rep.max_residual > 0.5

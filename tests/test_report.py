@@ -1,4 +1,4 @@
-"""Report plumbing: box handling, seeded sampling, serialization order."""
+"""Report plumbing: box handling, seeded sampling, the sweep runner."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 import nijenhuis.report
 from nijenhuis.jet import (DenominatorVanishes, SingularPointError,
                           coordinate_jet)
-from nijenhuis.report import (CheckResult, DomainEntirelySingular, Identity,
-                              VerificationReport, normalize_box, run_sweep,
-                              sample_box)
+from nijenhuis.report import (DomainEntirelySingular, Identity, normalize_box,
+                              run_sweep, sample_box)
 
 
 def test_normalize_box_uniform():
@@ -44,18 +43,6 @@ def test_sample_box_is_seeded_and_bounded():
     assert np.all(a[:, 1] >= 2.0) and np.all(a[:, 1] <= 5.0)
 
 
-def test_report_dict_field_order():
-    rep = VerificationReport(
-        subject="s", params={"n": 2}, accepted=3, rejected=1,
-        max_residual=0.5, worst_point=[0.1, 0.2],
-        checks=[CheckResult("gate", 0.5, True)], passed=True, wall_ms=1.5)
-    d = rep.to_dict()
-    assert list(d.keys()) == ["schema", "subject", "params", "accepted",
-                              "rejected", "max_residual", "worst_point",
-                              "checks", "pass", "wall_ms"]
-    assert d["checks"][0] == {"name": "gate", "max": 0.5, "pass": True}
-
-
 def test_nonfinite_relative_residual_fails_the_gate():
     # a NaN after a finite residual once slipped past `rel > max_rel`
     points = np.array([[0.0], [1.0], [2.0]])
@@ -64,8 +51,7 @@ def test_nonfinite_relative_residual_fails_the_gate():
         rel = np.where(P[..., 0] > 0.5, np.nan, 1e-20)
         return np.abs(rel), 1.0
 
-    rep = run_sweep(points, [Identity("probe", "probe", 1e-10, residual)],
-                    subject="nan probe", params={})[0]
+    rep = run_sweep(points, [Identity("probe", "probe", 1e-10, residual)])[0]
     assert not rep.passed
     assert not rep.checks[0].passed
     assert np.isnan(rep.checks[0].max)
@@ -83,8 +69,7 @@ def test_records_hold_the_accepted_points_in_order(monkeypatch):
     identity = Identity("probe", "probe", 10.0, residual,
                         guard=lambda P, src: np.abs(P[..., 0]),
                         min_margin=0.5)
-    rep = run_sweep(points, [identity], subject="records probe",
-                    params={})[0]
+    rep = run_sweep(points, [identity])[0]
     kept = points[np.abs(points[:, 0]) >= 0.5]
     assert rep.accepted == len(kept) and rep.rejected == 10 - len(kept)
     rec = rep.records
@@ -101,8 +86,7 @@ def test_overflow_in_a_residual_raises():
         return P[:, 0] * 1e308 * 10.0, 1.0
 
     with pytest.raises(FloatingPointError, match="overflow"):
-        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)],
-                  subject="s", params={})
+        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)])
 
 
 @pytest.mark.parametrize("mask", [None, np.zeros(3, dtype=bool),
@@ -118,8 +102,7 @@ def test_an_error_without_a_usable_mask_propagates(mask):
         raise exc
 
     with pytest.raises(SingularPointError, match="rule failed"):
-        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)],
-                  subject="s", params={})
+        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)])
     assert calls == [3]   # never retried point by point
 
 
@@ -134,8 +117,7 @@ def test_a_0d_mask_rejects_its_whole_chunk(monkeypatch):
             raise DenominatorVanishes(0.0, mask=np.array(True))
         return P[:, 0], 1.0
 
-    rep = run_sweep(points, [Identity("g", "g", 10.0, residual)],
-                    subject="s", params={})[0]
+    rep = run_sweep(points, [Identity("g", "g", 10.0, residual)])[0]
     assert (rep.accepted, rep.rejected) == (6, 4)
     assert np.array_equal(rep.records["point"], points[4:])
     assert calls == [4, 4, 2]
@@ -164,7 +146,7 @@ def test_identities_share_the_source_and_keep_their_own_rejections(
         points, [Identity("even", "e", 1e9, even),
                  Identity("large", "l", 1e9, value,
                           guard=lambda P, x: x.value, min_margin=3.0)],
-        subject="s", params={}, source=source)
+        source=source)
     assert sources == [4, 4, 2]   # once per chunk for both identities
     assert [r.records["point"][:, 0].tolist() for r in reports] == [
         [0.0, 2.0, 4.0, 6.0, 8.0], [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]]
@@ -174,4 +156,4 @@ def test_identities_share_the_source_and_keep_their_own_rejections(
         run_sweep(points, [Identity("large", "l", 1e9, value,
                                     guard=lambda P, x: x.value,
                                     min_margin=99.0)],
-                  subject="s", params={}, source=source)
+                  source=source)

@@ -7,8 +7,9 @@ from nijenhuis.construct import (build_diff_nondegenerate, build_morse_canonical
                                  build_regular_family)
 from nijenhuis.field import OperatorField, ScalarField, operator_eval
 from nijenhuis.report import DomainEntirelySingular
-from nijenhuis.torsion import (torsion_bracket_fd, torsion_coordinate,
-                               torsion_from_eval, verify_zero_torsion)
+from nijenhuis.torsion import (DEFAULT_MIN_DENOMINATOR, torsion_bracket_fd,
+                               torsion_from_eval, torsion_identity)
+from sweeps import sweep
 
 SEED = 555
 
@@ -26,7 +27,7 @@ def test_diagonal_witness_hand_value():
     rng = np.random.default_rng(SEED)
     for _ in range(20):
         p = rng.uniform(-2.0, 2.0, size=2)
-        N = torsion_coordinate(L, p)
+        N = torsion_from_eval(operator_eval(L, p))
         expect = p[1] - p[0]
         assert N[0, 0, 1] == pytest.approx(expect, abs=1e-15)
         assert N[1, 0, 1] == pytest.approx(expect, abs=1e-15)
@@ -43,7 +44,7 @@ def test_antisymmetry_is_exact():
     L = OperatorField.from_entries(entries)
     for _ in range(10):
         p = rng.uniform(-1.0, 1.0, size=3)
-        N = torsion_coordinate(L, p)
+        N = torsion_from_eval(operator_eval(L, p))
         assert np.array_equal(N, -np.transpose(N, (0, 2, 1)))
 
 
@@ -63,17 +64,10 @@ def test_shift_by_identity_is_invariant():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(10):
         p = rng.uniform(-1.0, 1.0, size=3)
-        N0 = torsion_coordinate(L0, p)
-        N1 = torsion_coordinate(L1, p)
+        N0 = torsion_from_eval(operator_eval(L0, p))
+        N1 = torsion_from_eval(operator_eval(L1, p))
         scale = 1.0 + np.max(np.abs(N0))
         assert np.max(np.abs(N1 - N0)) < 1e-12 * scale
-
-
-def test_torsion_from_eval_matches_wrapper():
-    L = diag_operator()
-    p = np.array([1.0, 2.0])
-    assert np.array_equal(torsion_from_eval(operator_eval(L, p)),
-                          torsion_coordinate(L, p))
 
 
 def test_bracket_oracle_agrees_on_linear_entries():
@@ -81,7 +75,7 @@ def test_bracket_oracle_agrees_on_linear_entries():
     L = diag_operator()
     p = np.array([0.3, -0.8])
     delta = np.max(np.abs(torsion_bracket_fd(L, p, h=1e-4)[1]
-                          - torsion_coordinate(L, p)))
+                          - torsion_from_eval(operator_eval(L, p))))
     assert delta < 1e-11
 
 
@@ -94,7 +88,7 @@ def test_bracket_oracle_quadratic_convergence():
         p = rng.uniform(-1.0, 1.0, size=3)
         if abs(3.0 * p[2] ** 2 + 1.0) < 0.5:
             continue
-        exact = torsion_coordinate(L, p)
+        exact = torsion_from_eval(operator_eval(L, p))
         d1 = np.max(np.abs(torsion_bracket_fd(L, p, h=1e-4)[1] - exact))
         d2 = np.max(np.abs(torsion_bracket_fd(L, p, h=5e-5)[1] - exact))
         if d1 < 1e-10:
@@ -125,7 +119,7 @@ def test_diffnondeg_torsion_agrees_with_bracket_oracle(n):
         P[k, rng.integers(0, n)] = 0.0
     P[-1] = 0.0
     for p in P:
-        exact = torsion_coordinate(L, p)
+        exact = torsion_from_eval(operator_eval(L, p))
         fd = torsion_bracket_fd(L, p, h=1e-4)[1]
         assert np.max(np.abs(exact)) < 1e-12, p
         assert np.max(np.abs(exact - fd)) < 1e-6, p
@@ -179,8 +173,8 @@ def test_overflowing_f_never_passes(lo, hi):
     f = ScalarField.from_expression("exp(1000*y)+y", 2)
     L = build_regular_family(f, 2)
     with pytest.raises(ArithmeticError, match="overflow"):
-        verify_zero_torsion(L, np.array([[lo, hi]] * 2), samples=200,
-                            seed=3, tol=1e-10)
+        sweep(L, torsion_identity(1e-10, L.guard, DEFAULT_MIN_DENOMINATOR),
+              np.array([[lo, hi]] * 2), samples=200, seed=3)
 
 
 def test_bracket_oracle_rejects_bad_step():
@@ -190,8 +184,8 @@ def test_bracket_oracle_rejects_bad_step():
 
 def test_zero_torsion_sweep_passes_for_canonical_family():
     L = build_morse_canonical(3, 1)
-    rep = verify_zero_torsion(L, np.array([[-1.0, 1.0]] * 3),
-                              samples=200, seed=7, tol=1e-12)
+    rep = sweep(L, torsion_identity(1e-12), np.array([[-1.0, 1.0]] * 3),
+                samples=200, seed=7)
     assert rep.passed
     assert rep.accepted == 200
     assert rep.rejected == 0
@@ -200,8 +194,8 @@ def test_zero_torsion_sweep_passes_for_canonical_family():
 
 
 def test_zero_torsion_sweep_fails_for_witness():
-    rep = verify_zero_torsion(diag_operator(), np.array([[-1.0, 1.0]] * 2),
-                              samples=100, seed=7, tol=1e-10)
+    rep = sweep(diag_operator(), torsion_identity(1e-10),
+                np.array([[-1.0, 1.0]] * 2), samples=100, seed=7)
     assert not rep.passed
     assert rep.worst_point is not None
     assert rep.max_residual > 0.1
@@ -210,9 +204,8 @@ def test_zero_torsion_sweep_fails_for_witness():
 def test_sweep_counts_guarded_rejections():
     f = ScalarField.from_expression("y^2", 2)
     L = build_regular_family(f, 2)  # guard margin |2y|
-    rep = verify_zero_torsion(L, np.array([[-1.0, 1.0]] * 2),
-                              samples=500, seed=11, tol=1e-10,
-                              min_denominator=0.05)
+    rep = sweep(L, torsion_identity(1e-10, L.guard, 0.05),
+                np.array([[-1.0, 1.0]] * 2), samples=500, seed=11)
     assert rep.passed
     assert rep.accepted + rep.rejected == 500
     assert rep.rejected > 0
@@ -223,5 +216,5 @@ def test_sweep_entirely_singular_domain():
     L = build_regular_family(f, 2)
     box = np.array([[-1.0, 1.0], [-0.001, 0.001]])  # |2y| < 0.05 everywhere
     with pytest.raises(DomainEntirelySingular):
-        verify_zero_torsion(L, box, samples=50, seed=3, tol=1e-10,
-                            min_denominator=0.05)
+        sweep(L, torsion_identity(1e-10, L.guard, 0.05), box, samples=50,
+              seed=3)
