@@ -12,8 +12,7 @@ from .jet import (Jet2, SingularPointError, DenominatorVanishes, DomainError,
                   constant_jet, coordinate_jet, chain)
 from .expr import (ExpressionError, parse_expression, evaluate,
                    format_expression)
-from .field import (ScalarField, OperatorField, OperatorEval, SingularEntry,
-                    operator_eval)
+from .field import ScalarField, OperatorField, SingularEntry, operator_eval
 from .construct import (DegeneratePointError, companion_matrix,
                         build_companion, build_diff_nondegenerate, build_2d,
                         build_regular_family, build_morse_canonical,
@@ -36,8 +35,7 @@ __all__ = [
     "Jet2", "SingularPointError", "DenominatorVanishes", "DomainError",
     "constant_jet", "coordinate_jet", "chain",
     "ExpressionError", "parse_expression", "evaluate", "format_expression",
-    "ScalarField", "OperatorField", "OperatorEval", "SingularEntry",
-    "operator_eval",
+    "ScalarField", "OperatorField", "SingularEntry", "operator_eval",
     "DegeneratePointError", "companion_matrix", "build_companion",
     "build_diff_nondegenerate", "build_2d", "build_regular_family",
     "build_morse_canonical", "conjugation_residual",

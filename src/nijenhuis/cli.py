@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -430,20 +431,28 @@ def _csv_rows(records: dict, columns) -> list:
 
 
 def _emit(args, report: _Report) -> None:
-    """Write the report's --format view to --out, else standard output."""
+    """Write the report's --format view to --out, else standard output; once
+    the reader closes the pipe, the rest goes to os.devnull, silently."""
     fmt = getattr(args, "format", "json")
     out_path = getattr(args, "out", None)
     with (open(out_path, "w", newline="") if out_path
           else contextlib.nullcontext(sys.stdout)) as sink:
-        if fmt == "csv" and report.columns:
-            writer = csv.writer(sink)
-            writer.writerow(sum((names for _, names in report.columns), []))
-            writer.writerows(_csv_rows(report.records, report.columns))
-        else:
-            # an error report has no tabular form: its csv view is text
-            lines = ([json.dumps(report.payload, indent=2)] if fmt == "json"
-                     else report.text or _default_text(report.payload))
-            sink.writelines(line + "\n" for line in lines)
+        try:
+            if fmt == "csv" and report.columns:
+                writer = csv.writer(sink)
+                writer.writerow(sum((names for _, names in report.columns),
+                                    []))
+                writer.writerows(_csv_rows(report.records, report.columns))
+            else:
+                # an error report has no tabular form: its csv view is text
+                lines = ([json.dumps(report.payload, indent=2)]
+                         if fmt == "json"
+                         else report.text or _default_text(report.payload))
+                sink.writelines(line + "\n" for line in lines)
+            sink.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sink.fileno())
 
 
 def _default_text(payload: dict) -> list:
@@ -479,7 +488,7 @@ def handle_construct(args) -> _Report:
     ctx = _build_context(args)
     n = ctx.op.dim
     P = _point_list(args, n)
-    values = _evaluate(P, lambda P: operator_eval(ctx.op, P).values)
+    values = _evaluate(P, lambda P: operator_eval(ctx.op, P).value)
     records = dict(point=P, matrix=values)
     results = _records(**records)
     payload = _payload(f"construct {ctx.params['family']}",
@@ -513,7 +522,7 @@ def handle_torsion(args) -> _Report:
 
     ev, N, Nfd = _evaluate(P, evaluate, per_point)
     raw = np.max(np.abs(N), axis=(-3, -2, -1))
-    scale = entry_scale(ev.values)
+    scale = entry_scale(ev.value)
     rel = raw / scale
     # the components N^i_jk with j < k above 1e-13 * scale, in C order
     keep = ((np.abs(N) > 1e-13 * scale[:, None, None, None])
@@ -548,7 +557,7 @@ def handle_charpoly(args) -> _Report:
     ctx = _build_context(args)
     n = ctx.op.dim
     P = _point_list(args, n)
-    sigma = _evaluate(P, lambda P: charpoly(operator_eval(ctx.op, P).values))
+    sigma = _evaluate(P, lambda P: charpoly(operator_eval(ctx.op, P).value))
     records = dict(point=P, sigma=sigma)
     payload = _payload(f"charpoly of {ctx.params['family']}",
                        params=ctx.params, results=_records(**records))
@@ -564,9 +573,10 @@ def _identity(ctx: _Context, check: str, tol: float,
     if check == "sigma":
         return sigma_identity(ctx.sigma, tol, ctx.op.guard, min_margin)
     # the sweep's source is f; conjugated, if any, is evaluated from its jet
-    return Identity("conjugation", "conjugation_relative", tol,
+    L = ctx.conjugated
+    return Identity("conjugation_relative", tol,
                     lambda ev, P, fj: conjugation_residual(
-                        ctx.f, ctx.op.dim, P, ctx.conjugated or ev, fj),
+                        P, fj, ev if L is None else operator_eval(L, P, fj)),
                     _fy_margin, min_margin)
 
 

@@ -37,8 +37,7 @@ import numpy as np
 
 from .jet import (Jet2, SingularPointError, DenominatorVanishes, _jet,
                   coordinate_jet)
-from .field import (ScalarField, OperatorField, OperatorEval, SingularEntry,
-                    _matrix_jet, operator_eval)
+from .field import ScalarField, OperatorField, SingularEntry, _matrix_jet
 from .linalg import plu_det, invert_with_det, matmul, NumericallySingular
 
 __all__ = [
@@ -304,34 +303,24 @@ def build_morse_canonical(n: int, sign: int) -> OperatorField:
     return OperatorField(n, rule, label=f"morse-canonical({sign:+d})")
 
 
-def conjugation_residual(f: ScalarField, n: int, p: Sequence[float],
-                         L: OperatorField | OperatorEval | None = None,
-                         fj: Jet2 | None = None) -> tuple:
-    """Residual and magnitude scale of the identity J L = Ltilde J at p.
+def conjugation_residual(P: np.ndarray, fj: Jet2, L: Jet2) -> tuple:
+    """Residual and magnitude scale of the identity J L = Ltilde J at the
+    points P (..., n), from f's jet fj and the operator's matrix jet L there.
 
     J here is the specialized Jacobi matrix of (x_1, ..., x_(n-1), f): an
     identity block over the gradient row of f. Ltilde is the companion
-    matrix of (p_1, ..., p_(n-1), f(p)). L (default: the regular family) is
-    an operator of f or without a source, evaluated from fj, f's jet at p
-    (evaluated here when not given), or L's evaluation at p. Returns (max
-    |J L - Ltilde J|, 1 + max entry magnitude of the two products), each of
-    the batch shape p.shape[:-1].
+    matrix of (P_1, ..., P_(n-1), f(P)). Returns (max |J L - Ltilde J|,
+    1 + max entry magnitude of the two products), each of the batch shape
+    P.shape[:-1].
     """
-    if L is None:
-        L = build_regular_family(f, n)
-    p = np.asarray(p, dtype=float)
-    if fj is None:
-        fj = f(p)
-    if not isinstance(L, OperatorEval):
-        if L.source not in (None, f):
-            raise ValueError("L must take f as its source, or have none")
-        L = operator_eval(L, p, fj)
-    J = np.zeros(p.shape[:-1] + (n, n))
+    P = np.asarray(P, dtype=float)
+    n = P.shape[-1]
+    J = np.zeros(P.shape[:-1] + (n, n))
     J[...] = np.eye(n)
     J[..., n - 1, :] = fj.gradient
     Ltilde = companion_matrix(
-        np.concatenate([p[..., :n - 1], fj.value[..., None]], axis=-1))
-    left = J @ L.values
+        np.concatenate([P[..., :n - 1], fj.value[..., None]], axis=-1))
+    left = J @ L.value
     right = Ltilde @ J
     axes = (-2, -1)
     resid = np.max(np.abs(left - right), axis=axes)

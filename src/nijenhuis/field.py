@@ -2,8 +2,8 @@
 
 An operator field is an n x n matrix of scalar fields. Its rule returns
 the whole matrix as one order-1 jet (``Jet2`` of batch (..., n, n) with
-Hessian None), and evaluation hands that jet's value and gradient on as
-entry values and entry gradients (``OperatorEval``), exactly the data the
+Hessian None), and evaluation returns that jet as it is: its value holds
+the entry values and its gradient the entry gradients, exactly the data the
 coordinate torsion formula consumes. Entry Hessians are deliberately not
 part of the contract: derived families carry partial derivatives of a
 generating function inside their entries, and an order-2 jet of the
@@ -22,12 +22,12 @@ entries given as expressions) has source None and ignores src.
 Points axis: every evaluation takes one point of shape (n,) or an array of
 points of shape (..., n), the leading axes being the batch shape. A scalar
 field returns a ``Jet2`` of that batch shape; a rule returns a matrix jet
-of batch shape (..., n, n), so ``operator_eval`` returns values (..., n, n)
-and entry gradients (..., n, n, n). Sources, rules and guards receive the
-whole array and answer for all of its points; a guard returns one margin
-per point. Jet evaluation raises numpy overflow and invalid operations as
-``FloatingPointError`` (an ArithmeticError), so an overflowing point fails
-loudly instead of turning into inf.
+of batch shape (..., n, n), so ``operator_eval`` returns a jet of value
+(..., n, n) and gradient (..., n, n, n). Sources, rules and guards receive
+the whole array and answer for all of its points; a guard returns one
+margin per point. Jet evaluation raises numpy overflow and invalid
+operations as ``FloatingPointError`` (an ArithmeticError), so an
+overflowing point fails loudly instead of turning into inf.
 
 Fiber jets: ``f(p, fiber=True)`` asks only for f, f_y and f_yy, what the
 Morse reduction reads. An expression field then differentiates along y
@@ -39,7 +39,6 @@ full jet. Either way the caller reads ``gradient[..., -1]`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -51,7 +50,6 @@ from .expr import Expr, evaluate, format_expression, parse_expression
 __all__ = [
     "ScalarField",
     "OperatorField",
-    "OperatorEval",
     "SingularEntry",
     "operator_eval",
 ]
@@ -97,9 +95,8 @@ class ScalarField:
     """A scalar function of n variables, evaluated to a jet.
 
     ``f(p)`` takes a point (n,) or points (..., n) and returns a jet of
-    batch shape p.shape[:-1]: order 2 for an expression or a constant;
-    a family's entry fields (``OperatorField.entry``) give order 1. A field
-    built from an expression keeps its AST in ``expr`` (else None).
+    batch shape p.shape[:-1], of order 2 for an expression or a constant.
+    A field built from an expression keeps its AST in ``expr`` (else None).
     """
 
     def __init__(self, rule: Callable[[np.ndarray], Jet2], dim: int,
@@ -151,34 +148,20 @@ def _matrix_jet(rows, p: np.ndarray) -> Jet2:
     return _jet(values, grads, None)
 
 
-@dataclass
-class OperatorEval:
-    """Operator data at points: values L[i,j] and gradients d L[i,j] / d x_k."""
-
-    point: np.ndarray         # shape (..., n)
-    values: np.ndarray        # shape (..., n, n)
-    entry_grads: np.ndarray   # shape (..., n, n, n), last axis the derivative
-
-    def at(self, index) -> "OperatorEval":
-        """The evaluation at a batch index array or mask."""
-        return OperatorEval(self.point[index], self.values[index],
-                            self.entry_grads[index])
-
-
 class OperatorField:
     """An n x n operator field L with an optional source and sampling guard.
 
     ``source(p)``, when present, evaluates what the entries are rational
-    in at the points p (see the module docstring); ``source_at(p)`` is
-    None without one. ``matrix_rule(p, src)`` returns the operator at the
-    points p (..., n) from src = source_at(p) as one order-1 jet of batch
-    (..., n, n), which lets families share one jet evaluation of their
-    generating function across all entries; a rule that builds its entries
-    one by one, as jets or plain numbers, ends with ``_matrix_jet``. A
-    singular entry raises SingularEntry. ``guard(p, src)``, when
-    present, returns a nonnegative margin per point read from src; sweeps
-    reject points whose margin falls below their threshold before touching
-    the entries (denominator about to vanish).
+    in at the points p (see the module docstring); without one, src is
+    None. ``matrix_rule(p, src)`` returns the operator at the points p
+    (..., n) from src = source(p) as one order-1 jet of batch (..., n, n),
+    which lets families share one jet evaluation of their generating
+    function across all entries; a rule that builds its entries one by
+    one, as jets or plain numbers, ends with ``_matrix_jet``. A singular
+    entry raises SingularEntry. ``guard(p, src)``, when present, returns a
+    nonnegative margin per point read from src; sweeps reject points whose
+    margin falls below their threshold before touching the entries
+    (denominator about to vanish).
     """
 
     def __init__(self, dim: int,
@@ -191,10 +174,6 @@ class OperatorField:
         self.label = label
         self.guard = guard
         self.source = source
-
-    def source_at(self, p):
-        """The source at the points p, or None for a field without one."""
-        return None if self.source is None else self.source(p)
 
     def __repr__(self) -> str:
         return f"OperatorField(dim={self.dim}, label={self.label!r})"
@@ -234,30 +213,15 @@ class OperatorField:
 
         return cls(n, rule, label=label, guard=guard and (lambda p, _: guard(p)))
 
-    def entry(self, i: int, j: int) -> ScalarField:
-        """The (i, j) entry (1-based) as a standalone scalar field."""
-        n = self.dim
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError(f"entry index ({i},{j}) out of range for n={n}")
 
-        def rule(p):
-            ev = operator_eval(self, p)
-            return _jet(ev.values[..., i - 1, j - 1][()],
-                        ev.entry_grads[..., i - 1, j - 1, :], None)
-
-        return ScalarField(rule, n, label=f"{self.label}[{i},{j}]")
-
-
-def operator_eval(L: OperatorField, p: Sequence[float],
-                  src=None) -> OperatorEval:
-    """Evaluate L at the points p (shape (n,) or (..., n)) to entry values
-    (..., n, n) and entry gradients (..., n, n, n) from src, L's source at
-    p, which is evaluated here when not given. Singular entries raise
-    SingularEntry, and an error of a family's generating function
-    propagates as that function raised it."""
+def operator_eval(L: OperatorField, p: Sequence[float], src=None) -> Jet2:
+    """L at the points p (shape (n,) or (..., n)) as its rule's order-1
+    matrix jet: entry values (..., n, n) and entry gradients (..., n, n, n)
+    from src, L's source at p, which is evaluated here when not given.
+    Singular entries raise SingularEntry, and an error of a family's
+    generating function propagates as that function raised it."""
     p = _points(p, L.dim, "operator")
     with np.errstate(**JET_ERRSTATE):
-        if src is None:
-            src = L.source_at(p)
-        M = L.matrix_rule(p, src)
-    return OperatorEval(point=p, values=M.value, entry_grads=M.gradient)
+        if src is None and L.source is not None:
+            src = L.source(p)
+        return L.matrix_rule(p, src)

@@ -84,10 +84,9 @@ def sigma_identity(expected: Callable[[np.ndarray, object], np.ndarray],
     divides the max deviation by (1 + max |L entry|), since quotient
     entries inflate roundoff."""
     def residual(ev, P, src):
-        sigma = charpoly(ev.values)
+        sigma = charpoly(ev.value)
         raw = np.max(np.abs(sigma - expected(P, src)), axis=-1)
-        return raw, entry_scale(ev.values)
+        return raw, entry_scale(ev.value)
 
-    return Identity("sigma", "sigma_max_deviation", tol, residual, guard,
-                    min_margin)
+    return Identity("sigma_max_deviation", tol, residual, guard, min_margin)
 

@@ -102,12 +102,12 @@ def entry_scale(values: np.ndarray) -> np.ndarray:
 
 
 class Identity(NamedTuple):
-    """An identity a sweep checks: residual(ev, P, src) at points P (B, n),
-    with the sweep's operator evaluation and source there (or None), gives
-    (raw, scale[, dict of non-gating values]), gated by raw / scale <= tol.
-    A guard(P, src) margin below min_margin rejects a point for it alone."""
+    """An identity a sweep checks under its gate name: residual(ev, P, src)
+    at points P (B, n), with the sweep's operator evaluation (L's order-1
+    matrix jet) and source there, each None without one, gives (raw,
+    scale[, dict of non-gating values]), gated by raw / scale <= tol. A
+    guard(P, src) margin below min_margin rejects a point for it alone."""
 
-    check: str
     gate: str
     tol: float
     residual: Callable[..., tuple]
@@ -123,15 +123,15 @@ class Reports(list):
 
 
 def _take(x, at: np.ndarray, idx: np.ndarray):
-    """x (a jet, evaluation or None) at sorted indices at, at idx in at."""
+    """x (a jet or None) at sorted indices at, at idx in at."""
     if x is None or len(idx) == len(at):
         return x
     return x.at(np.searchsorted(at, idx))
 
 
 def _surviving(fn: Callable, P: np.ndarray, idx: np.ndarray, *args):
-    """Evaluate fn(P[idx], *args), args being values at P[idx] (jets,
-    operator evaluations or None), dropping the points where it raises.
+    """Evaluate fn(P[idx], *args), args being values at P[idx] (jets or
+    None), dropping the points where it raises.
 
     A SingularPointError rejects the points its mask marks (all for a 0-d
     mask), and fn runs again on the rest with args indexed to them; a mask

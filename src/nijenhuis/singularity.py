@@ -414,7 +414,7 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
                 1.0 + np.max(np.abs([fv, quad, data.R]), axis=0))
 
     return run_sweep(
-        points, [Identity("normal_form", "normal_form_defect", tol, defect)])[0]
+        points, [Identity("normal_form_defect", tol, defect)])[0]
 
 
 def morse_remainder_field(f: ScalarField, n: int) -> ScalarField:
@@ -451,4 +451,4 @@ def verify_pde(R: ScalarField, n: int, points,
         res = pde_residuals(R, n, X)
         return res.system_max(), 1.0, {"factor2": res.factor2}
 
-    return run_sweep(points, [Identity("pde", "pde_system", tol, residual)])[0]
+    return run_sweep(points, [Identity("pde_system", tol, residual)])[0]

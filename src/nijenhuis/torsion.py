@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import OperatorField, OperatorEval, operator_eval
+from .field import OperatorField, operator_eval
+from .jet import Jet2, _jet
 from .report import Identity, entry_scale
 
 __all__ = [
@@ -44,16 +45,16 @@ __all__ = [
 DEFAULT_MIN_DENOMINATOR = 0.05
 
 
-def torsion_from_eval(ev: OperatorEval) -> np.ndarray:
-    """Contract an operator evaluation into torsion components.
+def torsion_from_eval(ev: Jet2) -> np.ndarray:
+    """Contract an operator evaluation, L's matrix jet, into torsion.
 
     Grouped as (t1 - t2) + (t4 - t3) where each parenthesized pair is an
     exact (j,k)-antisymmetric array, so the result is antisymmetric to the
     last bit, not just to rounding. Values (..., n, n) and gradients
     (..., n, n, n) give components (..., n, n, n).
     """
-    L = ev.values
-    G = ev.entry_grads  # G[..., i, j, l] = dL^i_j / dx^l
+    L = ev.value
+    G = ev.gradient  # G[..., i, j, l] = dL^i_j / dx^l
     N = np.einsum("...lj,...ikl->...ijk", L, G)
     N -= np.einsum("...lk,...ijl->...ijk", L, G)
     t43 = np.einsum("...il,...ljk->...ijk", L, G)
@@ -82,18 +83,17 @@ def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
     step = h * np.eye(n)
     c = p[..., None, :]
     ev = operator_eval(L, np.concatenate([c, c + step, c - step], axis=-2))
-    V = ev.values
-    centre = OperatorEval(point=p, values=V[..., 0, :, :],
-                          entry_grads=ev.entry_grads[..., 0, :, :, :])
+    V = ev.value
+    centre = _jet(V[..., 0, :, :], ev.gradient[..., 0, :, :, :], None)
     # D[..., i, j, l] ~ d L^i_j / dx^l by central differences.
     D = np.moveaxis((V[..., 1:n + 1, :, :] - V[..., n + 1:, :, :])
                     / (2.0 * h), -3, -1)
     # With constant u = d_j, v = d_k (so [u, v] = 0):
     # [Lu, Lv]^i = sum_l (L^l_j d_l L^i_k - L^l_k d_l L^i_j), and
     # -L[u, Lv]^i - L[Lu, v]^i = sum_m L^i_m (d_k L^m_j - d_j L^m_k).
-    LD = np.einsum("...lj,...ikl->...ijk", centre.values, D)
+    LD = np.einsum("...lj,...ikl->...ijk", centre.value, D)
     bracket = LD - np.swapaxes(LD, -2, -1)
-    corr = np.einsum("...im,...mjk->...ijk", centre.values,
+    corr = np.einsum("...im,...mjk->...ijk", centre.value,
                      D - np.swapaxes(D, -2, -1))
     return centre, bracket + corr
 
@@ -102,10 +102,9 @@ def torsion_identity(tol: float, guard=None,
                      min_margin: float = 0.0) -> Identity:
     """Vanishing torsion as a sweep identity. The gate is relative: max |N|
     / (1 + max |L entry|) <= tol; the raw residual is the component max."""
-    def residual(ev: OperatorEval, P, src) -> tuple:
+    def residual(ev: Jet2, P, src) -> tuple:
         raw = np.max(np.abs(torsion_from_eval(ev)), axis=(-3, -2, -1))
-        return raw, entry_scale(ev.values)
+        return raw, entry_scale(ev.value)
 
-    return Identity("torsion", "torsion_relative", tol, residual, guard,
-                    min_margin)
+    return Identity("torsion_relative", tol, residual, guard, min_margin)
 

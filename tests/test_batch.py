@@ -13,8 +13,7 @@ import nijenhuis.report
 from nijenhuis.cli import run
 from nijenhuis.construct import (build_2d, build_companion,
                                  build_diff_nondegenerate,
-                                 build_morse_canonical, build_regular_family,
-                                 conjugation_residual)
+                                 build_morse_canonical, build_regular_family)
 from nijenhuis.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
 from nijenhuis.field import OperatorField, ScalarField, operator_eval
 from nijenhuis.invariants import charpoly
@@ -27,6 +26,7 @@ from nijenhuis.singularity import (DELTA_TAYLOR, NewtonDivergenceError,
                                    quadratic_factor, remainder_from_expression,
                                    smoothness_numerators)
 from nijenhuis.torsion import torsion_bracket_fd, torsion_from_eval
+from sweeps import regular_conjugation
 
 SEED = 2718
 CHUNK = 7
@@ -119,27 +119,27 @@ def _operators():
 def test_operator_layers_match_points(L):
     P = np.random.default_rng(SEED).uniform(-0.9, 0.9, size=(11, L.dim))
     if L.guard is not None:
-        P = P[L.guard(P, L.source_at(P)) > 0.1]
+        P = P[L.guard(P, L.source(P)) > 0.1]
     ev = operator_eval(L, P)
     N = torsion_from_eval(ev)
-    sigma = charpoly(ev.values)
-    det = plu_det(ev.values)
+    sigma = charpoly(ev.value)
+    det = plu_det(ev.value)
     for k, p in enumerate(P):
         single = operator_eval(L, p)
-        assert same_bits(ev.values[k], single.values)
-        assert same_bits(ev.entry_grads[k], single.entry_grads)
+        assert same_bits(ev.value[k], single.value)
+        assert same_bits(ev.gradient[k], single.gradient)
         assert same_bits(N[k], torsion_from_eval(single))
-        assert same_bits(sigma[k], charpoly(single.values))
-        assert same_bits(det[k], plu_det(single.values))
+        assert same_bits(sigma[k], charpoly(single.value))
+        assert same_bits(det[k], plu_det(single.value))
 
 
 def test_conjugation_residual_matches_points():
     f = ScalarField.from_expression("y^3 + y + x1*x2", 3)
     P = np.random.default_rng(SEED + 1).uniform(-1.0, 1.0, size=(9, 3))
-    raw, scale = conjugation_residual(f, 3, P)
+    raw, scale = regular_conjugation(f, P)
     assert raw.shape == scale.shape == (9,)
     for k, p in enumerate(P):
-        r, s = conjugation_residual(f, 3, p)
+        r, s = regular_conjugation(f, p)
         assert same_bits(raw[k], r) and same_bits(scale[k], s)
 
 
@@ -202,14 +202,14 @@ def test_fd_oracle_batch_matches_points_bit_for_bit(case):
     centre, N = torsion_bracket_fd(L, P, h=h)
     assert N.shape == P.shape[:-1] + (n, n, n)
     ev = operator_eval(L, P)
-    assert same_bits(centre.values, ev.values)
-    assert same_bits(centre.entry_grads, ev.entry_grads)
+    assert same_bits(centre.value, ev.value)
+    assert same_bits(centre.gradient, ev.gradient)
     exact = torsion_from_eval(ev)
     for idx in np.ndindex(P.shape[:-1]):
         single_centre, single = torsion_bracket_fd(L, P[idx], h=h)
         assert same_bits(N[idx], single)
-        assert same_bits(centre.values[idx], single_centre.values)
-        assert same_bits(centre.entry_grads[idx], single_centre.entry_grads)
+        assert same_bits(centre.value[idx], single_centre.value)
+        assert same_bits(centre.gradient[idx], single_centre.gradient)
         assert same_bits(exact[idx],
                          torsion_from_eval(operator_eval(L, P[idx])))
 

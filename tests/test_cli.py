@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import nijenhuis
 from nijenhuis.cli import run
 from nijenhuis.field import ScalarField
 
@@ -679,3 +683,24 @@ def test_charpoly_disagreement_prints_plain_floats(capsys):
         r"characteristic coefficient recursion disagrees with the "
         r"elimination determinant: sigma_n=0\.9232\d+, "
         r"\(-1\)\^n det=0\.9232\d+", doc["error"]), doc["error"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_a_closed_standard_output_keeps_the_exit_code(fmt):
+    # the reader end is closed before the child writes, as `| head -1`
+    # may close it; the checks pass, so the exit code is 0
+    src = os.path.dirname(os.path.dirname(nijenhuis.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nijenhuis.cli", "verify", "--family",
+             "theorem2", "--n", "3", "--check", "all", "--samples", "50",
+             "--format", fmt],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert proc.stderr == b""

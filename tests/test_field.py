@@ -5,7 +5,7 @@ import pytest
 
 from nijenhuis.field import (OperatorField, ScalarField, SingularEntry,
                              operator_eval)
-from nijenhuis.jet import SingularPointError
+from nijenhuis.jet import Jet2, SingularPointError, _jet
 from nijenhuis.report import sample_box
 from nijenhuis.torsion import torsion_identity
 from sweeps import sweep
@@ -52,11 +52,22 @@ def test_operator_eval_values_and_gradients():
     ]
     L = OperatorField.from_entries(entries, label="demo")
     ev = operator_eval(L, np.array([2.0, 3.0]))
-    assert np.array_equal(ev.values, [[6.0, 9.0], [1.0, 5.0]])
-    assert np.array_equal(ev.entry_grads[0, 0], [3.0, 2.0])
-    assert np.array_equal(ev.entry_grads[0, 1], [0.0, 6.0])
-    assert np.array_equal(ev.entry_grads[1, 0], [0.0, 0.0])
-    assert np.array_equal(ev.entry_grads[1, 1], [1.0, 1.0])
+    # the evaluation is the rule's order-1 matrix jet
+    assert isinstance(ev, Jet2) and ev.hessian is None
+    assert ev.value.shape == (2, 2) and ev.gradient.shape == (2, 2, 2)
+    assert np.array_equal(ev.value, [[6.0, 9.0], [1.0, 5.0]])
+    assert np.array_equal(ev.gradient[0, 0], [3.0, 2.0])
+    assert np.array_equal(ev.gradient[0, 1], [0.0, 6.0])
+    assert np.array_equal(ev.gradient[1, 0], [0.0, 0.0])
+    assert np.array_equal(ev.gradient[1, 1], [1.0, 1.0])
+    P = np.zeros((4, 3, 2))
+    batch = operator_eval(L, P)
+    assert batch.value.shape == (4, 3, 2, 2)
+    assert batch.gradient.shape == (4, 3, 2, 2, 2)
+    # a custom rule's jet comes back as the same object
+    M = _jet(np.eye(2), np.zeros((2, 2, 2)), None)
+    custom = OperatorField(2, lambda p, src: M)
+    assert operator_eval(custom, np.array([2.0, 3.0])) is M
 
 
 def test_singular_entry_is_localized():
@@ -73,22 +84,6 @@ def test_singular_entry_is_localized():
     assert err.value.col == 1
     assert "entry (1,1)" in str(err.value)
     assert isinstance(err.value, SingularPointError)
-
-
-def test_entry_accessor():
-    entries = [
-        [ScalarField.from_expression("x1", 2),
-         ScalarField.from_expression("y", 2)],
-        [ScalarField.constant(2.0, 2),
-         ScalarField.from_expression("x1*y", 2)],
-    ]
-    L = OperatorField.from_entries(entries, label="m")
-    e12 = L.entry(1, 2)
-    assert e12(np.array([5.0, 7.0])).value == 7.0
-    with pytest.raises(IndexError):
-        L.entry(0, 1)
-    with pytest.raises(IndexError):
-        L.entry(3, 1)
 
 
 def test_guard_passthrough():

@@ -51,7 +51,7 @@ def test_nonfinite_relative_residual_fails_the_gate():
         rel = np.where(P[..., 0] > 0.5, np.nan, 1e-20)
         return np.abs(rel), 1.0
 
-    rep = run_sweep(points, [Identity("probe", "probe", 1e-10, residual)])[0]
+    rep = run_sweep(points, [Identity("probe", 1e-10, residual)])[0]
     assert not rep.passed
     assert not rep.checks[0].passed
     assert np.isnan(rep.checks[0].max)
@@ -66,7 +66,7 @@ def test_records_hold_the_accepted_points_in_order(monkeypatch):
         x = P[..., 0]
         return 2.0 * x, 2.0, {"twice": 4.0 * x}
 
-    identity = Identity("probe", "probe", 10.0, residual,
+    identity = Identity("probe", 10.0, residual,
                         guard=lambda P, src: np.abs(P[..., 0]),
                         min_margin=0.5)
     rep = run_sweep(points, [identity])[0]
@@ -86,7 +86,7 @@ def test_overflow_in_a_residual_raises():
         return P[:, 0] * 1e308 * 10.0, 1.0
 
     with pytest.raises(FloatingPointError, match="overflow"):
-        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)])
+        run_sweep(np.ones((3, 2)), [Identity("g", 1e-9, residual)])
 
 
 @pytest.mark.parametrize("mask", [None, np.zeros(3, dtype=bool),
@@ -102,7 +102,7 @@ def test_an_error_without_a_usable_mask_propagates(mask):
         raise exc
 
     with pytest.raises(SingularPointError, match="rule failed"):
-        run_sweep(np.ones((3, 2)), [Identity("g", "g", 1e-9, residual)])
+        run_sweep(np.ones((3, 2)), [Identity("g", 1e-9, residual)])
     assert calls == [3]   # never retried point by point
 
 
@@ -117,7 +117,7 @@ def test_a_0d_mask_rejects_its_whole_chunk(monkeypatch):
             raise DenominatorVanishes(0.0, mask=np.array(True))
         return P[:, 0], 1.0
 
-    rep = run_sweep(points, [Identity("g", "g", 10.0, residual)])[0]
+    rep = run_sweep(points, [Identity("g", 10.0, residual)])[0]
     assert (rep.accepted, rep.rejected) == (6, 4)
     assert np.array_equal(rep.records["point"], points[4:])
     assert calls == [4, 4, 2]
@@ -143,8 +143,8 @@ def test_identities_share_the_source_and_keep_their_own_rejections(
         return x.value, 1.0
 
     reports = run_sweep(
-        points, [Identity("even", "e", 1e9, even),
-                 Identity("large", "l", 1e9, value,
+        points, [Identity("e", 1e9, even),
+                 Identity("l", 1e9, value,
                           guard=lambda P, x: x.value, min_margin=3.0)],
         source=source)
     assert sources == [4, 4, 2]   # once per chunk for both identities
@@ -153,7 +153,7 @@ def test_identities_share_the_source_and_keep_their_own_rejections(
     assert (reports.accepted, reports.rejected) == (12, 8)
     # the first identity, in order, that accepts nothing aborts the sweep
     with pytest.raises(DomainEntirelySingular):
-        run_sweep(points, [Identity("large", "l", 1e9, value,
+        run_sweep(points, [Identity("l", 1e9, value,
                                     guard=lambda P, x: x.value,
                                     min_margin=99.0)],
                   source=source)

@@ -52,9 +52,9 @@ def test_numerators_match_family_fractions():
             continue
         d = smoothness_numerators(f, 3, p)
         ev = operator_eval(L, p)
-        assert d.numerators[0] == pytest.approx(ev.values[2, 0] * fy,
+        assert d.numerators[0] == pytest.approx(ev.value[2, 0] * fy,
                                                 rel=1e-12, abs=1e-12)
-        assert d.numerators[1] == pytest.approx(-ev.values[2, 1] * fy,
+        assert d.numerators[1] == pytest.approx(-ev.value[2, 1] * fy,
                                                 rel=1e-12, abs=1e-12)
 
 
@@ -62,8 +62,8 @@ def test_fraction_blowup_near_singular_denominator():
     # obstructed f: the (n,2) entry carries N_2/f_y = 1/(2y) and blows up
     f = ScalarField.from_expression("y^2 + x1", 3)
     L = build_regular_family(f, 3)
-    small = operator_eval(L, np.array([0.4, 0.1, 1e-3])).values
-    large = operator_eval(L, np.array([0.4, 0.1, 1e-1])).values
+    small = operator_eval(L, np.array([0.4, 0.1, 1e-3])).value
+    large = operator_eval(L, np.array([0.4, 0.1, 1e-1])).value
     assert abs(small[2, 1]) > 50.0 * abs(large[2, 1])
     # while the removable (n,1) fraction stays bounded
     assert abs(small[2, 0]) < 1.0

@@ -129,13 +129,13 @@ def _bracket_fd_by_index(L, p, h):
     """The bracket oracle written out index by index: the reference for the
     contracted form in torsion_bracket_fd."""
     n = L.dim
-    Lp = operator_eval(L, p).values
+    Lp = operator_eval(L, p).value
     D = np.empty((n, n, n))
     for l in range(n):
         e = np.zeros(n)
         e[l] = h
-        D[:, :, l] = (operator_eval(L, p + e).values
-                      - operator_eval(L, p - e).values) / (2.0 * h)
+        D[:, :, l] = (operator_eval(L, p + e).value
+                      - operator_eval(L, p - e).value) / (2.0 * h)
     N = np.zeros((n, n, n))
     for j in range(n):
         for k in range(n):
