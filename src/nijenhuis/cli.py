@@ -430,29 +430,25 @@ def _csv_rows(records: dict, columns) -> list:
              for values in row for c in values] for row in zip(*flat)]
 
 
-def _emit(args, report: _Report) -> None:
-    """Write the report's --format view to --out, else standard output; once
-    the reader closes the pipe, the rest goes to os.devnull, silently."""
-    fmt = getattr(args, "format", "json")
-    out_path = getattr(args, "out", None)
-    with (open(out_path, "w", newline="") if out_path
-          else contextlib.nullcontext(sys.stdout)) as sink:
-        try:
-            if fmt == "csv" and report.columns:
-                writer = csv.writer(sink)
-                writer.writerow(sum((names for _, names in report.columns),
-                                    []))
-                writer.writerows(_csv_rows(report.records, report.columns))
-            else:
-                # an error report has no tabular form: its csv view is text
-                lines = ([json.dumps(report.payload, indent=2)]
-                         if fmt == "json"
-                         else report.text or _default_text(report.payload))
-                sink.writelines(line + "\n" for line in lines)
-            sink.flush()
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sink.fileno())
+def _emit(fmt: str, report: _Report, sink) -> None:
+    """Write the report's fmt view to sink; once the reader closes the
+    pipe, the rest goes to os.devnull, silently."""
+    try:
+        if fmt == "csv" and report.columns:
+            writer = csv.writer(sink)
+            writer.writerow(sum((names for _, names in report.columns),
+                                []))
+            writer.writerows(_csv_rows(report.records, report.columns))
+        else:
+            # an error report has no tabular form: its csv view is text
+            lines = ([json.dumps(report.payload, indent=2)]
+                     if fmt == "json"
+                     else report.text or _default_text(report.payload))
+            sink.writelines(line + "\n" for line in lines)
+        sink.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sink.fileno())
 
 
 def _default_text(payload: dict) -> list:
@@ -703,22 +699,32 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
-        _emit(None, _Report(_payload("usage", error=str(exc))))
+        _emit("json", _Report(_payload("usage", error=str(exc))), sys.stdout)
         return 2
-    t0 = time.perf_counter()
     try:
-        with np.errstate(**JET_ERRSTATE):
-            report = args.handler(args)
-    except (UsageError, ValueError, ArithmeticError) as exc:
-        # usage and value errors exit 2 (a parse error keeps its byte
-        # offset); every numerical failure is an ArithmeticError: exit 3
-        error = _payload(args.command, error=str(exc))
-        if getattr(exc, "position", None) is not None:
-            error["position"] = exc.position
-        _emit(args, _Report(error))
-        return 2 if isinstance(exc, (UsageError, ValueError)) else 3
-    report.payload["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    _emit(args, report)
+        sink = (open(args.out, "w", newline="") if args.out
+                else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        # before the handler runs, so that no sweep is wasted
+        _emit(args.format, _Report(_payload(
+            "usage", error=f"cannot write --out {args.out}: {exc.strerror}")),
+            sys.stdout)
+        return 2
+    with sink as out:
+        t0 = time.perf_counter()
+        try:
+            with np.errstate(**JET_ERRSTATE):
+                report = args.handler(args)
+        except (UsageError, ValueError, ArithmeticError) as exc:
+            # usage and value errors exit 2 (a parse error keeps its byte
+            # offset); every numerical failure is an ArithmeticError: exit 3
+            error = _payload(args.command, error=str(exc))
+            if getattr(exc, "position", None) is not None:
+                error["position"] = exc.position
+            _emit(args.format, _Report(error), out)
+            return 2 if isinstance(exc, (UsageError, ValueError)) else 3
+        report.payload["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        _emit(args.format, report, out)
     return 1 if report.payload.get("pass") is False else 0
 
 

@@ -3,13 +3,15 @@
 These matrices are tiny (n <= 10 or so), so a straightforward Gauss-Jordan
 with partial pivoting is both fast enough and easy to audit. Every routine
 takes a stack of matrices (..., n, n), one per point, and eliminates all of
-them at once: each matrix gets its own pivots, and every sum runs in a fixed
-order, so its result is bit for bit the one it gets on its own.
+them at once: each matrix gets its own pivots, and every sum of values runs
+in a fixed order, so its result is bit for bit the one it gets on its own.
 `invert_with_det` and `matmul` take order-1 matrix jets (value and
 gradient): they work on the values as floats, and the gradients come in
-closed form. The float determinant also serves as an independent
-cross-check for the recursive characteristic-polynomial coefficients: two
-unrelated algorithms must agree on det before a result is trusted.
+closed form as stacked matmuls, one matrix per coordinate, whose bits for a
+matrix do not depend on its stack either. The float determinant also
+serves as an independent cross-check for the recursive
+characteristic-polynomial coefficients: two unrelated algorithms must
+agree on det before a result is trusted.
 """
 
 from __future__ import annotations
@@ -72,16 +74,24 @@ def _value(A: Jet2) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked products: sum over k of a[..., i, k, :] * b[..., k, j, :],
-    added from k = 0 up, so a matrix's result does not depend on its stack.
-
-    The trailing axis is a gradient axis, or of length 1 (and broadcast)
-    on a value.
-    """
-    acc = a[..., :, 0, None, :] * b[..., None, 0, :, :]
-    for k in range(1, a.shape[-2]):
-        acc = acc + a[..., :, k, None, :] * b[..., None, k, :, :]
+    """Stacked products of values: sum over k of a[..., i, k] * b[..., k, j],
+    added from k = 0 up, so a matrix's result does not depend on its
+    stack."""
+    acc = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        acc = acc + a[..., :, k, None] * b[..., None, k, :]
     return acc
+
+
+def _per_coordinate(gradient: np.ndarray) -> np.ndarray:
+    """A gradient (..., n, n, m) as m matrices (..., m, n, n), one per
+    coordinate, so that a stacked matmul multiplies each of them; a view."""
+    return gradient.swapaxes(-1, -2).swapaxes(-2, -3)
+
+
+def _per_entry(x: np.ndarray) -> np.ndarray:
+    """m matrices (..., m, n, n) as a gradient (..., n, n, m); a view."""
+    return x.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
 def invert_with_det(A: Jet2):
@@ -91,12 +101,14 @@ def invert_with_det(A: Jet2):
     point. Every matrix's values are eliminated as floats with its own
     pivots, the first row of largest |value| down the column, exactly as it
     would be alone, and det is the signed product of those pivots. The
-    gradients come in closed form: d(A^-1) = -A^-1 dA A^-1 and
-    d det = det tr(A^-1 dA). Returns (inverse, det), order-1 jets of batch
-    shapes (..., n, n) and (...). Raises NumericallySingular when a
-    matrix's best pivot is zero, and DenominatorVanishes when a pivot row
-    cannot be divided by its pivot (`jet.divide`'s test); either error's
-    mask marks the failing matrices. An order-2 A raises ValueError.
+    gradients come in closed form, d(A^-1) = -A^-1 dA A^-1 and
+    d det = det tr(dA A^-1), the products as stacked matmuls over the
+    gradient axis and the trace added from i = 0 up. Returns (inverse, det),
+    order-1 jets of batch shapes (..., n, n) and (...). Raises
+    NumericallySingular when a matrix's best pivot is zero, and
+    DenominatorVanishes when a pivot row cannot be divided by its pivot
+    (`jet.divide`'s test); either error's mask marks the failing matrices.
+    An order-2 A raises ValueError.
     """
     value = _value(A)
     shape = np.shape(value)
@@ -133,13 +145,13 @@ def invert_with_det(A: Jet2):
         a[:, k] = row
     inv = a[:, :, n:]
     m = A.gradient.shape[-1]
-    dA_inv = _dot(A.gradient.reshape(-1, n, n, m), inv[..., None])
-    trace = dA_inv[:, 0, 0]
+    dA_inv = _per_coordinate(A.gradient.reshape(-1, n, n, m)) @ inv[:, None]
+    trace = dA_inv[..., 0, 0]
     for i in range(1, n):
-        trace = trace + dA_inv[:, i, i]
+        trace = trace + dA_inv[..., i, i]
+    d_inv = _per_entry(-(inv[:, None] @ dA_inv))
     return (_jet(inv.reshape(batch + (n, n)),
-                 -_dot(inv[..., None], dA_inv).reshape(batch + (n, n, m)),
-                 None),
+                 d_inv.reshape(batch + (n, n, m)), None),
             _jet(det.reshape(batch)[()],
                  (det[:, None] * trace).reshape(batch + (m,)), None))
 
@@ -147,10 +159,12 @@ def invert_with_det(A: Jet2):
 def matmul(A: Jet2, B: Jet2) -> Jet2:
     """Product of two stacks of square order-1 matrix jets, batch (..., n, n).
 
-    Entry (i, j) adds A[i, k] * B[k, j] over k = 0..n-1 from left to right;
-    its gradient is dA B + A dB, each summed the same way. An order-2
-    operand raises ValueError.
+    Entry (i, j) adds A[i, k] * B[k, j] over k = 0..n-1 from left to right,
+    so the values are the jet product's bit for bit. Its gradient
+    dA B + A dB is two stacked matmuls, one matrix per coordinate. An
+    order-2 operand raises ValueError.
     """
-    a, b = _value(A)[..., None], _value(B)[..., None]
-    return _jet(_dot(a, b)[..., 0],
-                _dot(A.gradient, b) + _dot(a, B.gradient), None)
+    a, b = _value(A), _value(B)
+    grad = (_per_coordinate(A.gradient) @ b[..., None, :, :]
+            + a[..., None, :, :] @ _per_coordinate(B.gradient))
+    return _jet(_dot(a, b), _per_entry(grad), None)

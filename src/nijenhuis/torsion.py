@@ -14,12 +14,14 @@ meaningful check.
 
 Operator evaluations carry a leading points axis (see ``field.py``), and
 torsion components have shape (..., n, n, n), one tensor per point.
-``torsion_from_eval`` contracts a whole batch at once, the sweep evaluates
-its samples chunk by chunk, and ``torsion_bracket_fd`` evaluates the
-stencils of all its points, (..., 2n+1, n), in one ``operator_eval``. The
-stencil's centre is the point itself, so the oracle also hands back the
-exact evaluation there, which the coordinate route can contract without
-evaluating the operator again.
+Both routes contract a whole batch at once, each product of L with a
+derivative array as one stacked matmul (``@``), whose bits for a point do
+not depend on the rest of its batch. The sweep evaluates its samples chunk
+by chunk, and ``torsion_bracket_fd`` evaluates the stencils of all its
+points, (..., 2n+1, n), in one ``operator_eval``. The stencil's centre is
+the point itself, so the oracle also hands back the exact evaluation there,
+which the coordinate route can contract without evaluating the operator
+again.
 """
 
 from __future__ import annotations
@@ -45,22 +47,35 @@ __all__ = [
 DEFAULT_MIN_DENOMINATOR = 0.05
 
 
+def _left(L: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum over l of L[..., i, l] * T[..., l, j, k], as one stacked matmul
+    of (n, n) by (n, n*n)."""
+    n = L.shape[-1]
+    return (L @ T.reshape(T.shape[:-3] + (n, n * n))).reshape(T.shape)
+
+
+def _right(T: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """sum over l of T[..., i, k, l] * L[..., l, j], as one stacked matmul
+    of (n*n, n) by (n, n)."""
+    n = L.shape[-1]
+    return (T.reshape(T.shape[:-3] + (n * n, n)) @ L).reshape(T.shape)
+
+
 def torsion_from_eval(ev: Jet2) -> np.ndarray:
     """Contract an operator evaluation, L's matrix jet, into torsion.
 
-    Grouped as (t1 - t2) + (t4 - t3) where each parenthesized pair is an
-    exact (j,k)-antisymmetric array, so the result is antisymmetric to the
-    last bit, not just to rounding. Values (..., n, n) and gradients
-    (..., n, n, n) give components (..., n, n, n).
+    Two stacked matmuls carry the contraction. With G[..., i, k, l] =
+    dL^i_k/dx^l, GL[..., i, k, j] = sum_l G^i_kl L^l_j holds t2 at (i, j, k)
+    and t1 at (i, k, j), and LG[..., i, j, k] = sum_l L^i_l G^l_jk holds t4
+    at (i, j, k) and t3 at (i, k, j). So M = GL - LG is t2 - t4, its (j, k)
+    transpose is t1 - t3, and N = (t1 - t3) - (t2 - t4) = M^T - M is
+    antisymmetric in (j, k) to the last bit, not just to rounding. Values
+    (..., n, n) and gradients (..., n, n, n) give components (..., n, n, n).
     """
     L = ev.value
-    G = ev.gradient  # G[..., i, j, l] = dL^i_j / dx^l
-    N = np.einsum("...lj,...ikl->...ijk", L, G)
-    N -= np.einsum("...lk,...ijl->...ijk", L, G)
-    t43 = np.einsum("...il,...ljk->...ijk", L, G)
-    t43 -= np.einsum("...il,...lkj->...ijk", L, G)
-    N += t43
-    return N
+    M = _right(ev.gradient, L)
+    M -= _left(L, ev.gradient)
+    return np.swapaxes(M, -2, -1) - M
 
 
 def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
@@ -89,13 +104,14 @@ def torsion_bracket_fd(L: OperatorField, p: Sequence[float],
     D = np.moveaxis((V[..., 1:n + 1, :, :] - V[..., n + 1:, :, :])
                     / (2.0 * h), -3, -1)
     # With constant u = d_j, v = d_k (so [u, v] = 0):
-    # [Lu, Lv]^i = sum_l (L^l_j d_l L^i_k - L^l_k d_l L^i_j), and
-    # -L[u, Lv]^i - L[Lu, v]^i = sum_m L^i_m (d_k L^m_j - d_j L^m_k).
-    LD = np.einsum("...lj,...ikl->...ijk", centre.value, D)
-    bracket = LD - np.swapaxes(LD, -2, -1)
-    corr = np.einsum("...im,...mjk->...ijk", centre.value,
-                     D - np.swapaxes(D, -2, -1))
-    return centre, bracket + corr
+    # [Lu, Lv]^i = sum_l (L^l_j d_l L^i_k - L^l_k d_l L^i_j), the (j, k)
+    # transpose of DL minus DL, where DL[..., i, k, j] = sum_l D^i_kl L^l_j;
+    # -L[u, Lv]^i - L[Lu, v]^i = sum_m L^i_m (d_k L^m_j - d_j L^m_k), L on
+    # the left of D - D^T.
+    DL = _right(D, centre.value)
+    N = np.swapaxes(DL, -2, -1) - DL
+    N += _left(centre.value, D - np.swapaxes(D, -2, -1))
+    return centre, N
 
 
 def torsion_identity(tol: float, guard=None,

@@ -287,6 +287,29 @@ def test_out_writes_file(tmp_path, capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("argv, handler_code", [
+    (("construct", "--family", "theorem2", "--n", "3",
+      "--point", "0.1", "0.2", "0.3"), 0),
+    # the handler would fail this point as degenerate (exit 3)
+    (("construct", "--family", "diffnondeg", "--n", "2",
+      "--sigma", "x1,1e4*x1+y^3/3", "--point", "0.1", "5e-5"), 3),
+])
+def test_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys,
+                                                    argv, handler_code):
+    assert run(list(argv)) == handler_code
+    capsys.readouterr()
+    target = tmp_path / "no" / "such" / "x.json"
+    code = run([*argv, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["subject"] == "usage"
+    assert str(target) in doc["error"]
+    assert "wall_ms" not in doc   # decided before the handler ran
+    assert not target.parent.exists()
+
+
 def test_reports_are_deterministic(capsys):
     argv = ["verify", "--family", "theorem1", "--n", "3",
             "--f", "y^2 + x1*x2 + 0.3*y", "--check", "all",

@@ -1,11 +1,16 @@
 """Torsion evaluation: hand values, symmetry, oracle convergence, sweeps."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nijenhuis.construct import (build_diff_nondegenerate, build_morse_canonical,
                                  build_regular_family)
 from nijenhuis.field import OperatorField, ScalarField, operator_eval
+from nijenhuis.jet import _jet
 from nijenhuis.report import DomainEntirelySingular
 from nijenhuis.torsion import (DEFAULT_MIN_DENOMINATOR, torsion_bracket_fd,
                                torsion_from_eval, torsion_identity)
@@ -34,8 +39,8 @@ def test_diagonal_witness_hand_value():
 
 
 def test_antisymmetry_is_exact():
-    # grouping the four terms into two differences keeps N[i,j,k] = -N[i,k,j]
-    # exactly in floating point, not just approximately
+    # N = M^T - M, with M = t2 - t4, keeps N[i,j,k] = -N[i,k,j] exactly in
+    # floating point, not just approximately
     rng = np.random.default_rng(SEED + 1)
     texts = ["x1*y + x2", "y^2 - x2", "sin(x1)", "x2*x2 + 0.5", "exp(y/2)",
              "x1 + 2*y", "cos(x2)*y", "x1*x1 - y", "0.3", "y^3 - x1"]
@@ -218,3 +223,123 @@ def test_sweep_entirely_singular_domain():
     with pytest.raises(DomainEntirelySingular):
         sweep(L, torsion_identity(1e-10, L.guard, 0.05), box, samples=50,
               seed=3)
+
+
+# -- the contraction as stacked matmuls --------------------------------------
+
+def reference_torsion_from_eval(ev):
+    """The contraction as four einsums, the form the stacked matmuls of
+    torsion_from_eval replace: the reference for their accuracy."""
+    L, G = ev.value, ev.gradient
+    N = np.einsum("...lj,...ikl->...ijk", L, G)
+    N -= np.einsum("...lk,...ijl->...ijk", L, G)
+    t43 = np.einsum("...il,...ljk->...ijk", L, G)
+    t43 -= np.einsum("...il,...lkj->...ijk", L, G)
+    N += t43
+    return N
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _laid_out(rng, shape, layout):
+    """Unit-normal numbers of the given shape, as a contiguous array or as
+    a view with a transposed or a strided last axis: numpy picks its BLAS
+    or its own matmul loop by a matrix's strides."""
+    if layout == "transposed":
+        return np.swapaxes(rng.standard_normal(shape), -2, -1)
+    if layout == "strided":
+        return rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    return rng.standard_normal(shape)
+
+
+def _polynomial_operator(rng, n):
+    """L(p) = C0 + sum_l p_l C1[l] + p_l^2 C2[l] with random coefficients,
+    added in a fixed order so that a point's value is its own."""
+    C0, C1, C2 = (rng.standard_normal(s)
+                  for s in ((n, n), (n, n, n), (n, n, n)))
+
+    def rule(p, src):
+        x = p[..., :, None, None]
+        value = C0 + 0.0 * x[..., 0, :, :]
+        for l in range(n):
+            value = value + x[..., l, :, :] * (C1[l] + x[..., l, :, :] * C2[l])
+        gradient = np.moveaxis(C1 + 2.0 * x * C2, -3, -1)
+        return _jet(value, gradient, None)
+
+    return OperatorField(n, rule, label="polynomial")
+
+
+@st.composite
+def contraction_stacks(draw):
+    """n, a batch shape (B,) with B up to 300 or a stencil's (B, 2n+1), a
+    layout for L and G each, and a seed."""
+    n = draw(st.integers(2, 8))
+    batch = draw(st.one_of(st.tuples(st.integers(1, 300)),
+                           st.tuples(st.integers(1, 4), st.just(2 * n + 1))))
+    layouts = st.sampled_from(["contiguous", "transposed", "strided"])
+    return n, batch, draw(layouts), draw(layouts), draw(
+        st.integers(0, 2 ** 32 - 1))
+
+
+def _members(rng, batch):
+    """The first and last member of a batch and a few in between."""
+    flat = {0, int(np.prod(batch)) - 1}
+    flat.update(rng.integers(0, np.prod(batch), size=4).tolist())
+    return [np.unravel_index(k, batch) for k in sorted(flat)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(contraction_stacks())
+def test_stacked_contraction_matches_each_point_alone(case):
+    n, batch, l_layout, g_layout, seed = case
+    rng = np.random.default_rng(seed)
+    L = _laid_out(rng, batch + (n, n), l_layout)
+    G = _laid_out(rng, batch + (n, n, n), g_layout)
+    N = torsion_from_eval(_jet(L, G, None))
+    P = rng.uniform(-1.0, 1.0, size=batch + (n,))
+    op = _polynomial_operator(rng, n)
+    centre, fd = torsion_bracket_fd(op, P)
+    for b in _members(rng, batch):
+        assert same_bits(N[b], torsion_from_eval(_jet(L[b], G[b], None)))
+        centre1, fd1 = torsion_bracket_fd(op, P[b])
+        assert same_bits(centre.value[b], centre1.value)
+        assert same_bits(fd[b], fd1)
+
+
+def _exact_torsion(L, G):
+    """N and T = sum of |terms| of every component, in Fractions, from the
+    float inputs L (n, n) and G (n, n, n) taken as exact."""
+    n = len(L)
+    L = [[Fraction(v) for v in row] for row in L.tolist()]
+    G = [[[Fraction(v) for v in col] for col in row] for row in G.tolist()]
+    N, T = {}, {}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                terms = []
+                for l in range(n):
+                    terms += [L[l][j] * G[i][k][l], -L[l][k] * G[i][j][l],
+                              -L[i][l] * G[l][k][j], L[i][l] * G[l][j][k]]
+                N[i, j, k] = sum(terms)
+                T[i, j, k] = sum(abs(t) for t in terms)
+    return N, T
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_both_contractions_are_within_the_sum_bound(n):
+    # a sum of 4n products is within gamma_4n * T of its exact value
+    # (Higham, ch. 3): 4n u T to first order, with u = 2^-53
+    u = Fraction(1, 2 ** 53)
+    rng = np.random.default_rng(SEED + 10 * n)
+    for _ in range(2 if n < 6 else 1):
+        ev = _jet(rng.standard_normal((n, n)),
+                  rng.standard_normal((n, n, n)), None)
+        exact, T = _exact_torsion(ev.value, ev.gradient)
+        for N in (torsion_from_eval(ev), reference_torsion_from_eval(ev)):
+            assert np.array_equal(N, -np.swapaxes(N, -2, -1))
+            for idx, value in exact.items():
+                assert abs(Fraction(N[idx]) - value) <= 4 * n * u * T[idx]
