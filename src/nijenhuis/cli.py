@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -60,9 +59,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # also "-1e-05", as CSV writes it (subparsers share this class)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # a single-dash token other than -h is a value ("-1e-05" as CSV
+        # writes it, or "-x1+1"), not a flag; subparsers share this class
+        self._negative_number_matcher = re.compile(r"^-(?!-|h$)")
 
     def error(self, message):
         raise UsageError(message)
@@ -419,26 +418,41 @@ def _names(prefix: str, count: int) -> list:
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
 
-def _csv_rows(records: dict, columns) -> list:
-    """CSV cells, one row per record: each column's values flattened in C
-    order (a matrix row by row), floats to 17 significant digits."""
-    flat = []
-    for key, _ in columns:
-        a = records[key]
-        flat.append(a.reshape(len(a), math.prod(a.shape[1:])).tolist())
-    return [[f"{c:.16e}" if isinstance(c, float) else str(c)
-             for values in row for c in values] for row in zip(*flat)]
+_CSV_QUOTED = re.compile(r'[,"\r\n]').search
+
+
+def _csv_cell(c, alone: bool) -> str:
+    """A text cell: a float to 17 significant digits, anything else as str,
+    quoted (" doubled) if it holds , " \\r or \\n, or is a lone empty cell."""
+    text = f"{c:.16e}" if isinstance(c, float) else str(c)
+    if _CSV_QUOTED(text) or (alone and not text):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_text(records: dict, columns) -> str:
+    """The CSV view as csv.writer's default dialect writes it: a header, then
+    a row per record of each column's values in C order. A column's dtype
+    picks its cells' format once; one row template formats every row."""
+    header = [name for _, names in columns for name in names]
+    cell = functools.partial(_csv_cell, alone=len(header) == 1)
+    blocks = [records[key] for key, _ in columns]
+    blocks = [a.reshape(len(a), math.prod(a.shape[1:])) for a in blocks]
+    blocks = [a if a.dtype.kind in "fiub" else np.frompyfunc(cell, 1, 1)(a)
+              for a in blocks]
+    row = ",".join("%.16e" if a.dtype.kind == "f" else "%s"
+                   for a in blocks for _ in range(a.shape[1])) + "\r\n"
+    cells = np.concatenate(blocks, axis=1, dtype=object)
+    return (",".join(map(cell, header)) + "\r\n"
+            + (row * len(cells)) % tuple(cells.ravel().tolist()))
 
 
 def _emit(fmt: str, report: _Report, sink) -> None:
-    """Write the report's fmt view to sink; once the reader closes the
-    pipe, the rest goes to os.devnull, silently."""
+    """Write the report's fmt view to sink, CSV as one _csv_text string;
+    once the reader closes the pipe, the rest goes to os.devnull, silently."""
     try:
         if fmt == "csv" and report.columns:
-            writer = csv.writer(sink)
-            writer.writerow(sum((names for _, names in report.columns),
-                                []))
-            writer.writerows(_csv_rows(report.records, report.columns))
+            sink.write(_csv_text(report.records, report.columns))
         else:
             # an error report has no tabular form: its csv view is text
             lines = ([json.dumps(report.payload, indent=2)]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,9 +12,10 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import nijenhuis
-from nijenhuis.cli import run
+from nijenhuis.cli import _csv_text, run
 from nijenhuis.field import ScalarField
 
 
@@ -248,6 +250,20 @@ def test_usage_errors_exit_two(capsys):
 def test_unknown_flag_exits_two(capsys):
     code, _ = invoke(capsys, "verify", "--nope")
     assert code == 2
+
+
+def test_an_expression_flag_value_may_start_with_a_dash(capsys):
+    code, doc = invoke_json(capsys, "pde-check", "--R", "-x1+x2+1",
+                            "--n", "3")
+    assert code == 0 and doc["max_residual"] == 0
+    code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
+                            "--n", "2", "--f", "-y^3/3+x1*y")
+    assert code == 0 and doc["params"]["f"] == "-y^3/3+x1*y"
+    # a double-dash token is still the next flag, not a value
+    code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
+                            "--f", "--n", "2")
+    assert code == 2
+    assert doc["error"] == "argument --f: expected one argument"
 
 
 def test_matrix_rowmajor_form(capsys):
@@ -649,6 +665,66 @@ def test_csv_coordinates_pass_back_through_point(capsys, argv, key):
         again += ["--point", *(row[i] for i in coords)]
     assert any("e-" in arg for arg in again)
     assert invoke(capsys, *again, "--format", "csv") == (0, out)
+
+
+# -- the CSV writer -----------------------------------------------------------
+
+def reference_csv(records: dict, columns) -> str:
+    """The CSV view as csv.writer's default dialect writes it, from cells
+    built one by one: the reference the row-template writer must match."""
+    flat = []
+    for key, _ in columns:
+        a = records[key]
+        flat.append(a.reshape(len(a), math.prod(a.shape[1:])).tolist())
+    rows = [[f"{c:.16e}" if isinstance(c, float) else str(c)
+             for values in row for c in values] for row in zip(*flat)]
+    sink = io.StringIO()
+    writer = csv.writer(sink)
+    writer.writerow(sum((names for _, names in columns), []))
+    writer.writerows(rows)
+    return sink.getvalue()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                   -2.5e-310, 1e308, -1e308]
+_CSV_TEXT = st.text(st.sampled_from(list(',"\r\n a-.e')), max_size=4)
+_CSV_KINDS = {
+    "float": (float, st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                               st.floats())),
+    "int": (np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+    "bool": (bool, st.booleans()),
+    "str": (str, _CSV_TEXT),
+    # verify's pde rows pad their base points with ""
+    "object": (object, st.one_of(st.floats(), st.just(""))),
+}
+
+
+@st.composite
+def _csv_reports(draw):
+    rows = draw(st.integers(0, 300))
+    records, columns = {}, []
+    for c in range(draw(st.integers(1, 4))):
+        dtype, element = _CSV_KINDS[draw(st.sampled_from(sorted(_CSV_KINDS)))]
+        # a record's cell is a scalar, a vector, or a matrix (construct's)
+        shape = draw(st.sampled_from([(), (1,), (3,), (1, 1), (2, 2),
+                                      (3, 3)]))
+        pool = np.array(draw(st.lists(element, min_size=1, max_size=6)),
+                        dtype=dtype)
+        records[c] = pool[draw(arrays(np.intp, (rows, *shape),
+                                      elements=st.integers(0, len(pool) - 1)))]
+        columns.append((c, draw(st.lists(_CSV_TEXT | st.just("name"),
+                                         min_size=math.prod(shape),
+                                         max_size=math.prod(shape)))))
+    return records, columns
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_csv_reports())
+def test_csv_writer_matches_the_csv_module(report):
+    # nan, infinities, signed zeros, subnormals and the largest floats;
+    # cells that need quotes; a lone empty cell, which csv.writer quotes
+    records, columns = report
+    assert _csv_text(records, columns) == reference_csv(records, columns)
 
 
 # -- one parser per process ---------------------------------------------------
