@@ -41,7 +41,6 @@ from .report import (Identity, entry_scale, normalize_box, sample_box,
 
 __all__ = ["main", "run", "UsageError"]
 
-FAMILIES = ("companion", "diffnondeg", "2d", "theorem1", "theorem2")
 CHECKS = ("torsion", "conjugation", "sigma", "pde", "all")
 
 DEFAULT_TOLS = {
@@ -295,16 +294,47 @@ def _matrix_operator(spec: str, n_flag: Optional[int]) -> OperatorField:
 class _Context(NamedTuple):
     """An operator and what its family knows about it: sigma(P, src), the
     expected coefficients (..., n) at points (..., n) from the sweep's
-    source there; f, the determinant coefficient; conjugated, the operator
-    J L = Ltilde J is stated for if not op; the checks `--check all` runs.
-    """
+    source there; f, the determinant coefficient; signs, those of
+    x1..x(n-1) in sigma; the checks `--check all` runs."""
 
     op: OperatorField
     params: dict
     sigma: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
     f: Optional[ScalarField] = None
-    conjugated: Optional[OperatorField] = None
+    signs: Optional[np.ndarray] = None
     checks: tuple = ("torsion",)
+
+
+class _Family(NamedTuple):
+    """A --family: flag, the option its input comes from; text(value, n),
+    the input's text from the option's value (None: the value); the least
+    n and the n it fixes; build(input, n, value), the operator from the
+    parsed f or sigma; signs of x1..x(n-1) in sigma, for a family built
+    from f (None: from sigma); extra checks of `--check all`."""
+
+    flag: str
+    text: Optional[Callable]
+    least_n: int
+    fixed_n: Optional[int]
+    build: Callable[..., OperatorField]
+    signs: Optional[float] = None
+    extra: tuple = ()
+
+
+# argparse lists the choices in this order
+FAMILIES = {
+    "companion": _Family("sigma", lambda text, n: ",".join(
+        _names("x", n - 1) + ["y"]) if text is None else text, 2, None,
+        lambda sigma, n, _: build_companion(sigma)),
+    "diffnondeg": _Family("sigma", None, 2, None,
+                          lambda sigma, n, _: build_diff_nondegenerate(sigma)),
+    "2d": _Family("f", None, 2, 2, lambda f, n, _: build_2d(f), -1.0),
+    "theorem1": _Family("f", None, 2, None,
+                        lambda f, n, _: build_regular_family(f, n), 1.0),
+    "theorem2": _Family(
+        "sign", lambda sign, n: "y^2" if sign > 0 else "-y^2", 3, None,
+        lambda f, n, sign: build_morse_canonical(n, sign), 1.0, ("pde",)),
+}
 
 
 def _build_context(args) -> _Context:
@@ -318,59 +348,29 @@ def _build_context(args) -> _Context:
         op = _matrix_operator(matrix, args.n)
         return _Context(op, {"family": "matrix", "n": op.dim})
 
-    if family == "2d":
-        _require(args.f is not None, "--family 2d requires --f")
-        _require(args.n in (None, 2), "--family 2d fixes --n 2")
-        f = _field(args.f, 2)
-        # The conjugation identity is stated for the sigma_i = +x_i
-        # convention, so the planar family (sigma_1 = -x1) is checked
-        # against the regular-family form of the same f.
-        return _Context(build_2d(f), {"family": "2d", "n": 2, "f": args.f},
-                        coordinate_sigma(f, 2, (-1.0,)), f,
-                        build_regular_family(f, 2),
-                        ("torsion", "sigma", "conjugation"))
-
-    _require(args.n is not None, f"--family {family} requires --n")
-    n = args.n
-    _require(n >= 2, f"--n must be at least 2, got {n}")
-
-    if family == "theorem1":
-        _require(args.f is not None, "--family theorem1 requires --f")
-        f = _field(args.f, n)
-        return _Context(build_regular_family(f, n),
-                        {"family": "theorem1", "n": n, "f": args.f},
-                        coordinate_sigma(f, n, np.ones(n - 1)), f,
-                        checks=("torsion", "sigma", "conjugation"))
-
-    if family == "theorem2":
-        _require(n >= 3, "--family theorem2 requires --n > 2")
-        sign = args.sign
-        f_text = "y^2" if sign > 0 else "-y^2"
-        f = _field(f_text, n)
-        return _Context(build_morse_canonical(n, sign),
-                        {"family": "theorem2", "n": n, "f": f_text,
-                         "sign": sign},
-                        coordinate_sigma(f, n, np.ones(n - 1)), f,
-                        checks=("torsion", "sigma", "conjugation", "pde"))
-
-    if family == "companion":
-        if args.sigma is None:
-            sigma_text = ",".join([f"x{i}" for i in range(1, n)] + ["y"])
-        else:
-            sigma_text = args.sigma
-        fields = _sigma_fields(sigma_text, n)
-        return _Context(build_companion(fields),
-                        {"family": "companion", "n": n, "sigma": sigma_text},
+    spec = FAMILIES[family]
+    n = spec.fixed_n or args.n
+    if spec.fixed_n is None:
+        _require(n is not None, f"--family {family} requires --n")
+        _require(n >= 2, f"--n must be at least 2, got {n}")
+        _require(n >= spec.least_n,
+                 f"--family {family} requires --n > {spec.least_n - 1}")
+    value = getattr(args, spec.flag)
+    text = value if spec.text is None else spec.text(value, n)
+    _require(text is not None, f"--family {family} requires --{spec.flag}")
+    # a family that fixes n checks --n after its input
+    _require(args.n in (None, n), f"--family {family} fixes --n {n}")
+    params = {"family": family, "n": n,
+              "sigma" if spec.signs is None else "f": text,
+              **({"sign": value} if spec.flag == "sign" else {})}
+    if spec.signs is None:
+        return _Context(spec.build(_sigma_fields(text, n), n, value), params,
                         lambda P, sj: sj.value, checks=("torsion", "sigma"))
-
-    if family == "diffnondeg":
-        _require(args.sigma is not None, "--family diffnondeg requires --sigma")
-        fields = _sigma_fields(args.sigma, n)
-        return _Context(build_diff_nondegenerate(fields),
-                        {"family": "diffnondeg", "n": n, "sigma": args.sigma},
-                        lambda P, sj: sj.value, checks=("torsion", "sigma"))
-
-    raise UsageError(f"unknown family {family!r}")
+    f = _field(text, n)
+    signs = np.full(n - 1, spec.signs)
+    return _Context(spec.build(f, n, value), params,
+                    coordinate_sigma(f, n, signs), f, signs,
+                    ("torsion", "sigma", "conjugation") + spec.extra)
 
 
 # -- reports -------------------------------------------------------------------
@@ -582,11 +582,9 @@ def _identity(ctx: _Context, check: str, tol: float,
         return torsion_identity(tol, ctx.op.guard, min_margin)
     if check == "sigma":
         return sigma_identity(ctx.sigma, tol, ctx.op.guard, min_margin)
-    # the sweep's source is f; conjugated, if any, is evaluated from its jet
-    L = ctx.conjugated
-    return Identity("conjugation_relative", tol,
-                    lambda ev, P, fj: conjugation_residual(
-                        P, fj, ev if L is None else operator_eval(L, P, fj)),
+    # the sweep's source is f
+    return Identity("conjugation_relative", tol, lambda ev, P, fj:
+                    conjugation_residual(P, fj, ev, ctx.signs),
                     _fy_margin, min_margin)
 
 

@@ -11,7 +11,8 @@ them. Concretely:
   invertible Jacobi matrix J = (d sigma_i / d x_j); L = J^(-1) Ltilde J with
   Ltilde the first-column companion matrix of the sigma values.
 - ``build_2d``: the planar family with tr L = x1 and det L = f(x1, y)
-  (so sigma_1 = -x1, sigma_2 = f).
+  (so sigma_1 = -x1, sigma_2 = f): the regular family of f at n = 2,
+  negated.
 - ``build_regular_family``: the n-dimensional family with sigma_i = x_i for
   i < n and sigma_n = f, valid where f_y != 0; its last row carries the
   quotient entries whose smoothness across f_y = 0 is the object of the
@@ -25,8 +26,11 @@ Each family names its source: f itself for the regular and planar
 families, the stacked coefficient jets for companion and diffnondeg, and
 none for the Morse canonical family. Every rule returns the operator as
 one order-1 matrix jet of batch (..., n, n), so no entry Hessian is ever
-formed: companion and diffnondeg compute it whole, and the families built
-entry by entry write their grid into it with ``field._matrix_jet``.
+formed: companion and diffnondeg compute it whole, the families built
+entry by entry write their grid into it with ``field._matrix_jet``, and
+the planar family negates the regular one's. ``conjugation_residual``
+states J L = Ltilde J for a family built from f with that family's own
+signs of x1..x(n-1) in sigma.
 """
 
 from __future__ import annotations
@@ -197,24 +201,14 @@ def _fy_margin(p, fj: Jet2):
 
 
 def build_2d(f: ScalarField) -> OperatorField:
-    """Planar operator family with tr L = x1, det L = f (sigma_1 = -x1).
-
-    Entries: [[x1 - f_x, -f_y], [(-x1 f_x + f_x^2 + f)/f_y, f_x]]. Entry
-    (2,1) requires f_y != 0.
+    """Planar operator family with tr L = x1, det L = f (sigma_1 = -x1):
+    -build_regular_family(f, 2), so its entries are
+    [[x1 - f_x, -f_y], [(-x1 f_x + f_x^2 + f)/f_y, f_x]]. Entry (2,1)
+    requires f_y != 0.
     """
-    if f.dim != 2:
-        raise ValueError(f"planar family needs a 2-variable f, got dim {f.dim}")
-
-    def rule(p, fj):
-        (fx,), fy = _partials(fj)
-        x = coordinate_jet(1, p, order=1)
-        try:
-            low = (-(x * fx) + fx * fx + fj) / fy
-        except DenominatorVanishes as exc:
-            raise SingularEntry(2, 1, p, exc) from None
-        return _matrix_jet([[x - fx, -fy], [low, fx]], p)
-
-    return OperatorField(2, rule, label="2d", guard=_fy_margin, source=f)
+    regular = build_regular_family(f, 2)
+    return OperatorField(2, lambda p, fj: -regular.matrix_rule(p, fj),
+                         label="2d", guard=_fy_margin, source=f)
 
 
 def build_regular_family(f: ScalarField, n: int) -> OperatorField:
@@ -303,23 +297,27 @@ def build_morse_canonical(n: int, sign: int) -> OperatorField:
     return OperatorField(n, rule, label=f"morse-canonical({sign:+d})")
 
 
-def conjugation_residual(P: np.ndarray, fj: Jet2, L: Jet2) -> tuple:
+def conjugation_residual(P: np.ndarray, fj: Jet2, L: Jet2,
+                         signs=1.0) -> tuple:
     """Residual and magnitude scale of the identity J L = Ltilde J at the
     points P (..., n), from f's jet fj and the operator's matrix jet L there.
 
-    J here is the specialized Jacobi matrix of (x_1, ..., x_(n-1), f): an
-    identity block over the gradient row of f. Ltilde is the companion
-    matrix of (P_1, ..., P_(n-1), f(P)). Returns (max |J L - Ltilde J|,
-    1 + max entry magnitude of the two products), each of the batch shape
+    The coefficients are sigma = (signs * (x_1, ..., x_(n-1)), f), signs a
+    number or n-1 of them, as ``coordinate_sigma`` takes them: +1 for the
+    regular family, -1 for the planar one. J is their Jacobi matrix, the
+    diagonal signs over the gradient row of f, and Ltilde the companion
+    matrix of their values at P. Returns (max |J L - Ltilde J|, 1 + max
+    entry magnitude of the two products), each of the batch shape
     P.shape[:-1].
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[-1]
     J = np.zeros(P.shape[:-1] + (n, n))
-    J[...] = np.eye(n)
+    diagonal = np.arange(n - 1)
+    J[..., diagonal, diagonal] = signs
     J[..., n - 1, :] = fj.gradient
-    Ltilde = companion_matrix(
-        np.concatenate([P[..., :n - 1], fj.value[..., None]], axis=-1))
+    Ltilde = companion_matrix(np.concatenate(
+        [signs * P[..., :n - 1], fj.value[..., None]], axis=-1))
     left = J @ L.value
     right = Ltilde @ J
     axes = (-2, -1)

@@ -7,8 +7,9 @@ vanish too; ``smoothness_numerators`` classifies a point accordingly.
 When the determinant coefficient has a Morse critical point in y,
 ``morse_reduce`` splits f = sign*(y - c(x))^2-part + R(x) numerically, and
 ``pde_residuals`` evaluates the system the remainder R must satisfy for the
-operator to extend across the singular locus (whose only smooth solution is
-R = 0 for n > 2, with the extra planar solution R = x1^2/4 at n = 2).
+operator to extend across the singular locus. R = 0 solves it, as do the
+affine remainders R_t = -((-t)^n + (-t)^(n-1) x1 + ... + (-t) x_(n-1))
+(checked for several t at n = 2, 3, 4) and, at n = 2, R = x1^2/4.
 
 The reduction, its quadratic factor and the normal-form defect read only
 f, f_y and f_yy, so they evaluate f's fiber jet, ``f(p, fiber=True)``,

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nijenhuis.report
+from nijenhuis import cli
 from nijenhuis.cli import run
-from nijenhuis.construct import (build_2d, build_companion,
-                                 build_diff_nondegenerate,
-                                 build_morse_canonical, build_regular_family)
+from nijenhuis.construct import (build_companion, build_diff_nondegenerate,
+                                 build_regular_family)
 from nijenhuis.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
 from nijenhuis.field import OperatorField, ScalarField, operator_eval
 from nijenhuis.invariants import charpoly
@@ -102,17 +102,32 @@ def test_chunk_matches_points_bit_for_bit(case):
 
 # -- batched layers against their per-point evaluation ----------------------------
 
+# the flags of one operator of each registered family
+FAMILY_FLAGS = {
+    "companion": ("--n", "3", "--sigma", "x1+y^2,x2*y,y+x1"),
+    "diffnondeg": ("--n", "3",
+                   "--sigma", "x1+0.1*y^2,x2+0.2*x1*y,y+0.1*x1*x2"),
+    "2d": ("--f", "x1*x1/4 + y^2 + 0.3*y"),
+    "theorem1": ("--n", "3", "--f", "y^3/3 + 0.2*y + sin(x1)*y + x1*x2"),
+    "theorem2": ("--n", "4", "--sign", "-1"),
+}
+
+
+def _context(family, flags):
+    """The CLI's context of --family family with these flags."""
+    return cli._build_context(cli.build_parser().parse_args(
+        ["construct", "--family", family, *flags]))
+
+
 def _operators():
-    f2 = ScalarField.from_expression("x1*x1/4 + y^2 + 0.3*y", 2)
-    f3 = ScalarField.from_expression("y^3/3 + 0.2*y + sin(x1)*y + x1*x2", 3)
-    sigma = [ScalarField.from_expression(t, 3)
-             for t in ("x1+0.1*y^2", "x2+0.2*x1*y", "y+0.1*x1*x2")]
+    """An operator of every registered family with flags here (a family
+    without fails test_every_registered_family_has_fixtures), and an
+    ad-hoc matrix."""
     matrix = OperatorField.from_entries(
         [[ScalarField.from_expression(t, 2) for t in row]
          for row in (("x1*y", "exp(y)"), ("1/(x1+3)", "x1+y"))])
-    return [build_2d(f2), build_regular_family(f3, 3),
-            build_morse_canonical(4, -1), build_diff_nondegenerate(sigma),
-            matrix]
+    return [_context(family, FAMILY_FLAGS[family]).op
+            for family in cli.FAMILIES if family in FAMILY_FLAGS] + [matrix]
 
 
 @pytest.mark.parametrize("L", _operators(), ids=lambda L: L.label)
@@ -452,8 +467,7 @@ THEOREM2_CONJUGATION_GUARD = (
     "verify", "--family", "theorem2", "--n", "3", "--check", "all",
     "--samples", "300", "--seed", "6", "--min-denominator", "0.4")
 # f fails where y + x1 + 1 <= 0 and the guard rejects |f_y| < 0.05, for every
-# check alike: the planar operator and its regular form, which conjugation
-# evaluates, have negated quotient numerators, so they fail at the same points
+# check alike: each reads the same evaluation of the planar operator
 PLANAR_SOURCE_AND_GUARD = (
     "verify", "--family", "2d", "--f", "sqrt(y + x1 + 1) + y^2",
     "--check", "all", "--samples", "300", "--seed", "6")
@@ -550,34 +564,34 @@ def test_reports_do_not_depend_on_chunk_size(argv, capsys, monkeypatch):
 
 SAMPLES, COUNT_CHUNK = 300, 128
 
-# family flags, box, and the checks whose sweeps evaluate f or sigma (the
-# pde check's Newton iteration evaluates f once per step by design)
+# flags and box of each registered family; its checks are those of its
+# --check all but pde, whose Newton iteration evaluates f once per step by
+# design
 SOURCE_FAMILIES = {
     # the guard |f_y| >= 0.05 rejects points in every chunk
-    "theorem1": (("--family", "theorem1", "--n", "3",
-                  "--f", "y^2 + 0.3*x1*y + x2"), [-1.0, 1.0],
-                 ("torsion", "sigma", "conjugation")),
-    "2d": (("--family", "2d", "--f", "x1*x1/4 + y^2 + 0.3*y"), [-1.0, 1.0],
-           ("torsion", "sigma", "conjugation")),
+    "theorem1": (("--n", "3", "--f", "y^2 + 0.3*x1*y + x2"), [-1.0, 1.0]),
+    "2d": (("--f", "x1*x1/4 + y^2 + 0.3*y"), [-1.0, 1.0]),
     # no source: only the sigma expectation and the conjugation sweep
     # evaluate f = y^2, whose guard rejects |2y| < 0.05
-    "theorem2": (("--family", "theorem2", "--n", "3"), [-1.0, 1.0],
-                 ("torsion", "sigma", "conjugation")),
-    "companion": (("--family", "companion", "--n", "3",
-                   "--sigma", "x1+y^2,x2*y,y+x1"), [-1.0, 1.0],
-                  ("torsion", "sigma")),
+    "theorem2": (("--n", "3"), [-1.0, 1.0]),
+    "companion": (("--n", "3", "--sigma", "x1+y^2,x2*y,y+x1"), [-1.0, 1.0]),
     # the jet inverse's pivot division fails inside the rule for about
     # half the points: rejections that index the source
-    "diffnondeg": (("--family", "diffnondeg", "--n", "2",
-                    "--sigma", "x1,1e4*x1+y^3/3"), [-1.0, 1.0, 1e-5, 2e-4],
-                   ("torsion", "sigma")),
+    "diffnondeg": (("--n", "2", "--sigma", "x1,1e4*x1+y^3/3"),
+                   [-1.0, 1.0, 1e-5, 2e-4]),
 }
 
 
-@pytest.mark.parametrize("family", SOURCE_FAMILIES)
+def test_every_registered_family_has_fixtures():
+    assert set(FAMILY_FLAGS) == set(SOURCE_FAMILIES) == set(cli.FAMILIES)
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
 def test_each_generating_field_is_evaluated_once_per_chunk(
         family, capsys, monkeypatch):
-    flags, box, checks = SOURCE_FAMILIES[family]
+    flags, box = SOURCE_FAMILIES[family]
+    ctx = _context(family, flags)
+    checks = [c for c in ctx.checks if c != "pde"]
     monkeypatch.setattr(nijenhuis.report, "SWEEP_CHUNK", COUNT_CHUNK)
     calls = collections.Counter()
     call = ScalarField.__call__
@@ -585,9 +599,9 @@ def test_each_generating_field_is_evaluated_once_per_chunk(
                         lambda self, p, **kw: calls.update([id(self)])
                         or call(self, p, **kw))
     chunks = -(-SAMPLES // COUNT_CHUNK)
-    argv = ["verify", *flags, "--samples", str(SAMPLES), "--seed", "5",
-            "--box", *map(str, box), "--format", "csv"]
-    n = int(flags[flags.index("--n") + 1]) if "--n" in flags else 2
+    argv = ["verify", "--family", family, *flags, "--samples", str(SAMPLES),
+            "--seed", "5", "--box", *map(str, box), "--format", "csv"]
+    n = ctx.op.dim
     bounds = np.reshape(box, (-1, 2)) if len(box) > 2 else box
     sampled = sample_box(bounds, n, SAMPLES, 5)
     boundary_rejections = False
@@ -603,7 +617,7 @@ def test_each_generating_field_is_evaluated_once_per_chunk(
         boundary_rejections |= (min(rejected, default=SAMPLES) < COUNT_CHUNK
                                 <= max(rejected, default=-1))
     assert boundary_rejections or family == "companion"
-    if family != "theorem2":   # theorem2's --check all adds the pde sweep
+    if "pde" not in ctx.checks:   # --check all would add the pde sweep
         # one sweep for every check: each field is evaluated once per
         # chunk, and the operator as often as for one check alone
         evals = collections.Counter()

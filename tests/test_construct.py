@@ -185,3 +185,17 @@ def test_conjugation_residual_detects_wrong_operator():
     raw, scale = conjugation_residual(p, f3(p), operator_eval(wrong, p))
     assert raw > 1e-3 * scale
 
+
+
+def test_planar_conjugation_follows_its_own_sigma():
+    # the planar operator satisfies J L = Ltilde J for sigma = (-x1, f),
+    # and not for the regular family's sigma = (x1, f)
+    f = ScalarField.from_expression("x1*x1/4 + y^2 + 0.3*y", 2)
+    P = np.random.default_rng(SEED + 5).uniform(-1.0, 1.0, size=(20, 2))
+    P = P[np.abs(2.0 * P[:, 1] + 0.3) > 0.1]
+    fj = f(P)
+    ev = operator_eval(build_2d(f), P, fj)
+    raw, scale = conjugation_residual(P, fj, ev, signs=-1.0)
+    assert np.all(raw <= 1e-13 * scale)
+    raw, scale = conjugation_residual(P, fj, ev, signs=1.0)
+    assert np.all(raw > 1e-3 * scale)

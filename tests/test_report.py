@@ -150,6 +150,7 @@ def test_identities_share_the_source_and_keep_their_own_rejections(
     assert sources == [4, 4, 2]   # once per chunk for both identities
     assert [r.records["point"][:, 0].tolist() for r in reports] == [
         [0.0, 2.0, 4.0, 6.0, 8.0], [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]]
+    assert [(r.accepted, r.rejected) for r in reports] == [(5, 5), (7, 3)]
     assert (reports.accepted, reports.rejected) == (12, 8)
     # the first identity, in order, that accepts nothing aborts the sweep
     with pytest.raises(DomainEntirelySingular):

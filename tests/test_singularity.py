@@ -93,6 +93,25 @@ def test_pde_planar_exception():
         assert abs(res.factor2) <= 1e-14
 
 
+def _affine_remainder(n: int, t: float) -> str:
+    """R_t = -((-t)^n + (-t)^(n-1) x1 + ... + (-t) x_(n-1)) as text."""
+    terms = [f"({(-t) ** (n - i)!r})*x{i}" for i in range(1, n)]
+    return "-(" + " + ".join([repr((-t) ** n)] + terms) + ")"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pde_affine_remainders_solve_the_system(n):
+    # R = 0 is not the only solution for n > 2: every R_t solves it, and a
+    # small quadratic term breaks it at every sampled point
+    x = np.random.default_rng(SEED + n).uniform(-1.0, 1.0, size=(20, n - 1))
+    for t in (-1.5, -0.5, 0.5, 2.0, 3.0):
+        text = _affine_remainder(n, t)
+        R = remainder_from_expression(text, n)
+        assert np.max(pde_residuals(R, n, x).system_max()) <= 1e-12, text
+        bent = remainder_from_expression(text + " + 1e-3*x1^2", n)
+        assert np.min(pde_residuals(bent, n, x).system_max()) > 1e-6, text
+
+
 def test_pde_linear_remainder_first_equation():
     # R = x1 + x_{n-1} forces r0 = -R_1 * R_{n-1} = -1
     for n, text in ((3, "x1 + x2"), (4, "x1 + x3")):
