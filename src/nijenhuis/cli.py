@@ -595,9 +595,10 @@ def handle_verify(args) -> _Report:
     wanted = ctx.checks if args.check == "all" else (args.check,)
     _require(ctx.sigma is not None or "sigma" not in wanted,
              "sigma check needs a family with known coefficients")
-    _require(ctx.f is not None or {"conjugation", "pde"}.isdisjoint(wanted),
-             f"{args.check} check requires a family with an f "
-             "(theorem1, 2d, or theorem2)")
+    if ctx.f is None and not {"conjugation", "pde"}.isdisjoint(wanted):
+        *rest, last = (k for k, s in FAMILIES.items() if s.signs is not None)
+        raise UsageError(f"{args.check} check requires a family with an f "
+                         f"({', '.join(rest)}, or {last})")
     tol = {c: DEFAULT_TOLS[c] if args.tol is None else args.tol
            for c in wanted}
     subject = f"verify {ctx.params['family']} [{', '.join(wanted)}]"

@@ -16,12 +16,12 @@ input string.
 
 ``evaluate`` gives the full 2-jet in all n variables, or with
 ``fiber=True`` the fiber jet along y alone: (f, f_y, f_yy) as a ``Jet2``
-with n = 1. There x1..x(n-1) and the constants are plain arrays and numpy
-floats, a node whose operands are all plain runs plain numpy (with the
-jet rules' division and sqrt checks, and integer powers as left-to-right
-products), and only the nodes that depend on y build jets. Its value, f_y
-and f_yy are those of the full jet: the same operations on the same
-values, less terms that are products with an exact zero.
+with n = 1. Both run one recursion whose first jet variable is x1 or y.
+Constants and the coordinates before it are plain numpy floats and arrays,
+a node whose operands are all plain runs plain numpy (with the jet rules'
+division and sqrt checks, and integer powers as left-to-right products),
+and a jet drops only the terms that are products with an exact zero: the
+fiber jet's f, f_y and f_yy are the full jet's, up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -291,9 +291,11 @@ def evaluate(e: Expr, p: Sequence[float], fiber: bool = False) -> Jet2:
     (..., 1) and Hessian (..., 1, 1) hold f_y and f_yy.
     """
     p = np.asarray(p, dtype=float)
-    jet = _evaluate(e, p, {}, fiber)
-    if not isinstance(jet, Jet2):   # a fiber jet of an f without y
-        jet = _constant(jet, 1)
+    n = p.shape[-1]
+    first = n if fiber else 1   # the first jet variable: y, or x1
+    jet = _evaluate(e, p, first, {})
+    if not isinstance(jet, Jet2):   # an f that depends on no jet variable
+        jet = _constant(jet, n - first + 1)
     return broadcast_jet(jet, p.shape[:-1])
 
 
@@ -313,28 +315,23 @@ def _power(x, k: int):
     return acc
 
 
-def _evaluate(node, p: np.ndarray, coords: dict, fiber: bool):
+def _evaluate(node, p: np.ndarray, first: int, coords: dict):
     # A module-level recursion (not a closure over itself), so a failed
-    # evaluation leaves no reference cycle holding its jets. In a fiber
-    # evaluation a result is plain (an array or numpy float) until y enters.
+    # evaluation leaves no reference cycle holding its jets. A result is
+    # plain (an array or numpy float) until a jet variable enters.
     if isinstance(node, Const):
-        return np.float64(node.value) if fiber else _constant(
-            node.value, p.shape[-1])
+        return np.float64(node.value)
     if isinstance(node, Var):
-        value = coords.get(node.index)
+        i = node.index
+        value = coords.get(i)
         if value is None:
-            n = p.shape[-1]
-            if not fiber:
-                value = coordinate_jet(node.index, p)
-            elif node.index == n:
-                value = coordinate_jet(1, p[..., n - 1:])
-            else:
-                value = p[..., node.index - 1]
-            coords[node.index] = value
+            value = coords[i] = (
+                p[..., i - 1] if i < first
+                else coordinate_jet(i - first + 1, p[..., first - 1:]))
         return value
     if isinstance(node, (Add, Sub, Mul, Div)):
-        left = _evaluate(node.left, p, coords, fiber)
-        right = _evaluate(node.right, p, coords, fiber)
+        left = _evaluate(node.left, p, first, coords)
+        right = _evaluate(node.right, p, first, coords)
         if isinstance(node, Add):
             return left + right
         if isinstance(node, Sub):
@@ -345,14 +342,14 @@ def _evaluate(node, p: np.ndarray, coords: dict, fiber: bool):
             return left / right
         return divide(left, right)
     if isinstance(node, Neg):
-        return -_evaluate(node.operand, p, coords, fiber)
+        return -_evaluate(node.operand, p, first, coords)
     if isinstance(node, Pow):
-        base = _evaluate(node.base, p, coords, fiber)
+        base = _evaluate(node.base, p, first, coords)
         if isinstance(base, Jet2):
             return base ** node.exponent
         return _power(base, node.exponent)
     if isinstance(node, Call):
-        arg = _evaluate(node.arg, p, coords, fiber)
+        arg = _evaluate(node.arg, p, first, coords)
         if isinstance(arg, Jet2):
             return getattr(arg, node.func)()
         return _PLAIN_CALLS[node.func](arg)

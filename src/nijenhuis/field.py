@@ -30,11 +30,11 @@ operations as ``FloatingPointError`` (an ArithmeticError), so an
 overflowing point fails loudly instead of turning into inf.
 
 Fiber jets: ``f(p, fiber=True)`` asks only for f, f_y and f_yy, what the
-Morse reduction reads. An expression field then differentiates along y
-alone (a ``Jet2`` with n = 1, its base coordinates and constants plain
-numpy values, see ``expr``); a field without an expression returns its
-full jet. Either way the caller reads ``gradient[..., -1]`` and
-``hessian[..., -1, -1]``.
+Morse reduction reads. An expression field then runs its one evaluation
+with y as the only jet variable (a ``Jet2`` with n = 1, its base
+coordinates plain numpy values as its constants are in every jet, see
+``expr``); a field without an expression returns its full jet. Either way
+the caller reads ``gradient[..., -1]`` and ``hessian[..., -1, -1]``.
 """
 
 from __future__ import annotations
@@ -180,10 +180,8 @@ class OperatorField:
 
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence[ScalarField]],
-                     label: str = "",
-                     guard: Optional[Callable[[np.ndarray], Any]] = None
-                     ) -> "OperatorField":
-        """Entries as scalar fields; with no source, guard takes p alone."""
+                     label: str = "") -> "OperatorField":
+        """Entries as scalar fields, with no source and no guard."""
         n = len(entries)
         for row in entries:
             if len(row) != n:
@@ -211,7 +209,7 @@ class OperatorField:
                 rows.append(cells)
             return _matrix_jet(rows, p)
 
-        return cls(n, rule, label=label, guard=guard and (lambda p, _: guard(p)))
+        return cls(n, rule, label=label)
 
 
 def operator_eval(L: OperatorField, p: Sequence[float], src=None) -> Jet2:

@@ -35,12 +35,12 @@ value operation runs on it as it is, and the jet's derivatives are shared
 (``u + c``, ``u - c``) or scaled (``c * u``, ``u / c``); ``c - u`` and
 ``c / u`` run the full rules with zero derivatives for c. ``Jet2`` sets
 ``__array_ufunc__ = None``, so numpy hands these operations to the jet
-whichever side the plain operand is on. Python numbers are coerced to
-constant jets with the full rules, as before: dropping the terms of an
-exact zero can flip the sign of a zero derivative, so the package's full
-2-jets never meet a plain operand. The fiber jets of
-``expr.evaluate(..., fiber=True)`` do: there only y is a jet (n = 1), and
-the base coordinates and constants are plain arrays and numpy floats.
+whichever side the plain operand is on. A plain operand drops the terms
+that are products with its exact zero derivatives: every bit is the
+constant jet's but the sign of a zero derivative. So ``expr.evaluate``'s
+constants are numpy floats in the full 2-jet and the fiber jet alike, and
+in the fiber jet (only y a jet, n = 1) its base coordinates plain arrays.
+Python numbers are still coerced to constant jets with the full rules.
 Operations on plain values alone are plain numpy; ``divide`` and ``sqrt``
 here apply the jet rules' checks to them.
 
@@ -345,8 +345,14 @@ class Jet2:
     # -- elementary functions ----------------------------------------------
 
     def sqrt(self) -> "Jet2":
+        # the Hessian from the root's own gradient w: H/(2v) - (w x w)/v,
+        # finite where chain's -1/(4 v value) would underflow v * value
         v = sqrt(self.value)
-        return chain(v, 0.5 / v, -0.25 / (v * self.value), self)
+        d = 0.5 / v
+        w = _col(d) * self.gradient
+        h = self.hessian
+        return _jet(v, w, None if h is None
+                    else _col2(d) * h - _outer(w, w) / _col2(v))
 
     def exp(self) -> "Jet2":
         v = np.exp(self.value)

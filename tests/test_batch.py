@@ -14,7 +14,6 @@ from nijenhuis import cli
 from nijenhuis.cli import run
 from nijenhuis.construct import (build_companion, build_diff_nondegenerate,
                                  build_regular_family)
-from nijenhuis.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
 from nijenhuis.field import OperatorField, ScalarField, operator_eval
 from nijenhuis.invariants import charpoly
 from nijenhuis.jet import SingularPointError
@@ -26,6 +25,7 @@ from nijenhuis.singularity import (DELTA_TAYLOR, NewtonDivergenceError,
                                    quadratic_factor, remainder_from_expression,
                                    smoothness_numerators)
 from nijenhuis.torsion import torsion_bracket_fd, torsion_from_eval
+from expr_strategies import expression_and_points
 from sweeps import regular_conjugation
 
 SEED = 2718
@@ -41,39 +41,9 @@ def same_bits(a, b) -> bool:
 
 # -- random expressions ---------------------------------------------------------
 
-def expressions(n: int):
-    names = [f"x{i}" for i in range(1, n)] + ["y"]
-    leaves = st.one_of(
-        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3]).map(Const),
-        st.integers(1, n).map(lambda i: Var(i, names[i - 1])))
-
-    def extend(sub):
-        pair = st.tuples(sub, sub)
-        return st.one_of(
-            pair.map(lambda t: Add(*t)), pair.map(lambda t: Sub(*t)),
-            pair.map(lambda t: Mul(*t)), pair.map(lambda t: Div(*t)),
-            sub.map(Neg),
-            st.tuples(sub, st.integers(-3, 4)).map(lambda t: Pow(*t)),
-            st.tuples(st.sampled_from(["sqrt", "exp", "sin", "cos"]),
-                      sub).map(lambda t: Call(*t)))
-
-    return st.recursive(leaves, extend, max_leaves=10)
-
-
-@st.composite
-def expression_and_points(draw):
-    n = draw(st.integers(2, 4))
-    ast = draw(expressions(n))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    points = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(CHUNK, n))
-    # a point on a coordinate hyperplane makes x/x-style denominators vanish
-    points[0, draw(st.integers(0, n - 1))] = 0.0
-    return ast, n, points
-
-
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(expression_and_points())
+@given(expression_and_points(4))
 def test_chunk_matches_points_bit_for_bit(case):
     ast, n, P = case
     f = ScalarField.from_expression(ast, n)
@@ -435,7 +405,7 @@ def test_fiber_jets_match_full_jets(text, n):
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(expression_and_points())
+@given(expression_and_points(4))
 def test_random_fiber_jets_match_full_jets(case):
     ast, n, P = case
     f = ScalarField.from_expression(ast, n)

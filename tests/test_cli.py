@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import nijenhuis
+from nijenhuis import cli
 from nijenhuis.cli import _csv_text, run
 from nijenhuis.field import ScalarField
 
@@ -135,6 +136,27 @@ def test_diagnose_subcommand(capsys):
     res = doc["results"][0]
     assert res["verdict"] == "obstructed"
     assert abs(res["numerators"][1] - 1.0) < 1e-12
+
+
+def test_diagnose_a_sqrt_whose_second_derivative_underflows(capsys):
+    # f_x1x1 = -1/4 (1e-250)^2 / sqrt(1e-250 x1)^3 = -2.5e-126 at x1 = 1
+    code, doc = invoke_json(capsys, "diagnose", "--f",
+                            "sqrt(1e-250*x1) + y^2", "--n", "2",
+                            "--point", "1", "0.5")
+    assert code == 0
+    assert doc["results"][0]["numerators"] == [pytest.approx(-0.25)]
+
+
+@pytest.mark.parametrize("source", [
+    *(("--family", name, "--n", "2", "--sigma", "x1+y^2,y")
+      for name, spec in cli.FAMILIES.items() if spec.signs is None),
+    ("--matrix", "diag:y,x1")], ids=lambda source: source[1])
+@pytest.mark.parametrize("check", ["conjugation", "pde"])
+def test_f_checks_name_the_families_with_an_f(capsys, source, check):
+    code, doc = invoke_json(capsys, "verify", *source, "--check", check)
+    assert code == 2
+    assert doc["error"] == (f"{check} check requires a family with an f "
+                            "(2d, theorem1, or theorem2)")
 
 
 def test_pde_check_pass_and_fail(capsys):

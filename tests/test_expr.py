@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nijenhuis.expr import (Add, Call, Const, Div, ExpressionError, Mul, Neg,
-                            Pow, Sub, Var, evaluate, format_expression,
-                            parse_expression)
+from nijenhuis.expr import (_PLAIN_CALLS, Add, Call, Const, Div,
+                            ExpressionError, Mul, Neg, Pow, Sub, Var, _power,
+                            evaluate, format_expression, parse_expression)
+from nijenhuis.field import JET_ERRSTATE
+from nijenhuis.jet import (Jet2, _constant, broadcast_jet, coordinate_jet,
+                           divide)
 
 from expr_corpus import CORPUS
+from expr_strategies import expression_and_points, expressions
 
 SEED = 73
 
@@ -63,6 +68,17 @@ def test_corpus_values_match_plain_float_oracle():
             jet = evaluate(ast, p)
             ref = num_eval(ast, p)
             assert jet.value == pytest.approx(ref, rel=1e-15, abs=1e-15), text
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), expressions(n, st.floats(0.0, allow_infinity=False)))))
+def test_random_expressions_round_trip(case):
+    n, ast = case
+    text = format_expression(ast)
+    again = parse_expression(text, n)
+    assert again == ast
+    assert format_expression(again) == text   # repr: the same float bits
 
 
 def test_worked_canonical_print():
@@ -180,3 +196,90 @@ def test_const_round_trip_value():
     ast = parse_expression("2", 2)
     assert ast == Const(2.0)
     assert parse_expression(format_expression(ast), 2) == ast
+
+
+# -- one evaluation against the two-mode reference ------------------------------
+
+def _reference(node, p, coords, fiber):
+    """The evaluator with a fiber flag: in the full jet a Const is a
+    constant jet and every Var a coordinate jet; in the fiber jet a Const
+    is a numpy float, x1..x(n-1) are plain columns and y alone a jet."""
+    if isinstance(node, Const):
+        return np.float64(node.value) if fiber else _constant(
+            node.value, p.shape[-1])
+    if isinstance(node, Var):
+        value = coords.get(node.index)
+        if value is None:
+            n = p.shape[-1]
+            if not fiber:
+                value = coordinate_jet(node.index, p)
+            elif node.index == n:
+                value = coordinate_jet(1, p[..., n - 1:])
+            else:
+                value = p[..., node.index - 1]
+            coords[node.index] = value
+        return value
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        left = _reference(node.left, p, coords, fiber)
+        right = _reference(node.right, p, coords, fiber)
+        if isinstance(node, Add):
+            return left + right
+        if isinstance(node, Sub):
+            return left - right
+        if isinstance(node, Mul):
+            return left * right
+        if isinstance(left, Jet2) or isinstance(right, Jet2):
+            return left / right
+        return divide(left, right)
+    if isinstance(node, Neg):
+        return -_reference(node.operand, p, coords, fiber)
+    if isinstance(node, Pow):
+        base = _reference(node.base, p, coords, fiber)
+        if isinstance(base, Jet2):
+            return base ** node.exponent
+        return _power(base, node.exponent)
+    arg = _reference(node.arg, p, coords, fiber)
+    if isinstance(arg, Jet2):
+        return getattr(arg, node.func)()
+    return _PLAIN_CALLS[node.func](arg)
+
+
+def reference_evaluate(e, p, fiber=False):
+    p = np.asarray(p, dtype=float)
+    jet = _reference(e, p, {}, fiber)
+    if not isinstance(jet, Jet2):   # a fiber jet of an f without y
+        jet = _constant(jet, 1)
+    return broadcast_jet(jet, p.shape[:-1])
+
+
+def _outcome(evaluator, ast, p, fiber):
+    """The jet at p, or the class and mask of the error raised instead."""
+    try:
+        with np.errstate(**JET_ERRSTATE):
+            return evaluator(ast, p, fiber)
+    except ArithmeticError as exc:
+        return type(exc), getattr(exc, "mask", None)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(expression_and_points(5))
+def test_evaluation_matches_the_two_mode_reference(case):
+    # the value bit for bit, derivatives under == (a plain constant drops
+    # products with its zero derivatives, which may flip the sign of a zero)
+    ast, n, P = case
+    for p in (P, P[0], P[1]):
+        for fiber in (False, True):
+            got = _outcome(evaluate, ast, p, fiber)
+            want = _outcome(reference_evaluate, ast, p, fiber)
+            if isinstance(got, tuple) or isinstance(want, tuple):
+                assert isinstance(got, tuple) and isinstance(want, tuple)
+                assert got[0] is want[0]
+                assert (got[1] is None) == (want[1] is None)
+                assert np.array_equal(got[1], want[1])
+                continue
+            value = np.asarray(got.value)
+            assert value.shape == np.shape(want.value)
+            assert value.tobytes() == np.asarray(want.value).tobytes()
+            assert np.array_equal(got.gradient, want.gradient)
+            assert np.array_equal(got.hessian, want.hessian)

@@ -1,4 +1,4 @@
-"""Scalar and operator field plumbing: validation, localization, guards."""
+"""Scalar and operator field plumbing: validation and localization."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,6 @@ import pytest
 from nijenhuis.field import (OperatorField, ScalarField, SingularEntry,
                              operator_eval)
 from nijenhuis.jet import Jet2, SingularPointError, _jet
-from nijenhuis.report import sample_box
-from nijenhuis.torsion import torsion_identity
-from sweeps import sweep
-
-SEED = 911
 
 
 def test_scalar_field_from_expression_label():
@@ -84,16 +79,3 @@ def test_singular_entry_is_localized():
     assert err.value.col == 1
     assert "entry (1,1)" in str(err.value)
     assert isinstance(err.value, SingularPointError)
-
-
-def test_guard_passthrough():
-    # from_entries' guard takes the points alone, and a sweep can run it
-    f = ScalarField.from_expression("y", 2)
-    L = OperatorField.from_entries([[f, f], [f, f]],
-                                   guard=lambda p: abs(p[..., 1]))
-    box = np.array([[-1.0, 1.0]] * 2)
-    rep = sweep(L, torsion_identity(1.0, L.guard, 0.25), box, samples=50,
-                seed=SEED)
-    small = np.abs(sample_box(box, 2, 50, SEED)[:, 1]) < 0.25
-    assert rep.rejected == np.count_nonzero(small) > 0
-    assert np.all(np.abs(rep.records["point"][:, 1]) >= 0.25)

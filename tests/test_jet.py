@@ -206,6 +206,18 @@ def test_sqrt_domain_error():
         x.sqrt()
 
 
+def test_sqrt_of_a_tiny_argument_keeps_a_finite_hessian():
+    # v * value = 1e-375 underflows, -1/(4 v value) would be -inf; the
+    # Hessian from the root's gradient w = 0.5e-125 is -w^2/v = -2.5e-126
+    x, _ = coords([1.0, 0.5])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        r = (1e-250 * x).sqrt()
+    assert r.value == 1e-125
+    assert np.array_equal(r.gradient, [0.5 / 1e-125 * 1e-250, 0.0])
+    assert r.hessian[0, 0] == pytest.approx(-2.5e-126, rel=1e-14)
+    assert np.array_equal(r.hessian.ravel()[1:], [0.0, 0.0, 0.0])
+
+
 def test_dimension_mismatch_rejected():
     a = constant_jet(1.0, 2)
     b = constant_jet(1.0, 3)
