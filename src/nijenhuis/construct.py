@@ -26,11 +26,13 @@ Each family names its source: f itself for the regular and planar
 families, the stacked coefficient jets for companion and diffnondeg, and
 none for the Morse canonical family. Every rule returns the operator as
 one order-1 matrix jet of batch (..., n, n), so no entry Hessian is ever
-formed: companion and diffnondeg compute it whole, the families built
-entry by entry write their grid into it with ``field._matrix_jet``, and
-the planar family negates the regular one's. ``conjugation_residual``
-states J L = Ltilde J for a family built from f with that family's own
-signs of x1..x(n-1) in sigma.
+formed. Every rule builds its value and gradient as whole arrays: the
+regular and Morse canonical families write their last two rows over
+shared companion rows, with the bits, signed zeros and first failing
+entry of the entry by entry jet arithmetic they spell out, and the planar
+family negates the regular one's. ``conjugation_residual`` states
+J L = Ltilde J for a family built from f with that family's own signs of
+x1..x(n-1) in sigma.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .jet import (Jet2, SingularPointError, DenominatorVanishes, _jet,
-                  coordinate_jet)
-from .field import ScalarField, OperatorField, SingularEntry, _matrix_jet
+                  _vanishes)
+from .field import ScalarField, OperatorField, SingularEntry
 from .linalg import plu_det, invert_with_det, matmul, NumericallySingular
 
 __all__ = [
@@ -95,8 +97,7 @@ def companion_matrix(sigma_values: Sequence[float]) -> np.ndarray:
         raise ValueError(f"companion matrix needs n >= 2, got n={n}")
     M = np.zeros(sigma.shape + (n,))
     M[..., :, 0] = -sigma
-    for i in range(n - 1):
-        M[..., i, i + 1] = 1.0
+    M[..., np.arange(n - 1), np.arange(1, n)] = 1.0
     return M
 
 
@@ -182,17 +183,14 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
                          source=_sigma_source(sigma))
 
 
-def _partials(fj: Jet2):
-    """Split a jet of f into jets of f_x1..f_x(n-1) and f_y.
-
-    The derivative jets are order-1 jets with exact values and gradients
-    (read off the gradient and Hessian of f) and no Hessians; callers only
-    use entry values and gradients.
-    """
-    n = fj.dim
-    parts = [_jet(fj.gradient[..., k][()], fj.hessian[..., k, :], None)
-             for k in range(n)]
-    return parts[:-1], parts[-1]
+def _coordinate_rows(p: np.ndarray, eye: np.ndarray):
+    """Value and gradient arrays at the points p (..., n) of the companion
+    rows of sigma_i = x_i, -x_i (gradient -e_i, eye = np.eye(n)) and the
+    unit superdiagonal, for a family to write its rows n-1 and n over."""
+    value = companion_matrix(p)
+    gradient = np.zeros(value.shape + (len(eye),))
+    gradient[..., :-1, 0, :] = -eye[:-1]
+    return value, gradient
 
 
 def _fy_margin(p, fj: Jet2):
@@ -226,38 +224,72 @@ def build_regular_family(f: ScalarField, n: int) -> OperatorField:
     if f.dim != n:
         raise ValueError(f"f has dimension {f.dim}, expected {n}")
 
-    def rule(p, fj):
-        fx, fy = _partials(fj)
-        xs = [coordinate_jet(i + 1, p, order=1) for i in range(n - 1)]
-        rows = []
-        for i in range(n - 2):
-            row = [0.0] * n
-            row[0] = -xs[i]
-            row[i + 1] = 1.0
-            rows.append(row)
-        row = [0.0] * n
-        row[0] = -xs[n - 2] + fx[0]
-        for c in range(1, n - 1):
-            row[c] = fx[c]
-        row[n - 1] = fy
-        rows.append(row)
-        num = xs[0] * fx[0]
+    eye = np.eye(n)
+
+    def numerators(p, fj):
+        """Row n's numerators over f_y, with gradients: sum x_i f_xi -
+        f_x1 f_x(n-1) - f (the sum added from i = 1 up) in column 1, and
+        f_x(c-1) + f_xc f_x(n-1) in column c."""
+        g, H = fj.gradient, fj.hessian
+        fx, Hx = g[..., :n - 1], H[..., :n - 1, :]
+        prod = fx * g[..., n - 2, None]
+        dprod = (fx[..., None] * H[..., None, n - 2, :]
+                 + g[..., n - 2, None, None] * Hx)
+        terms = p[..., :n - 1] * fx
+        dterms = p[..., :n - 1, None] * Hx + fx[..., None] * eye[:-1]
+        s, ds = terms[..., :1], dterms[..., :1, :]
         for i in range(1, n - 1):
-            num = num + xs[i] * fx[i]
-        num = num - fx[0] * fx[n - 2] - fj
-        row = [0.0] * n
+            s, ds = s + terms[..., i, None], ds + dterms[..., i, None, :]
+        return (np.concatenate([s - prod[..., :1] - fj.value[..., None],
+                                fx[..., :-1] + prod[..., 1:]], axis=-1),
+                np.concatenate([ds - dprod[..., :1, :] - g[..., None, :],
+                                Hx[..., :-1, :] + dprod[..., 1:, :]],
+                               axis=-2))
+
+    def quotients(num, dnum, fj):
+        """The numerators over f_y, with gradients."""
+        fy, dfy = fj.gradient[..., n - 1, None], fj.hessian[..., n - 1, :]
+        q = num / fy
+        return q, (dnum - q[..., None] * dfy[..., None, :]) / fy[..., None]
+
+    def first_fault(p, fj):
+        """Raise the first fault in entry by entry order: column c's
+        numerator overflows, f_y vanishes beside it, its quotient
+        overflows; an overflow raises again under the caller's errstate."""
+        with np.errstate(all="ignore"):
+            num, dnum = numerators(p, fj)
+            q, dq = quotients(num, dnum, fj)
+        bad = _vanishes(num, fj.gradient[..., n - 1, None])
+        fault = np.stack([~(np.isfinite(num) & np.isfinite(dnum).all(-1)),
+                          bad, ~np.isfinite(dq).all(-1)], axis=-1)
+        first = np.flatnonzero(fault.reshape(-1, 3 * n - 3).any(axis=0))[0]
+        c, kind = divmod(first, 3)
+        if kind != 1:
+            quotients(*numerators(p, fj), fj)
+        fy = fj.gradient[..., n - 1]
+        raise SingularEntry(n, c + 1, p, DenominatorVanishes(
+            fy, mask=bad[..., c], numerator=num[..., c]))
+
+    def rule(p, fj):
+        L, dL = _coordinate_rows(p, eye)
+        g, H = fj.gradient, fj.hessian
+        # row n-1: -x_(n-1) + f_x1, then f_x2, ..., f_y
+        L[..., n - 2, 0] += g[..., 0]
+        dL[..., n - 2, 0, :] += H[..., 0, :]
+        L[..., n - 2, 1:], dL[..., n - 2, 1:, :] = g[..., 1:], H[..., 1:, :]
         try:
-            row[0] = num / fy
-        except DenominatorVanishes as exc:
-            raise SingularEntry(n, 1, p, exc) from None
-        for c in range(1, n - 1):
-            try:
-                row[c] = -((fx[c - 1] + fx[c] * fx[n - 2]) / fy)
-            except DenominatorVanishes as exc:
-                raise SingularEntry(n, c + 1, p, exc) from None
-        row[n - 1] = -fx[n - 2]
-        rows.append(row)
-        return _matrix_jet(rows, p)
+            num, dnum = numerators(p, fj)
+        except FloatingPointError:
+            num = None
+        if num is None or _vanishes(num, g[..., n - 1, None]).any():
+            first_fault(p, fj)
+        q, dq = quotients(num, dnum, fj)
+        # row n: the quotients, then f_x(n-1), columns 2..n negated
+        L[..., n - 1, :-1], L[..., n - 1, -1] = q, g[..., n - 2]
+        dL[..., n - 1, :-1, :], dL[..., n - 1, -1, :] = dq, H[..., n - 2, :]
+        L[..., n - 1, 1:] *= -1.0
+        dL[..., n - 1, 1:, :] *= -1.0
+        return _jet(L, dL, None)
 
     return OperatorField(n, rule, label="regular", guard=_fy_margin,
                          source=f)
@@ -277,22 +309,15 @@ def build_morse_canonical(n: int, sign: int) -> OperatorField:
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
+    eye = np.eye(n)
+
     def rule(p, _):
-        y = coordinate_jet(n, p, order=1)
-        rows = []
-        for i in range(n - 2):
-            row = [0.0] * n
-            row[0] = -coordinate_jet(i + 1, p, order=1)
-            row[i + 1] = 1.0
-            rows.append(row)
-        row = [0.0] * n
-        row[0] = -coordinate_jet(n - 1, p, order=1)
-        row[n - 1] = (2.0 * sign) * y
-        rows.append(row)
-        row = [0.0] * n
-        row[0] = (-0.5) * y
-        rows.append(row)
-        return _matrix_jet(rows, p)
+        L, dL = _coordinate_rows(p, eye)
+        y = p[..., n - 1]
+        for (i, j), c in (((n - 2, n - 1), 2.0 * sign), ((n - 1, 0), -0.5)):
+            L[..., i, j] = y * c   # c*y, with the gradient of a jet product
+            dL[..., i, j, :] = y[..., None] * 0.0 + c * eye[n - 1]
+        return _jet(L, dL, None)
 
     return OperatorField(n, rule, label=f"morse-canonical({sign:+d})")
 

@@ -9,8 +9,8 @@ part of the contract: derived families carry partial derivatives of a
 generating function inside their entries, and an order-2 jet of the
 generator cannot supply entry second derivatives anyway. Entry values and
 gradients stay exact because jet value/gradient propagation never reads
-operand Hessians. A family built entry by entry writes its grid of entry
-jets and plain numbers into one matrix jet with ``_matrix_jet``.
+operand Hessians. The families of ``construct`` build the arrays whole;
+``OperatorField.from_entries`` writes its entry jets in one by one.
 
 A family's entries are rational in one source: the 2-jet of its
 generating function f, or the stacked jets of its coefficient fields
@@ -135,19 +135,6 @@ class ScalarField:
         return cls(lambda p: constant_jet(c, dim), dim, repr(float(c)))
 
 
-def _matrix_jet(rows, p: np.ndarray) -> Jet2:
-    """The order-1 matrix jet, batch (..., n, n), of an n x n grid of entry
-    jets and plain numbers at the points p (..., n)."""
-    n = p.shape[-1]
-    values = np.empty(p.shape[:-1] + (n, n))
-    grads = np.empty(p.shape[:-1] + (n, n, n))
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):   # a plain number has no gradient
-            values[..., i, j] = getattr(x, "value", x)
-            grads[..., i, j, :] = getattr(x, "gradient", 0.0)
-    return _jet(values, grads, None)
-
-
 class OperatorField:
     """An n x n operator field L with an optional source and sampling guard.
 
@@ -156,12 +143,11 @@ class OperatorField:
     None. ``matrix_rule(p, src)`` returns the operator at the points p
     (..., n) from src = source(p) as one order-1 jet of batch (..., n, n),
     which lets families share one jet evaluation of their generating
-    function across all entries; a rule that builds its entries one by
-    one, as jets or plain numbers, ends with ``_matrix_jet``. A singular
-    entry raises SingularEntry. ``guard(p, src)``, when present, returns a
-    nonnegative margin per point read from src; sweeps reject points whose
-    margin falls below their threshold before touching the entries
-    (denominator about to vanish).
+    function across all entries. A singular entry raises SingularEntry.
+    ``guard(p, src)``, when present, returns a nonnegative margin per
+    point read from src; sweeps reject points whose margin falls below
+    their threshold before touching the entries (denominator about to
+    vanish).
     """
 
     def __init__(self, dim: int,
@@ -196,18 +182,18 @@ class OperatorField:
                 f"entries declare {dim}")
 
         def rule(p, src):
-            rows = []
+            value = np.empty(p.shape[:-1] + (n, n))
+            grad = np.empty(p.shape[:-1] + (n, n, n))
             for i, row in enumerate(entries):
-                cells = []
                 for j, e in enumerate(row):
                     try:
-                        cells.append(e(p))
+                        x = e(p)
                     except SingularEntry:
                         raise
                     except SingularPointError as exc:
                         raise SingularEntry(i + 1, j + 1, p, exc) from exc
-                rows.append(cells)
-            return _matrix_jet(rows, p)
+                    value[..., i, j], grad[..., i, j, :] = x.value, x.gradient
+            return _jet(value, grad, None)
 
         return cls(n, rule, label=label)
 

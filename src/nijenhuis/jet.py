@@ -117,10 +117,15 @@ class DomainError(SingularPointError):
 _PLAIN = (np.ndarray, np.floating)
 
 
+def _vanishes(num, den):
+    """Where |den| <= DIV_EPS_REL * max(1, |num|): the quotient's test."""
+    return np.abs(den) <= DIV_EPS_REL * np.maximum(1.0, np.abs(num))
+
+
 def divide(num, den):
     """num / den on plain values, raising DenominatorVanishes where
-    |den| <= DIV_EPS_REL * max(1, |num|), the jet quotient's own test."""
-    bad = np.abs(den) <= DIV_EPS_REL * np.maximum(1.0, np.abs(num))
+    `_vanishes(num, den)`."""
+    bad = _vanishes(num, den)
     if bad.any():
         raise DenominatorVanishes(den, mask=bad, numerator=num)
     return num / den

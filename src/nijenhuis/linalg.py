@@ -1,17 +1,16 @@
 """Small dense matrix routines: partial-pivot elimination on float stacks.
 
-These matrices are tiny (n <= 10 or so), so a straightforward Gauss-Jordan
-with partial pivoting is both fast enough and easy to audit. Every routine
-takes a stack of matrices (..., n, n), one per point, and eliminates all of
-them at once: each matrix gets its own pivots, and every sum of values runs
-in a fixed order, so its result is bit for bit the one it gets on its own.
+Every routine takes a stack of matrices (..., n, n), one per point, and
+its result for a matrix is bit for bit the one it gets on its own.
 `invert_with_det` and `matmul` take order-1 matrix jets (value and
-gradient): they work on the values as floats, and the gradients come in
-closed form as stacked matmuls, one matrix per coordinate, whose bits for a
-matrix do not depend on its stack either. The float determinant also
-serves as an independent cross-check for the recursive
-characteristic-polynomial coefficients: two unrelated algorithms must
-agree on det before a result is trusted.
+gradient). They are a Gauss-Jordan elimination and a product written out
+here: each matrix gets its own pivots, every sum of values runs in a fixed
+order, and the gradients come in closed form as stacked matmuls, one
+matrix per coordinate. `plu_det` is LAPACK's partial-pivot LU (numpy's
+det), which factors each matrix of a stack on its own. It serves as an
+independent cross-check for the recursive characteristic-polynomial
+coefficients: two unrelated algorithms must agree on det before a result
+is trusted.
 """
 
 from __future__ import annotations
@@ -34,36 +33,20 @@ class NumericallySingular(ArithmeticError):
 
 
 def plu_det(M: np.ndarray):
-    """Determinant of a float matrix by partial-pivot LU elimination.
+    """Determinant of a float matrix by LAPACK's partial-pivot LU (numpy).
 
     M may be one matrix (n, n) or a stack (..., n, n); the result has the
-    stack's shape. Each matrix is eliminated with its own pivots, exactly
-    as it would be alone.
+    stack's shape, each matrix factored on its own. An exactly zero pivot
+    column gives 0.0. numpy forms det as sign * exp(sum log|u_ii|), and a
+    pivot LAPACK returns as zero from below the normal range also reads
+    0.0, without flagging log(0) as a division by zero.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1] if M.ndim else 0
     if M.ndim < 2 or M.shape[-2] != n:
         raise ValueError("matrix must be square")
-    batch = M.shape[:-2]
-    a = M.reshape(-1, n, n).copy()
-    stack = np.arange(a.shape[0])
-    det = np.ones(a.shape[0])
-    dead = np.zeros(a.shape[0], dtype=bool)   # a zero pivot: det is 0
-    for k in range(n):
-        piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-        dead |= a[stack, piv, k] == 0.0
-        swap = np.flatnonzero(piv != k)
-        if swap.size:
-            rows = a[swap, k].copy()
-            a[swap, k] = a[swap, piv[swap]]
-            a[swap, piv[swap]] = rows
-            det[swap] = -det[swap]
-        pivot = np.where(dead, 1.0, a[:, k, k])
-        det *= pivot
-        a[:, k + 1:, k:] -= ((a[:, k + 1:, k] / pivot[:, None])[..., None]
-                             * a[:, k, None, k:])
-    det[dead] = 0.0
-    return det.reshape(batch)[()]
+    with np.errstate(divide="ignore"):
+        return np.linalg.det(M)
 
 
 def _value(A: Jet2) -> np.ndarray:

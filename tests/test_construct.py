@@ -1,17 +1,202 @@
-"""Operator family construction: frozen matrices, overlap, invariances."""
+"""Operator family construction: frozen matrices, overlap, invariances.
+
+The regular and Morse canonical rules build their matrix jets as whole
+arrays; the entry by entry jet arithmetic they replace is kept below as a
+reference, and a property test holds them to its bits and its errors.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nijenhuis.construct import (DegeneratePointError, build_2d,
                                  build_companion, build_diff_nondegenerate,
                                  build_morse_canonical, build_regular_family,
                                  companion_matrix, conjugation_residual)
-from nijenhuis.field import ScalarField, SingularEntry, operator_eval
+from nijenhuis.field import (JET_ERRSTATE, ScalarField, SingularEntry,
+                             operator_eval)
 from nijenhuis.invariants import charpoly
+from nijenhuis.jet import (DenominatorVanishes, SingularPointError, _jet,
+                           coordinate_jet)
+from expr_strategies import expressions
 from sweeps import regular_conjugation
 
 SEED = 1337
+
+
+# -- references: the family rules entry by entry in jet arithmetic --------
+
+def grid_jet(rows, p):
+    """The order-1 matrix jet of an n x n grid of entry jets and plain
+    numbers at the points p (..., n)."""
+    n = p.shape[-1]
+    values = np.empty(p.shape[:-1] + (n, n))
+    grads = np.empty(p.shape[:-1] + (n, n, n))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):   # a plain number has no gradient
+            values[..., i, j] = getattr(x, "value", x)
+            grads[..., i, j, :] = getattr(x, "gradient", 0.0)
+    return _jet(values, grads, None)
+
+
+def reference_regular_rule(n):
+    """The regular family's rule, entry by entry from jets of f's
+    partials."""
+    def rule(p, fj):
+        parts = [_jet(fj.gradient[..., k][()], fj.hessian[..., k, :], None)
+                 for k in range(n)]
+        fx, fy = parts[:-1], parts[-1]
+        xs = [coordinate_jet(i + 1, p, order=1) for i in range(n - 1)]
+        rows = []
+        for i in range(n - 2):
+            row = [0.0] * n
+            row[0] = -xs[i]
+            row[i + 1] = 1.0
+            rows.append(row)
+        row = [0.0] * n
+        row[0] = -xs[n - 2] + fx[0]
+        for c in range(1, n - 1):
+            row[c] = fx[c]
+        row[n - 1] = fy
+        rows.append(row)
+        num = xs[0] * fx[0]
+        for i in range(1, n - 1):
+            num = num + xs[i] * fx[i]
+        num = num - fx[0] * fx[n - 2] - fj
+        row = [0.0] * n
+        try:
+            row[0] = num / fy
+        except DenominatorVanishes as exc:
+            raise SingularEntry(n, 1, p, exc) from None
+        for c in range(1, n - 1):
+            try:
+                row[c] = -((fx[c - 1] + fx[c] * fx[n - 2]) / fy)
+            except DenominatorVanishes as exc:
+                raise SingularEntry(n, c + 1, p, exc) from None
+        row[n - 1] = -fx[n - 2]
+        rows.append(row)
+        return grid_jet(rows, p)
+
+    return rule
+
+
+def reference_morse_rule(n, sign):
+    """The Morse canonical family's rule, entry by entry."""
+    def rule(p, _):
+        y = coordinate_jet(n, p, order=1)
+        rows = []
+        for i in range(n - 2):
+            row = [0.0] * n
+            row[0] = -coordinate_jet(i + 1, p, order=1)
+            row[i + 1] = 1.0
+            rows.append(row)
+        row = [0.0] * n
+        row[0] = -coordinate_jet(n - 1, p, order=1)
+        row[n - 1] = (2.0 * sign) * y
+        rows.append(row)
+        row = [0.0] * n
+        row[0] = (-0.5) * y
+        rows.append(row)
+        return grid_jet(rows, p)
+
+    return rule
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+def _outcome(rule, p, src):
+    """rule(p, src) under the evaluation's errstate, or what it raised."""
+    with np.errstate(**JET_ERRSTATE):
+        try:
+            return rule(p, src)
+        except (SingularPointError, FloatingPointError) as exc:
+            return exc
+
+
+def assert_same_outcome(rule, ref, p, src):
+    """rule and its reference give the same bits at the points p, or raise
+    the same error: class, message, entry and mask."""
+    got, want = _outcome(rule, p, src), _outcome(ref, p, src)
+    if not isinstance(want, Exception):
+        assert same_bits(got.value, want.value)
+        assert same_bits(got.gradient, want.gradient)
+        return
+    assert type(got) is type(want)
+    text = str(want)
+    if p.ndim == 1:    # numpy names its scalar operations "scalar multiply"
+        text = text.replace("in scalar ", "in ")
+    assert str(got) == text
+    assert (getattr(got, "row", None), getattr(got, "col", None)) \
+        == (getattr(want, "row", None), getattr(want, "col", None))
+    assert same_bits(getattr(got, "mask", None), getattr(want, "mask", None))
+
+
+@st.composite
+def family_cases(draw):
+    """(family, n, f or sign, points): theorem1 at n = 2..8, 2d, theorem2
+    at n = 3..5, and 7 points of [-2, 2]^n, some with a coordinate (often
+    y) zeroed."""
+    family = draw(st.sampled_from(["theorem1", "2d", "theorem2"]))
+    n = draw({"theorem1": st.integers(2, 8), "2d": st.just(2),
+              "theorem2": st.integers(3, 5)}[family])
+    source = (draw(st.sampled_from([1, -1])) if family == "theorem2"
+              else draw(expressions(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.uniform(-2.0, 2.0, size=(7, n))
+    for k in range(7):
+        if draw(st.booleans()):
+            points[k, draw(st.sampled_from([0, n - 1, n - 2]))] = 0.0
+    return family, n, source, points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family_cases())
+def test_family_rules_match_their_entry_references(case):
+    family, n, source, P = case
+    if family == "theorem2":
+        rule = build_morse_canonical(n, source).matrix_rule
+        ref, src = reference_morse_rule(n, source), None
+    else:
+        f = ScalarField.from_expression(source, n)
+        try:
+            src = f(P)
+        except (SingularPointError, FloatingPointError):
+            return    # f itself fails; no rule runs
+        if family == "theorem1":
+            rule = build_regular_family(f, n).matrix_rule
+            ref = reference_regular_rule(n)
+        else:
+            rule = build_2d(f).matrix_rule
+            ref = (lambda regular: lambda p, fj: -regular(p, fj))(
+                reference_regular_rule(2))
+    # the chunk, then its first point alone
+    for p, fj in ((P, src), (P[0], None if src is None else src.at(0))):
+        assert_same_outcome(rule, ref, p, fj)
+
+
+@pytest.mark.parametrize("text, point, error", [
+    # column 2's numerator overflows, but f_y already vanishes beside
+    # column 1's numerator: entry (3,1) is singular
+    ("(x2^32)^32 + y", (0.3, 1.9, 0.5), SingularEntry),
+    # no denominator vanishes before column 1's numerator overflows
+    ("(x1^32)^32 + (x2^32)^32 + y", (1.9, 1.9, 0.5), FloatingPointError),
+    # column 1's quotient gradient overflows before f_y vanishes beside
+    # column 2's numerator
+    ("1e-10*y + 20*x2 + 1e298*x1^2", (0.0, 0.5, 0.3), FloatingPointError),
+])
+def test_regular_rule_meets_faults_in_entry_order(text, point, error):
+    f = ScalarField.from_expression(text, 3)
+    rule = build_regular_family(f, 3).matrix_rule
+    for P in (np.array(point), np.array([[0.0, -0.5, 0.7], point])):
+        assert isinstance(_outcome(rule, P, f(P)), error)
+        assert_same_outcome(rule, reference_regular_rule(3), P, f(P))
 
 
 def test_companion_matrix_layout():
