@@ -44,7 +44,7 @@ import numpy as np
 from .jet import (Jet2, SingularPointError, DenominatorVanishes, _jet,
                   _vanishes)
 from .field import ScalarField, OperatorField, SingularEntry
-from .linalg import plu_det, invert_with_det, matmul, NumericallySingular
+from .linalg import invert_with_det, matmul
 
 __all__ = [
     "DegeneratePointError",
@@ -56,11 +56,22 @@ __all__ = [
     "build_morse_canonical",
     "conjugation_residual",
     "EPS_DET_PER_DIM",
+    "COND_MAX",
 ]
 
 # Jacobian invertibility threshold, scaled by dimension: |det J| < n * this
 # is treated as differential degeneracy rather than an invertible matrix.
 EPS_DET_PER_DIM = 1e-10
+
+# Largest condition number kappa_1(J) = |J|_1 |J^-1|_1 of an accepted J.
+# An inverse formed from a backward-stable LU is the exact inverse of
+# J + dJ with |dJ| <= c_n u |J|, u = 2^-53, so its relative error is up to
+# about c_n u kappa(J) (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 14). L = J^-1 Ltilde J and its gradient, from which the
+# torsion is contracted, carry that error, so at kappa_1 = 1e-10 / u = 9e5
+# rounding in J^-1 alone can reach the default torsion tolerance 1e-10. The
+# gate sits at the power of ten below, which leaves a factor of 9 for c_n.
+COND_MAX = 1e5
 
 
 class DegeneratePointError(SingularPointError):
@@ -154,29 +165,28 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
     """Operator field J^(-1) Ltilde J from n coefficient fields.
 
     J's values are the coefficient gradients and its gradients the
-    coefficient Hessians. One pivoted elimination of J per chunk gives
-    J^(-1) and det J (`invert_with_det`); evaluation raises
-    DegeneratePointError where it finds no usable pivot or cannot divide a
-    pivot row by it (the message's det J then comes from `plu_det`), and
-    where |det J| < n * EPS_DET_PER_DIM. Both products run on the whole
-    batch at once (`matmul`). J and Ltilde are order-1 jets, so the entry
-    gradients come in closed form and no Hessian is formed (an entry's
-    second derivatives would need third derivatives of the coefficients,
-    and nothing downstream reads them).
+    coefficient Hessians. One LAPACK inversion per chunk gives J^(-1) and
+    det J (`invert_with_det`). Evaluation raises DegeneratePointError where
+    |det J| < n * EPS_DET_PER_DIM (an exactly singular J among them), and
+    where the condition number |J|_1 |J^(-1)|_1 exceeds COND_MAX, so that
+    rounding in J^(-1) cannot decide a verdict. Both products run on the
+    whole batch at once (`matmul`). J and Ltilde are order-1 jets, so the
+    entry gradients come in closed form and no Hessian is formed (an
+    entry's second derivatives would need third derivatives of the
+    coefficients, and nothing downstream reads them).
     """
     sigma = list(sigma)
     n = _check_sigma(sigma)
 
     def rule(p, sj):
         J = _jet(sj.gradient, sj.hessian, None)
-        try:
-            Jinv, det = invert_with_det(J)
-        except (NumericallySingular, DenominatorVanishes) as exc:
-            raise DegeneratePointError(p, plu_det(sj.gradient),
-                                       mask=exc.mask) from None
-        bad = np.abs(det.value) < EPS_DET_PER_DIM * n
+        Jinv, det = invert_with_det(J)
+        with np.errstate(over="ignore"):
+            cond = (np.linalg.norm(J.value, 1, axis=(-2, -1))
+                    * np.linalg.norm(Jinv.value, 1, axis=(-2, -1)))
+        bad = ~(np.abs(det) >= EPS_DET_PER_DIM * n) | ~(cond <= COND_MAX)
         if bad.any():
-            raise DegeneratePointError(p, det.value, mask=bad)
+            raise DegeneratePointError(p, det, mask=bad)
         return matmul(Jinv, matmul(_companion_jets(sj), J))
 
     return OperatorField(n, rule, label="diffnondeg",

@@ -19,8 +19,9 @@ Order 1 is a mode of the same class, not a second class: a jet whose
 ``hessian`` is None carries value and gradient only. Any operation with an
 order-1 operand gives an order-1 result, and so do ``chain``, ``at`` and
 ``broadcast_jet``. Value and gradient rules never read a Hessian, so they
-are the same, bit for bit, at either order; order 1 only skips the work
-for callers that never consume second derivatives (operator entries).
+are the same, bit for bit, at either order. In the package, order 1 meets
+only negation (``2d``), ``at`` and ``broadcast_jet``; its arithmetic serves
+the entry by entry references that the family rules are tested against.
 
 All elementary operations propagate derivatives exactly (no finite
 differences). The Hessian is kept exactly symmetric: the public

@@ -497,17 +497,25 @@ CHUNK_INVOCATIONS = [
     # exit 3: Newton fails on the third slice, after two that pass
     ("morse-reduce", "--f", "1/(y - 1.0001) + (x1 + 0.6)*y^2", "--n", "2",
      "--box", "-1", "1", "--samples", "4"),
-    # det J passes its check but the pivot division of the jet inverse
-    # fails for 1.4e-5 < |y| < 1e-4: 48 of the 100 points are rejected
+    # exit 3: kappa_1(J) is about 1e8 / y^2 > COND_MAX on the whole band,
+    # so the gates reject all 50 points (det J = y^2 too, where
+    # |y| < 1.4e-5)
     pytest.param(("verify", "--family", "diffnondeg", "--n", "2",
                   "--sigma", "x1,1e4*x1+y^3/3", "--check", "all",
                   "--samples", "50", "--seed", "3",
                   "--box", "-1", "1", "1e-5", "2e-4"),
                  id="verify-diffnondeg-pivot-division"),
-    # exit 3: the same failure at a single point
+    # exit 3: the condition gate at a single point where det J passes
     pytest.param(("construct", "--family", "diffnondeg", "--n", "2",
                   "--sigma", "x1,1e4*x1+y^3/3", "--point", "0.1", "5e-5"),
                  id="construct-diffnondeg-pivot-division"),
+    # kappa_1(J) is about 2 / y^2: the condition gate rejects |y| < 4.5e-3,
+    # 23 of the 50 points for each of the two identities
+    pytest.param(("verify", "--family", "diffnondeg", "--n", "2",
+                  "--sigma", "x1,x1+y^3/3", "--check", "all",
+                  "--samples", "50", "--seed", "3",
+                  "--box", "-1", "1", "-0.01", "0.01"),
+                 id="verify-diffnondeg-condition-gate"),
     # guard rejections on both sides of chunk boundaries: the surviving
     # points' rule and expectations read f's jet indexed, not re-evaluated
     pytest.param(("verify", "--family", "theorem1", "--n", "3",
@@ -551,10 +559,11 @@ SOURCE_FAMILIES = {
     # evaluate f = y^2, whose guard rejects |2y| < 0.05
     "theorem2": (("--n", "3"), [-1.0, 1.0]),
     "companion": (("--n", "3", "--sigma", "x1+y^2,x2*y,y+x1"), [-1.0, 1.0]),
-    # the jet inverse's pivot division fails inside the rule for about
-    # half the points: rejections that index the source
-    "diffnondeg": (("--n", "2", "--sigma", "x1,1e4*x1+y^3/3"),
-                   [-1.0, 1.0, 1e-5, 2e-4]),
+    # J = [[1, 0], [1, y^2]]: the det gate rejects |y| < 1.4e-5 and the
+    # condition gate |y| < 4.5e-3 inside the rule, 131 of the 300 points:
+    # rejections that index the source
+    "diffnondeg": (("--n", "2", "--sigma", "x1,x1+y^3/3"),
+                   [-1.0, 1.0, -0.01, 0.01]),
 }
 
 

@@ -99,3 +99,25 @@ def test_traced_runs_report_like_untraced_ones(capsys):
     counters = tracer.counters()
     assert counters["sweep_points"] > 0
     assert counters["newton_iters"] > 0
+
+
+def test_only_the_diffnondeg_run_calls_the_jet_matrix_routines(capsys):
+    # bench/selftest.py asserts that linalg.invert_with_det runs on
+    # sweep-diffnondeg and on no other workload; the layer table binds
+    # both routines by name, so inlining or renaming them fails here too
+    tracer = _layertrace().Tracer()
+    tracer.install()
+    try:
+        calls = []
+        for argv in TRACED_ARGV:
+            tracer.reset()
+            cli.run(list(argv))
+            calls.append(tracer.reduce(0, 0)["calls"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    routines = ("linalg.invert_with_det", "linalg.matmul")
+    for argv, called in zip(TRACED_ARGV, calls):
+        diffnondeg = "diffnondeg" in argv
+        for name in routines:
+            assert (called.get(name, 0) > 0) == diffnondeg, (argv, name)

@@ -108,16 +108,35 @@ def test_diffnondeg_torsion_vanishes_where_a_jacobi_entry_does(capsys):
     assert checks["fd_oracle_delta"] < 1e-6
 
 
-def test_construct_pivot_division_failure_exits_three(capsys):
-    # det J passes its check; dividing the jet inverse's pivot row fails,
-    # which is a degenerate point, not a singular entry (0,0) that does
-    # not exist
+def test_construct_ill_conditioned_jacobi_exits_three(capsys):
+    # det J passes its gate, but kappa_1(J) = 4e16 exceeds COND_MAX: a
+    # degenerate point, with the det J that plu_det gives
     code, doc = invoke_json(capsys, "construct", "--family", "diffnondeg",
                             "--n", "2", "--sigma", "x1,1e4*x1+y^3/3",
                             "--point", "0.1", "5e-5")
     assert code == 3
     assert doc["error"] == ("differentially degenerate at point [0.1, 5e-05] "
                             "(det J = 2.500000e-09)")
+
+
+def test_the_ill_conditioned_band_is_rejected_whole(capsys):
+    # kappa_1(J) is about 1e8 / y^2 on the band: every point is rejected,
+    # none is judged on rounding alone
+    code, doc = invoke_json(capsys, "verify", "--family", "diffnondeg",
+                            "--n", "2", "--sigma", "x1,1e4*x1+y^3/3",
+                            "--check", "torsion", "--samples", "2000",
+                            "--seed", "1", "--box", "-1", "1", "1e-5", "2e-4")
+    assert code == 3
+    assert doc["error"] == ("domain entirely singular: all 2000 sampled "
+                            "points rejected")
+    # kappa_1(J) <= 4.9e3 on the sigma of
+    # test_charpoly_disagreement_prints_plain_floats: the gate keeps every
+    # point
+    code, doc = invoke_json(capsys, "verify", "--family", "diffnondeg",
+                            "--n", "3", "--sigma", "x1+y^2,x2*y+x1^2,y+x1*x2",
+                            "--check", "torsion", "--samples", "1000",
+                            "--seed", "1")
+    assert code in (0, 1) and doc["accepted"] == 1000
 
 
 def test_charpoly_subcommand(capsys):

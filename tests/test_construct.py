@@ -318,6 +318,37 @@ def test_diffnondeg_degenerate_point():
         operator_eval(L, np.array([1.0, -1.0, 2.0]))
 
 
+def test_diffnondeg_gates_mask_degenerate_and_ill_conditioned_j():
+    # J = [[1, 0], [1, y^2]]: det J = y^2 and kappa_1(J) = 2 (1 + 1/y^2)
+    # for |y| < 1, so the det gate (|det J| < 2e-10) rejects |y| < 1.4e-5
+    # and the condition gate (kappa_1 > 1e5) |y| < 4.5e-3; y = 0 is exactly
+    # singular, which LAPACK must not be asked to invert
+    sigma = [ScalarField.from_expression(t, 2) for t in ("x1", "x1+y^3/3")]
+    L = build_diff_nondegenerate(sigma)
+    y = np.array([0.5, 0.0, 1e-6, 1e-3, -0.3, -4e-3, 5e-3])
+    P = np.stack([np.full_like(y, 0.2), y], axis=-1)
+    with pytest.raises(DegeneratePointError) as err:
+        operator_eval(L, P)
+    rejected = [False, True, True, True, False, True, False]
+    assert err.value.mask.tolist() == rejected
+    assert err.value.point.tolist() == P[rejected].tolist()
+    assert np.allclose(err.value.det, y[rejected] ** 2, rtol=1e-12, atol=0)
+    kept = operator_eval(L, P[~np.array(rejected)])
+    for k, p in enumerate(P[~np.array(rejected)]):
+        single = operator_eval(L, p)
+        assert np.array_equal(kept.value[k], single.value)
+    # det J = 4e-308 at y = 0: J^-1's gradient and kappa_1(J) overflow
+    # there, and the point is still a masked rejection, not an overflow
+    # of the chunk
+    sigma = [ScalarField.from_expression(t, 2)
+             for t in ("4*x1", "1e-308*y+y^2/2")]
+    with np.errstate(**JET_ERRSTATE), \
+            pytest.raises(DegeneratePointError) as err:
+        operator_eval(build_diff_nondegenerate(sigma),
+                      np.array([[0.1, 0.5], [0.1, 0.0]]))
+    assert err.value.mask.tolist() == [False, True]
+
+
 def test_morse_canonical_frozen_matrix():
     L = build_morse_canonical(3, 1)
     ev = operator_eval(L, np.array([0.5, -0.3, 0.7]))

@@ -8,8 +8,8 @@ from nijenhuis.expr import (_PLAIN_CALLS, Add, Call, Const, Div,
                             ExpressionError, Mul, Neg, Pow, Sub, Var, _power,
                             evaluate, format_expression, parse_expression)
 from nijenhuis.field import JET_ERRSTATE
-from nijenhuis.jet import (Jet2, _constant, broadcast_jet, coordinate_jet,
-                           divide)
+from nijenhuis.jet import (Jet2, SingularPointError, _constant,
+                           broadcast_jet, coordinate_jet, divide)
 
 from expr_corpus import CORPUS
 from expr_strategies import expression_and_points, expressions
@@ -283,3 +283,53 @@ def test_evaluation_matches_the_two_mode_reference(case):
             assert value.tobytes() == np.asarray(want.value).tobytes()
             assert np.array_equal(got.gradient, want.gradient)
             assert np.array_equal(got.hessian, want.hessian)
+
+
+def _differences(ast, p, s):
+    """Central differences of f's value at p with step s: the gradient
+    (f(p + s e_i) - f(p - s e_i)) / 2s and the Hessian (f(p + s e_i +
+    s e_j) - f(p + s e_i - s e_j) - f(p - s e_i + s e_j) + f(p - s e_i -
+    s e_j)) / 4s^2 (step 2s on the diagonal), each O(s^2) from the true
+    derivatives, and the largest |f| of the stencil."""
+    E = s * np.eye(p.size)
+    rows, cols = E[:, None, :], E[None, :, :]
+    g = evaluate(ast, np.stack([p + E, p - E])).value
+    f = evaluate(ast, np.stack([p + rows + cols, p + rows - cols,
+                                p - rows + cols, p - rows - cols])).value
+    return ((g[0] - g[1]) / (2 * s), (f[0] - f[1] - f[2] + f[3]) / (4 * s * s),
+            max(np.max(np.abs(g)), np.max(np.abs(f))))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(expression_and_points(3))
+def test_two_jet_matches_central_differences(case):
+    # D(s), a central difference of the value, is the derivative plus
+    # c s^2 + O(s^4). With steps s, s/2, s/4 and the rounding floor r,
+    # 2^20 rounding errors of the stencil's largest |f| over (s/4)^order,
+    # a component is judged where D shows that regime by Richardson's
+    # ratio, (D(s) - D(s/2)) / (D(s/2) - D(s/4)) within 4 +- 1 and
+    # D(s/2) - D(s/4) above r: D(s/4) is then within |D(s/2) - D(s/4)| / 2
+    # of the derivative, up to O(s^4). Where both differences are below r
+    # (c = 0: f is at most quadratic along the stencil), D(s/4) is within
+    # r of it.
+    ast, n, P = case
+    s = 2.0 ** -5
+    for p in P:
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                jet = evaluate(ast, p)
+                D = [_differences(ast, p, s / k) for k in (1, 2, 4)]
+        except (SingularPointError, FloatingPointError):
+            continue
+        size = max(d[2] for d in D)
+        for order, exact in ((1, jet.gradient), (2, jet.hessian)):
+            d1, d2, d4 = (d[order - 1] for d in D)
+            far, near = np.abs(d1 - d2), d2 - d4
+            floor = 2.0 ** -33 * size / (s / 4) ** order
+            richardson = ((np.abs(d1 - d2 - 4.0 * near) <= np.abs(near))
+                          & (np.abs(near) > floor))
+            flat = (np.abs(near) <= floor) & (far <= floor)
+            bound = np.where(richardson, np.abs(near),
+                             np.where(flat, floor, np.inf))
+            assert np.all(np.abs(d4 - exact) <= bound), (ast, p, order)

@@ -112,6 +112,32 @@ def test_pde_affine_remainders_solve_the_system(n):
         assert np.min(pde_residuals(bent, n, x).system_max()) > 1e-6, text
 
 
+def test_pde_envelope_of_the_affine_remainders_solves_the_system():
+    # at n = 3, R = -t^2 x1 + t x2 + t^3 with t = (x1 + sqrt(x1^2 -
+    # 3 x2)) / 3, where dR_t/dt = 0, is the envelope of the family R_t:
+    # not affine, and still a solution on the box where the root is real
+    t = "((x1 + sqrt(x1^2 - 3*x2))/3)"
+    R = remainder_from_expression(f"-{t}^2*x1 + {t}*x2 + {t}^3", 3)
+    x = np.random.default_rng(SEED).uniform([1.0, -1.0], [2.0, 0.3],
+                                            size=(500, 2))
+    assert np.max(pde_residuals(R, 3, x).system_max()) <= 1e-13
+
+
+def test_affine_remainders_extend_the_operator_across_y_0():
+    # f = +-y^2 + R_t has vanishing numerators on y = 0; a remainder off
+    # the system, R_t + 0.1 x2, leaves N_1 = 0.025 and N_2 = 0.11
+    Rt = _affine_remainder(3, 0.5)          # 0.125 - 0.25 x1 + 0.5 x2
+    p = np.random.default_rng(SEED).uniform(-1.0, 1.0, size=(20, 3))
+    p[:, -1] = 0.0
+    for f in (f"y^2 + {Rt}", f"-y^2 + {Rt}"):
+        d = smoothness_numerators(ScalarField.from_expression(f, 3), 3, p)
+        assert (d.verdict == "singular-denominator-zero-numerators").all(), f
+    d = smoothness_numerators(
+        ScalarField.from_expression(f"y^2 + {Rt} + 0.1*x2", 3), 3, p)
+    assert (d.verdict == "obstructed").all()
+    assert np.allclose(d.numerators, [0.025, 0.11], rtol=1e-12, atol=0)
+
+
 def test_pde_linear_remainder_first_equation():
     # R = x1 + x_{n-1} forces r0 = -R_1 * R_{n-1} = -1
     for n, text in ((3, "x1 + x2"), (4, "x1 + x3")):
