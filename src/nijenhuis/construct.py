@@ -29,8 +29,8 @@ one order-1 matrix jet of batch (..., n, n), so no entry Hessian is ever
 formed. Every rule builds its value and gradient as whole arrays: the
 regular and Morse canonical families write their last two rows over
 shared companion rows, with the bits, signed zeros and first failing
-entry of the entry by entry jet arithmetic they spell out, and the planar
-family negates the regular one's. ``conjugation_residual`` states
+entry of the order-2 jet arithmetic they spell out entry by entry, and
+the planar family negates the regular one's. ``conjugation_residual`` states
 J L = Ltilde J for a family built from f with that family's own signs of
 x1..x(n-1) in sigma.
 """
@@ -74,25 +74,38 @@ EPS_DET_PER_DIM = 1e-10
 COND_MAX = 1e5
 
 
-class DegeneratePointError(SingularPointError):
-    """The Jacobi matrix of the coefficient fields is singular at the point.
+def _det_gated(det, n: int):
+    """Where the det gate rejects J: not |det J| >= n * EPS_DET_PER_DIM."""
+    return ~(np.abs(det) >= EPS_DET_PER_DIM * n)
 
-    With a mask (batched evaluation), ``point`` and ``det`` hold the
-    failing points and their determinants.
+
+class DegeneratePointError(SingularPointError):
+    """The Jacobi matrix of the coefficient fields is singular at the
+    point, or too ill-conditioned for its inverse to be trusted.
+
+    With a mask (batched evaluation), ``point``, ``det`` and ``cond`` hold
+    the failing points, their det J and kappa_1(J). The message names the
+    gate that rejected the first of them.
     """
 
-    def __init__(self, point, det, mask=None):
+    def __init__(self, point, det, cond, mask=None):
         point = np.asarray(point, dtype=float)
         det = np.asarray(det, dtype=float)
+        cond = np.asarray(cond, dtype=float)
         if mask is not None and np.ndim(mask):
-            point, det = point[mask], det[mask]
+            point, det, cond = point[mask], det[mask], cond[mask]
         self.mask = mask
         self.point = point
         self.det = det[()]
+        self.cond = cond[()]
         where = "point" if point.ndim == 1 else "points"
-        super().__init__(
-            f"differentially degenerate at {where} {point.tolist()} "
-            f"(det J = {det.flat[0]:.6e})")
+        gate, kappa = "differentially degenerate", ""
+        if not _det_gated(det.flat[0], point.shape[-1]):
+            gate = "ill-conditioned J"
+            kappa = (f"kappa_1(J) = {cond.flat[0]:.6e} > COND_MAX = "
+                     f"{COND_MAX:.0e}, ")
+        super().__init__(f"{gate} at {where} {point.tolist()} "
+                         f"({kappa}det J = {det.flat[0]:.6e})")
 
 
 def companion_matrix(sigma_values: Sequence[float]) -> np.ndarray:
@@ -184,9 +197,9 @@ def build_diff_nondegenerate(sigma: Sequence[ScalarField]) -> OperatorField:
         with np.errstate(over="ignore"):
             cond = (np.linalg.norm(J.value, 1, axis=(-2, -1))
                     * np.linalg.norm(Jinv.value, 1, axis=(-2, -1)))
-        bad = ~(np.abs(det) >= EPS_DET_PER_DIM * n) | ~(cond <= COND_MAX)
+        bad = _det_gated(det, n) | ~(cond <= COND_MAX)
         if bad.any():
-            raise DegeneratePointError(p, det, mask=bad)
+            raise DegeneratePointError(p, det, cond, mask=bad)
         return matmul(Jinv, matmul(_companion_jets(sj), J))
 
     return OperatorField(n, rule, label="diffnondeg",

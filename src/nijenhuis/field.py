@@ -4,13 +4,13 @@ An operator field is an n x n matrix of scalar fields. Its rule returns
 the whole matrix as one order-1 jet (``Jet2`` of batch (..., n, n) with
 Hessian None), and evaluation returns that jet as it is: its value holds
 the entry values and its gradient the entry gradients, exactly the data the
-coordinate torsion formula consumes. Entry Hessians are deliberately not
-part of the contract: derived families carry partial derivatives of a
-generating function inside their entries, and an order-2 jet of the
-generator cannot supply entry second derivatives anyway. Entry values and
-gradients stay exact because jet value/gradient propagation never reads
-operand Hessians. The families of ``construct`` build the arrays whole;
-``OperatorField.from_entries`` writes its entry jets in one by one.
+coordinate torsion formula consumes. That jet is a container, which jet
+arithmetic does not take. Entry Hessians are deliberately not part of the
+contract: derived families carry partial derivatives of a generating
+function inside their entries, and an order-2 jet of the generator cannot
+supply entry second derivatives anyway. The families of ``construct``
+build the arrays whole; ``OperatorField.from_entries`` writes in the
+values and gradients of its entries' order-2 jets one by one.
 
 A family's entries are rational in one source: the 2-jet of its
 generating function f, or the stacked jets of its coefficient fields

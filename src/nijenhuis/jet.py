@@ -15,13 +15,11 @@ constant (batch ``()``) mixes freely with a jet over a chunk of points.
 Every rule below is elementwise along the batch axes, which makes a chunk's
 result equal, bit for bit, to evaluating each point on its own.
 
-Order 1 is a mode of the same class, not a second class: a jet whose
-``hessian`` is None carries value and gradient only. Any operation with an
-order-1 operand gives an order-1 result, and so do ``chain``, ``at`` and
-``broadcast_jet``. Value and gradient rules never read a Hessian, so they
-are the same, bit for bit, at either order. In the package, order 1 meets
-only negation (``2d``), ``at`` and ``broadcast_jet``; its arithmetic serves
-the entry by entry references that the family rules are tested against.
+Order 1 is a container, not an arithmetic: a jet whose ``hessian`` is
+None holds an operator's matrix, entry values and entry gradients, which
+the families build as whole arrays. Only negation (``2d``), ``at`` and
+``broadcast_jet`` take it, and give order 1 back; ``+ - * /``, ``**``,
+the elementary functions and ``chain`` run on order-2 jets.
 
 All elementary operations propagate derivatives exactly (no finite
 differences). The Hessian is kept exactly symmetric: the public
@@ -162,11 +160,6 @@ def _col2(v):
     return v[..., None, None] if v.ndim else v
 
 
-def _order1(a: "Jet2", b: "Jet2") -> bool:
-    """Whether a binary operation on a and b gives an order-1 jet."""
-    return a.hessian is None or b.hessian is None
-
-
 def _outer(a, b):
     """Batched outer product of gradients: (..., n) x (..., n) -> (..., n, n)."""
     return a[..., :, None] * b[..., None, :]
@@ -181,17 +174,16 @@ def _zeros(shape: tuple) -> np.ndarray:
     return np.ndarray(shape, float, _ZERO, strides=(0,) * len(shape))
 
 
-def _constant(c, n: int, order: int = 2) -> "Jet2":
+def _constant(c, n: int) -> "Jet2":
     """Constant jet of c (a number, or plain values of any batch shape)
     with shared zero derivatives."""
     return _jet(np.float64(c) if isinstance(c, (int, float)) else c,
-                _zeros((n,)),
-                _zeros((n, n)) if order == 2 else None)
+                _zeros((n,)), _zeros((n, n)))
 
 
 class Jet2:
     """2-jet (value, gradient, Hessian) of a scalar at a point, or at a
-    batch of points, of R^n; at order 1 the Hessian is None.
+    batch of points, of R^n; an order-1 matrix container has Hessian None.
 
     The constructor builds order-2 jets: a Hessian of None there means a
     zero Hessian.
@@ -227,10 +219,6 @@ class Jet2:
     def dim(self) -> int:
         return self.gradient.shape[-1]
 
-    @property
-    def order(self) -> int:
-        return 1 if self.hessian is None else 2
-
     def at(self, index) -> "Jet2":
         """The jet at a batch index (a view for a basic index, a copy for
         an index array or mask)."""
@@ -265,7 +253,7 @@ class Jet2:
             return NotImplemented
         return _jet(self.value + o.value,
                     self.gradient + o.gradient,
-                    None if _order1(self, o) else self.hessian + o.hessian)
+                    self.hessian + o.hessian)
 
     __radd__ = __add__
 
@@ -277,7 +265,7 @@ class Jet2:
             return NotImplemented
         return _jet(self.value - o.value,
                     self.gradient - o.gradient,
-                    None if _order1(self, o) else self.hessian - o.hessian)
+                    self.hessian - o.hessian)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -291,9 +279,8 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, _PLAIN):
-            h = self.hessian
             return _jet(self.value * other, _col(other) * self.gradient,
-                        None if h is None else _col2(other) * h)
+                        _col2(other) * self.hessian)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -301,8 +288,6 @@ class Jet2:
         # the value before the gradient, so an overflowing value raises first
         v = sv * ov
         g = _col(sv) * o.gradient + _col(ov) * self.gradient
-        if _order1(self, o):
-            return _jet(v, g, None)
         outer = _outer(self.gradient, o.gradient)
         return _jet(v, g,
                     _col2(sv) * o.hessian + _col2(ov) * self.hessian
@@ -312,17 +297,14 @@ class Jet2:
 
     def __truediv__(self, other):
         if isinstance(other, _PLAIN):
-            h = self.hessian
             return _jet(divide(self.value, other), self.gradient / _col(other),
-                        None if h is None else h / _col2(other))
+                        self.hessian / _col2(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         den = o.value
         v = divide(self.value, den)
         g = (self.gradient - _col(v) * o.gradient) / _col(den)
-        if _order1(self, o):
-            return _jet(v, g, None)
         cross = _outer(g, o.gradient)
         h = (self.hessian - _col2(v) * o.hessian
              - cross - cross.swapaxes(-1, -2)) / _col2(den)
@@ -339,7 +321,7 @@ class Jet2:
             raise TypeError("jet exponent must be an integer")
         k = int(k)
         if k == 0:
-            return _constant(1.0, self.dim, self.order)
+            return _constant(1.0, self.dim)
         if k < 0:
             return _constant(1.0, self.dim) / (self ** (-k))
         # Left-to-right product, so tests can replay the operation order.
@@ -356,9 +338,7 @@ class Jet2:
         v = sqrt(self.value)
         d = 0.5 / v
         w = _col(d) * self.gradient
-        h = self.hessian
-        return _jet(v, w, None if h is None
-                    else _col2(d) * h - _outer(w, w) / _col2(v))
+        return _jet(v, w, _col2(d) * self.hessian - _outer(w, w) / _col2(v))
 
     def exp(self) -> "Jet2":
         v = np.exp(self.value)
@@ -378,9 +358,9 @@ def constant_jet(c: float, n: int) -> Jet2:
     return Jet2(float(c), np.zeros(n))
 
 
-def coordinate_jet(i: int, p, order: int = 2) -> Jet2:
+def coordinate_jet(i: int, p) -> Jet2:
     """Jet of the i-th coordinate (1-based) at point p, or at the points of
-    an array p of shape (..., n), at the given order (1 or 2).
+    an array p of shape (..., n).
 
     Index n names the distinguished last coordinate.
     """
@@ -390,8 +370,6 @@ def coordinate_jet(i: int, p, order: int = 2) -> Jet2:
         raise IndexError(f"coordinate index {i} out of range 1..{n}")
     g = np.zeros(p.shape)
     g[..., i - 1] = 1.0
-    if order == 1:
-        return _jet(p[..., i - 1][()], g, None)
     return Jet2(p[..., i - 1], g)
 
 
@@ -399,8 +377,6 @@ def chain(g, dg, d2g, u: Jet2) -> Jet2:
     """Compose a scalar function (value g, derivatives dg, d2g at u.value,
     each of u's batch shape) with u."""
     g, dg, d2g = (np.asarray(x, dtype=float)[()] for x in (g, dg, d2g))
-    if u.hessian is None:
-        return _jet(g, _col(dg) * u.gradient, None)
     return _jet(g, _col(dg) * u.gradient,
                 _col2(dg) * u.hessian
                 + _col2(d2g) * _outer(u.gradient, u.gradient))

@@ -109,14 +109,15 @@ def test_diffnondeg_torsion_vanishes_where_a_jacobi_entry_does(capsys):
 
 
 def test_construct_ill_conditioned_jacobi_exits_three(capsys):
-    # det J passes its gate, but kappa_1(J) = 4e16 exceeds COND_MAX: a
-    # degenerate point, with the det J that plu_det gives
+    # det J passes its gate, but kappa_1(J) = 4e16 exceeds COND_MAX: the
+    # error names the condition gate, with the det J that plu_det gives
     code, doc = invoke_json(capsys, "construct", "--family", "diffnondeg",
                             "--n", "2", "--sigma", "x1,1e4*x1+y^3/3",
                             "--point", "0.1", "5e-5")
     assert code == 3
-    assert doc["error"] == ("differentially degenerate at point [0.1, 5e-05] "
-                            "(det J = 2.500000e-09)")
+    assert doc["error"] == ("ill-conditioned J at point [0.1, 5e-05] "
+                            "(kappa_1(J) = 4.000400e+16 > COND_MAX = 1e+05, "
+                            "det J = 2.500000e-09)")
 
 
 def test_the_ill_conditioned_band_is_rejected_whole(capsys):

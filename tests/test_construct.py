@@ -2,7 +2,8 @@
 
 The regular and Morse canonical rules build their matrix jets as whole
 arrays; the entry by entry jet arithmetic they replace is kept below as a
-reference, and a property test holds them to its bits and its errors.
+reference, on the order-2 jets that f's evaluation runs, and a property
+test holds them to its bits and its errors.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from nijenhuis.field import (JET_ERRSTATE, ScalarField, SingularEntry,
                              operator_eval)
 from nijenhuis.invariants import charpoly
 from nijenhuis.jet import (DenominatorVanishes, SingularPointError, _jet,
-                           coordinate_jet)
+                           _zeros, coordinate_jet)
 from expr_strategies import expressions
 from sweeps import regular_conjugation
 
@@ -41,13 +42,15 @@ def grid_jet(rows, p):
 
 
 def reference_regular_rule(n):
-    """The regular family's rule, entry by entry from jets of f's
-    partials."""
+    """The regular family's rule, entry by entry from order-2 jets of f's
+    partials, whose own Hessians (third derivatives of f) read zero: no
+    value or gradient rule reads an operand's Hessian."""
     def rule(p, fj):
-        parts = [_jet(fj.gradient[..., k][()], fj.hessian[..., k, :], None)
+        flat = _zeros(fj.gradient.shape[:-1] + (n, n))
+        parts = [_jet(fj.gradient[..., k][()], fj.hessian[..., k, :], flat)
                  for k in range(n)]
         fx, fy = parts[:-1], parts[-1]
-        xs = [coordinate_jet(i + 1, p, order=1) for i in range(n - 1)]
+        xs = [coordinate_jet(i + 1, p) for i in range(n - 1)]
         rows = []
         for i in range(n - 2):
             row = [0.0] * n
@@ -84,15 +87,15 @@ def reference_regular_rule(n):
 def reference_morse_rule(n, sign):
     """The Morse canonical family's rule, entry by entry."""
     def rule(p, _):
-        y = coordinate_jet(n, p, order=1)
+        y = coordinate_jet(n, p)
         rows = []
         for i in range(n - 2):
             row = [0.0] * n
-            row[0] = -coordinate_jet(i + 1, p, order=1)
+            row[0] = -coordinate_jet(i + 1, p)
             row[i + 1] = 1.0
             rows.append(row)
         row = [0.0] * n
-        row[0] = -coordinate_jet(n - 1, p, order=1)
+        row[0] = -coordinate_jet(n - 1, p)
         row[n - 1] = (2.0 * sign) * y
         rows.append(row)
         row = [0.0] * n
@@ -333,6 +336,18 @@ def test_diffnondeg_gates_mask_degenerate_and_ill_conditioned_j():
     assert err.value.mask.tolist() == rejected
     assert err.value.point.tolist() == P[rejected].tolist()
     assert np.allclose(err.value.det, y[rejected] ** 2, rtol=1e-12, atol=0)
+    # the message names the gate that rejected the first failing point
+    assert str(err.value).startswith(
+        "differentially degenerate at points [[0.2, 0.0], ")
+    assert str(err.value).endswith("(det J = 0.000000e+00)")
+    with pytest.raises(DegeneratePointError) as err:
+        operator_eval(L, P[[3, 5]])
+    assert np.allclose(err.value.cond, 2.0 * (1.0 + y[[3, 5]] ** -2),
+                       rtol=1e-12, atol=0)
+    assert str(err.value) == (
+        "ill-conditioned J at points [[0.2, 0.001], [0.2, -0.004]] "
+        f"(kappa_1(J) = {err.value.cond[0]:.6e} > COND_MAX = 1e+05, "
+        "det J = 1.000000e-06)")
     kept = operator_eval(L, P[~np.array(rejected)])
     for k, p in enumerate(P[~np.array(rejected)]):
         single = operator_eval(L, p)

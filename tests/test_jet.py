@@ -1,5 +1,6 @@
 """Order-2 jet arithmetic checked against finite-difference oracles, and
-order-1 jets against order 2."""
+the order-1 matrix container's negation, indexing and broadcasting against
+order 2."""
 
 import operator
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nijenhuis.jet import (Jet2, DenominatorVanishes, DomainError, _jet,
-                           broadcast_jet, chain, constant_jet, coordinate_jet)
+                           broadcast_jet, constant_jet, coordinate_jet)
 
 SEED = 20240817
 GRAD_TOL = 5e-8
@@ -233,60 +234,34 @@ def same_bits(a, b) -> bool:
 
 
 @st.composite
-def jet_pairs(draw):
-    """Two order-2 jets in n variables, each of batch () or (4,), with
-    values in [0.5, 2] so quotients and square roots are defined."""
+def jets(draw):
+    """An order-2 jet in n variables of batch () or (4,)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 3))
-
-    def jet():
-        batch = draw(st.sampled_from([(), (4,)]))
-        return Jet2(rng.uniform(0.5, 2.0, size=batch),
-                    rng.uniform(-1.0, 1.0, size=batch + (n,)),
-                    rng.uniform(-1.0, 1.0, size=batch + (n, n)))
-
-    return jet(), jet()
+    batch = draw(st.sampled_from([(), (4,)]))
+    return Jet2(rng.uniform(-2.0, 2.0, size=batch),
+                rng.uniform(-1.0, 1.0, size=batch + (n,)),
+                rng.uniform(-1.0, 1.0, size=batch + (n, n)))
 
 
-def order1(u: Jet2) -> Jet2:
-    return _jet(u.value, u.gradient, None)
-
-
-BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
-UNARY = [
-    operator.neg, Jet2.sqrt, Jet2.exp, Jet2.sin, Jet2.cos,
-    lambda u: u ** 3, lambda u: u ** 0, lambda u: u ** -2,
-    lambda u: 2.5 - u, lambda u: u * 3.0, lambda u: 1.5 / u,
-    lambda u: chain(np.tanh(u.value), 1.0 + u.value, -u.value, u),
+# the operations an order-1 jet takes; arithmetic runs at order 2 only
+ORDER1_OPS = [
+    operator.neg,
     lambda u: u.at(Ellipsis),
     lambda u: broadcast_jet(u, (2, 4)),
 ]
 
 
-def assert_order(result: Jet2, reference: Jet2, order: int):
-    assert same_bits(result.value, reference.value)
-    assert same_bits(result.gradient, reference.gradient)
-    assert result.order == order
-    if order == 2:
-        assert same_bits(result.hessian, reference.hessian)
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(jet_pairs())
-def test_order1_operands_give_the_order2_values_and_gradients(pair):
-    a, b = pair
-    for op in BINARY:
-        reference = op(a, b)
-        for oa in (1, 2):
-            for ob in (1, 2):
-                result = op(a if oa == 2 else order1(a),
-                            b if ob == 2 else order1(b))
-                assert_order(result, reference, min(oa, ob))
-    for fn in UNARY:
+@given(jets())
+def test_order1_operands_give_the_order2_values_and_gradients(a):
+    for fn in ORDER1_OPS:
         reference = fn(a)
-        assert_order(fn(order1(a)), reference, 1)
-        assert_order(fn(a), reference, 2)
+        result = fn(_jet(a.value, a.gradient, None))
+        assert same_bits(result.value, reference.value)
+        assert same_bits(result.gradient, reference.gradient)
+        assert result.hessian is None
 
 
 # -- plain operands ---------------------------------------------------------------
@@ -297,22 +272,21 @@ PLAIN_OPS = [operator.add, operator.sub, operator.mul, operator.truediv,
 
 
 @pytest.mark.parametrize("op", PLAIN_OPS)
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [2])
 def test_plain_operands_act_as_constant_jets(op, order):
     # an ndarray or numpy float on either side is a constant: the value
     # operation is the same, bit for bit, and the derivatives equal those
     # of the constant jet's full quotient, product or sum rules
     rng = np.random.default_rng(SEED + 3)
     P = rng.uniform(0.5, 2.0, size=(5, 3))
-    u = coordinate_jet(1, P, order) * coordinate_jet(3, P, order) ** 2
+    u = coordinate_jet(1, P) * coordinate_jet(3, P) ** 2
     for c in (np.float64(1.7), rng.uniform(-2.0, -0.5, size=5)):
-        flat = _jet(c, np.zeros(3), np.zeros((3, 3)) if order == 2 else None)
+        flat = _jet(c, np.zeros(3), np.zeros((3, 3)))
         got, want = op(u, c), op(u, flat)
-        assert isinstance(got, Jet2) and got.order == order
+        assert isinstance(got, Jet2)
         assert got.value.tobytes() == want.value.tobytes()
         assert np.array_equal(got.gradient, want.gradient)
-        if order == 2:
-            assert np.array_equal(got.hessian, want.hessian)
+        assert np.array_equal(got.hessian, want.hessian)
 
 
 def test_plain_division_keeps_the_jet_checks():

@@ -1,10 +1,12 @@
 """Dense matrix routines cross-checked against numpy and references.
 
 invert_with_det and matmul take stacks of order-1 jet matrices, batch
-(..., n, n); float matrices enter as jets with zero gradient. The jet
-product that matmul replaces is kept below as a reference. plu_det is held
-to the exact determinant over the rationals, and invert_with_det to the
-exact inverse.
+(..., n, n), which hold values and gradients only; float matrices enter as
+jets with zero gradient, and jet matrices are stacked from the entries'
+order-2 jets. The jet product that matmul replaces is kept below as a
+reference, on order-2 entry jets with zero Hessians. plu_det is held to
+the exact determinant over the rationals, and invert_with_det to the exact
+inverse.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nijenhuis.jet import Jet2, _jet, constant_jet, coordinate_jet
+from nijenhuis.jet import Jet2, _jet, _zeros, constant_jet, coordinate_jet
 from nijenhuis.linalg import invert_with_det, matmul, plu_det
 
 SEED = 4242
@@ -26,11 +28,12 @@ U = 2.0 ** -53
 # -- references: the jet product, exact det and inverse --------------------
 
 def _take(a: Jet2, rows, cols) -> Jet2:
-    """A stack of matrix jets indexed on its two trailing (matrix) axes."""
+    """A stack of matrix jets indexed on its two trailing (matrix) axes, as
+    an order-2 jet with zero Hessians."""
     idx = (Ellipsis, rows, cols)
-    h = a.hessian
-    return _jet(a.value[idx], a.gradient[idx + (_ALL,)],
-                None if h is None else h[idx + (_ALL, _ALL)])
+    value = a.value[idx]
+    return _jet(value, a.gradient[idx + (_ALL,)],
+                _zeros(value.shape + (a.dim, a.dim)))
 
 
 def reference_matmul(A: Jet2, B: Jet2) -> Jet2:
@@ -219,8 +222,8 @@ def test_order_2_jets_are_refused():
 
 
 def jet_matrix(p):
-    x = coordinate_jet(1, p, order=1)
-    y = coordinate_jet(2, p, order=1)
+    x = coordinate_jet(1, p)
+    y = coordinate_jet(2, p)
     one = constant_jet(1.0, 2)
     return stack([[x * y + 2.0, y], [one, x + 3.0]])
 
@@ -245,8 +248,8 @@ def test_zero_valued_entry_keeps_its_gradient():
     # the entry x has value 0 at x = 0 but gradient 1: the closed-form
     # gradient must carry it
     p = np.array([0.0, 0.5])
-    x = coordinate_jet(1, p, order=1)
-    y = coordinate_jet(2, p, order=1)
+    x = coordinate_jet(1, p)
+    y = coordinate_jet(2, p)
     A = stack([[y + 2.0, y * y], [x, x + 3.0]])
     inv, _ = invert_with_det(A)
     assert_identity_jet(matmul(inv, A), 2)
