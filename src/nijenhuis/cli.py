@@ -36,8 +36,8 @@ from .invariants import charpoly, coordinate_sigma, sigma_identity
 from .singularity import (morse_reduce, morse_remainder_field,
                           remainder_from_expression, smoothness_numerators,
                           verify_morse_normal_form, verify_pde)
-from .report import (Identity, entry_scale, normalize_box, sample_box,
-                     run_sweep)
+from .report import (Identity, entry_scale, first_failure, normalize_box,
+                     sample_box, run_sweep)
 
 __all__ = ["main", "run", "UsageError"]
 
@@ -74,16 +74,23 @@ def _sign_value(text: str) -> int:
     raise argparse.ArgumentTypeError(f"sign must be +1 or -1, got {text!r}")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
+def _checked(convert: type, valid: Callable, expected: str) -> Callable:
+    """A flag type: convert(text) if valid; errors as argparse words them."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_seed_value = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -124,7 +131,7 @@ def _add_sweep_flags(sp, samples_default=1000):
                          "per axis (default -1 1)")
     sp.add_argument("--samples", type=int, default=samples_default,
                     help=f"sample count (default {samples_default})")
-    sp.add_argument("--seed", type=int, default=42,
+    sp.add_argument("--seed", type=_seed_value, default=42,
                     help="PRNG seed (default 42)")
     sp.add_argument("--tol", type=_finite_float, default=None,
                     help="pass tolerance (default depends on the check)")
@@ -238,18 +245,6 @@ def _point_list(args, dim: int, what: str = "--point") -> np.ndarray:
     got = next((len(values) for values in raw if len(values) != dim), dim)
     _require(got == dim, f"{what} needs {dim} coordinates, got {got}")
     return np.asarray(raw, dtype=float)
-
-
-def _evaluate(P: np.ndarray, batched: Callable, per_point=None):
-    """batched(P), one evaluation of a whole --point list. If it raises,
-    per_point (default batched) replays the points in argv order, so the
-    error is the first failing point's, as that point alone gives it."""
-    try:
-        return batched(P)
-    except (ArithmeticError, ValueError):
-        for p in P:
-            (per_point or batched)(p)
-        raise
 
 
 def _field(text: str, dim: int) -> ScalarField:
@@ -498,7 +493,7 @@ def handle_construct(args) -> _Report:
     ctx = _build_context(args)
     n = ctx.op.dim
     P = _point_list(args, n)
-    values = _evaluate(P, lambda P: operator_eval(ctx.op, P).value)
+    values = first_failure(P, lambda P: operator_eval(ctx.op, P).value)
     records = dict(point=P, matrix=values)
     results = _records(**records)
     payload = _payload(f"construct {ctx.params['family']}",
@@ -530,7 +525,7 @@ def handle_torsion(args) -> _Report:
         if args.fd_step is not None:
             torsion_bracket_fd(ctx.op, p, h=args.fd_step)
 
-    ev, N, Nfd = _evaluate(P, evaluate, per_point)
+    ev, N, Nfd = first_failure(P, evaluate, per_point)
     raw = np.max(np.abs(N), axis=(-3, -2, -1))
     scale = entry_scale(ev.value)
     rel = raw / scale
@@ -567,7 +562,7 @@ def handle_charpoly(args) -> _Report:
     ctx = _build_context(args)
     n = ctx.op.dim
     P = _point_list(args, n)
-    sigma = _evaluate(P, lambda P: charpoly(operator_eval(ctx.op, P).value))
+    sigma = first_failure(P, lambda P: charpoly(operator_eval(ctx.op, P).value))
     records = dict(point=P, sigma=sigma)
     payload = _payload(f"charpoly of {ctx.params['family']}",
                        params=ctx.params, results=_records(**records))
@@ -645,7 +640,7 @@ def handle_diagnose(args) -> _Report:
     _require(n >= 2, f"--n must be at least 2, got {n}")
     f = _field(args.f, n)
     P = _point_list(args, n)
-    d = _evaluate(P, lambda P: smoothness_numerators(f, n, P))
+    d = first_failure(P, lambda P: smoothness_numerators(f, n, P))
     records = dict(point=P, numerators=d.numerators,
                    denominator=d.denominator, verdict=d.verdict)
     payload = _payload("smoothness diagnostics", params={"n": n, "f": args.f},
@@ -691,7 +686,7 @@ def handle_morse_reduce(args) -> _Report:
         columns = [("point", _names("point_", n)), ("raw", ["defect"])]
         return _Report(payload, rep.records, columns)
     X = _point_list(args, n - 1, "--point (with n-1 coordinates) or --box")
-    data = _evaluate(X, lambda X: morse_reduce(f, n, X, y0=args.y0))
+    data = first_failure(X, lambda X: morse_reduce(f, n, X, y0=args.y0))
     records = dict(x=X, c=data.c, R=data.R, sign=data.sign,
                    newton_iters=data.iters, fyy=data.fyy)
     payload = _payload("parametric reduction",

@@ -29,6 +29,7 @@ __all__ = [
     "normalize_box",
     "sample_box",
     "run_sweep",
+    "first_failure",
     "SWEEP_CHUNK",
     "entry_scale",
 ]
@@ -99,6 +100,18 @@ def entry_scale(values: np.ndarray) -> np.ndarray:
     """1 + max |L entry| of operator values (..., n, n), one per point: the
     scale of the relative gates on L's identities."""
     return 1.0 + np.max(np.abs(values), axis=(-2, -1))
+
+
+def first_failure(P: np.ndarray, fn: Callable, per_point=None):
+    """fn(P), one evaluation of points P (B, ...). If it raises, per_point
+    (default fn) replays the points in order, so the error is the first
+    failing point's, as that point alone gives it."""
+    try:
+        return fn(P)
+    except (ArithmeticError, ValueError):
+        for p in P:
+            (per_point or fn)(p)
+        raise
 
 
 class Identity(NamedTuple):

@@ -28,7 +28,8 @@ import numpy as np
 from .jet import Jet2, SingularPointError, _outer
 from .expr import Var, parse_expression
 from .field import ScalarField
-from .report import Identity, VerificationReport, normalize_box, run_sweep
+from .report import (Identity, VerificationReport, first_failure,
+                     normalize_box, run_sweep)
 
 __all__ = [
     "FractionDiagnostic",
@@ -262,8 +263,7 @@ def morse_reduce(f: ScalarField, n: int, x, y0: float = 0.0) -> MorseData:
     the others iterate on, so the error's mask, in x's batch shape, marks
     every point whose own reduction fails (at any step, f's masked errors
     included, and every point still live when the iterations run out). An
-    error of f without a usable mask names no point: it is raised as it
-    is, once the points after the first failing one have been stopped.
+    error of f without a usable mask names no point and is raised as it is.
     """
     if f.dim != n:
         raise ValueError(f"f has dimension {f.dim}, expected {n}")
@@ -290,18 +290,13 @@ def morse_reduce(f: ScalarField, n: int, x, y0: float = 0.0) -> MorseData:
             jet = f(np.column_stack((X[live], y[live])), fiber=True)
         except ArithmeticError as exc:
             mask = getattr(exc, "mask", None)
-            if np.shape(mask) == live.shape and mask.any():
-                bad = live[mask]
-                failed[bad] = True
-                if bad[0] < first:
-                    failure, first = exc, bad[0]
-                live = live[~mask]
-            elif live[-1] > first:
-                # an error that names no point may be a later point's:
-                # those stop, and the points before the first go on
-                live = live[live < first]
-            else:
-                raise   # it stops every point evaluated with it
+            if np.shape(mask) != live.shape or not mask.any():
+                raise   # it names no point
+            bad = live[mask]
+            failed[bad] = True
+            if bad[0] < first:
+                failure, first = exc, bad[0]
+            live = live[~mask]
             continue
         it += 1
         fy, fyy = jet.gradient[:, -1], jet.hessian[:, -1, -1]
@@ -384,38 +379,34 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
     order through run_sweep, which reduces, straightens and measures each
     chunk; every step reads f's fiber jet only. The defect is gated
     relative to 1 + max(|f|, |sign * ytilde^2|, |R|), the size of its
-    terms, so a large f does not fail on rounding. Reduction failures and
-    f's errors propagate as plain ArithmeticErrors with the same text:
-    they are errors of the input, not sample rejections. The worst point
-    is the first grid point of largest defect; the records hold every grid
-    point and its defect.
+    terms, so a large f does not fail on rounding. A failing chunk is
+    replayed point by point (``first_failure``): the first failing grid
+    point's error in C order, as that point alone gives it, propagates as
+    a plain ArithmeticError of the same text, an error of the input, not a
+    sample rejection. The worst point is the first grid point of largest
+    defect; the records hold every grid point and its defect.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2 points per axis, got {grid}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in normalize_box(box, n)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
 
-    def defect(ev, P, src):
-        try:
-            try:
-                data = morse_reduce(f, n, P[:, :-1], y0=y0)
-            except (NonMorseError, NewtonDivergenceError) as exc:
-                # the grid points before the failing slice come first in a
-                # scan, so an error of f there is raised in its place
-                first = np.all(P[:, :-1] == exc.x, axis=-1).argmax()
-                if first:
-                    defect(ev, P[:first], src)
-                raise
-            ytil = morse_coordinate(f, data, P[:, -1])
-            fv = f(P, fiber=True).value
-            quad = data.sign * ytil * ytil
-        except SingularPointError as exc:
-            raise ArithmeticError(str(exc)) from exc
+    def defect(P):
+        data = morse_reduce(f, n, P[..., :-1], y0=y0)
+        ytil = morse_coordinate(f, data, P[..., -1])
+        fv = f(P, fiber=True).value
+        quad = data.sign * ytil * ytil
         return (np.abs(fv - (quad + data.R)),
                 1.0 + np.max(np.abs([fv, quad, data.R]), axis=0))
 
+    def residual(ev, P, src):
+        try:
+            return first_failure(P, defect)
+        except SingularPointError as exc:
+            raise ArithmeticError(str(exc)) from exc
+
     return run_sweep(
-        points, [Identity("normal_form_defect", tol, defect)])[0]
+        points, [Identity("normal_form_defect", tol, residual)])[0]
 
 
 def morse_remainder_field(f: ScalarField, n: int) -> ScalarField:

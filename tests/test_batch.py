@@ -314,6 +314,11 @@ def test_newton_raises_the_first_failing_point_in_order():
     f = ScalarField.from_expression("exp(800*x1)*y^2 + y", 2)
     with pytest.raises(FloatingPointError, match="overflow"):
         morse_reduce(f, 2, np.array([[0.0], [1.0], [0.5]]))
+    # even after an earlier point has failed: Newton diverges at x1 = 0 on
+    # the 1st iteration, and exp overflows at x1 = 1 on the 2nd
+    f = ScalarField.from_expression("x1*y^2 - 1e5*y + exp(x1*y)", 2)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        morse_reduce(f, 2, np.array([[0.0], [1.0]]))
 
 
 @settings(max_examples=60, deadline=None,
@@ -493,6 +498,12 @@ CHUNK_INVOCATIONS = [
     # exit 3: Newton fails on the last slice, but f fails first, at the
     # grid point (-1, -1) of the first slice
     ("morse-reduce", "--f", "sqrt(y + 0.8) + y^2*(1 - x1)", "--n", "2",
+     "--box", "-1", "1", "--samples", "3"),
+    # exit 3: the slice x1 = 1 overflows in a batched step, and the grid
+    # names its first failing point, x1 = -1, as that point alone fails
+    ("morse-reduce", "--f", "exp(800*x1)*y^2 + exp(y) + 0.5*y", "--n", "2",
+     "--box", "-1", "1", "--samples", "3"),
+    ("morse-reduce", "--f", "exp(800*x1)*y^2 + y", "--n", "2",
      "--box", "-1", "1", "--samples", "3"),
     # exit 3: Newton fails on the third slice, after two that pass
     ("morse-reduce", "--f", "1/(y - 1.0001) + (x1 + 0.6)*y^2", "--n", "2",

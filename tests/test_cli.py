@@ -548,6 +548,57 @@ def test_morse_reduce_points_raise_the_first_failing_point(capsys, term,
     assert (code, doc["error"]) == (3, DIVERGED_AT_0)
 
 
+def _diverged(x, iters, detail):
+    return (f"Newton iteration diverged from y0=0.0 at x=[{x}] after {iters} "
+            f"iterations: {detail}")
+
+
+@pytest.mark.parametrize("f, points, box, error", [
+    # a batched step overflows at x1 = 1; x1 = -1 fails first, alone
+    ("exp(800*x1)*y^2 + exp(y) + 0.5*y", ("-1", "1"), ("-1", "1", "3"),
+     _diverged(-1.0, 4, "f_yy vanished at y=-63.00628763967579 "
+                        "with f_y=0.5")),
+    ("exp(800*x1)*y^2 + y", ("-1", "1"), ("-1", "1", "3"),
+     _diverged(-1.0, 1, "f_yy vanished at y=0.0 with f_y=1.0")),
+    # Newton diverges at x1 = 0 on the 1st iteration, and exp overflows at
+    # x1 = 1 on the 2nd
+    ("x1*y^2 - 1e5*y + exp(x1*y)", ("0", "1"), ("0", "1", "2"),
+     _diverged(0.0, 1, "f_yy vanished at y=0.0 with f_y=-100000.0")),
+    # the first Newton step leaves the domain |y| <= 1e8
+    ("y^2/2 + 1e9*y", ("0",), ("-1", "1", "2"),
+     _diverged(0.0, 1, "iterate left the domain (y=-1000000000.0)")),
+], ids=["exp-overflow", "overflow", "diverged-then-overflow", "escaped"])
+def test_morse_reduce_grid_and_points_name_the_first_failing_point(
+        capsys, f, points, box, error):
+    args = ("morse-reduce", "--f", f, "--n", "2")
+    code, doc = invoke_json(capsys, *args, *(a for x in points
+                                             for a in ("--point", x)))
+    assert (code, doc["error"]) == (3, error)
+    lo, hi, samples = box
+    code, doc = invoke_json(capsys, *args, "--box", lo, hi,
+                            "--samples", samples)
+    assert (code, doc["error"]) == (3, error.replace(
+        f"x=[{float(points[0])}]", f"x=[{float(lo)}]"))
+
+
+def test_an_overflow_in_the_remainder_s_newton_aborts_a_pde_sweep(capsys):
+    code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
+                            "--n", "2", "--f", "x1*y^2 - 1e5*y + exp(x1*y)",
+                            "--check", "pde", "--samples", "20",
+                            "--seed", "1")
+    assert (code, doc["error"]) == (3, "overflow encountered in exp")
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (("verify", "--family", "theorem1", "--n", "2", "--f", "y^2"), "-1"),
+    (("pde-check", "--R", "0", "--n", "3"), "-3"),
+], ids=["verify", "pde-check"])
+def test_a_negative_seed_is_a_flag_error(capsys, argv, seed):
+    code, doc = invoke_json(capsys, *argv, "--seed", seed)
+    assert (code, doc["error"]) == (
+        2, f"argument --seed: expected a non-negative integer, got '{seed}'")
+
+
 # Point-list subcommands, the dimension of their points, and each JSON
 # result flattened in the order of its CSV row (one row per component for
 # torsion).
