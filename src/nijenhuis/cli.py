@@ -43,6 +43,8 @@ __all__ = ["main", "run", "UsageError"]
 
 CHECKS = ("torsion", "conjugation", "sigma", "pde", "all")
 
+FORMATS = ("json", "csv", "text")
+
 DEFAULT_TOLS = {
     "torsion": 1e-10,
     "conjugation": 1e-11,
@@ -91,13 +93,15 @@ def _checked(convert: type, valid: Callable, expected: str) -> Callable:
 
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _seed_value = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_sample_count = _checked(int, lambda v: v >= 1, "a positive integer")
+_grid_count = _checked(int, lambda v: v >= 2, "an integer >= 2")
 
 
 # -- argument plumbing ---------------------------------------------------------
 
 def _add_output_flags(sp, handler):
     """The last flags of every subcommand, and the handler that runs it."""
-    sp.add_argument("--format", choices=("json", "csv", "text"),
+    sp.add_argument("--format", choices=FORMATS,
                     default="json", help="report format (default json)")
     sp.add_argument("--out", default=None, metavar="PATH",
                     help="write the report to PATH instead of standard output")
@@ -129,7 +133,7 @@ def _add_sweep_flags(sp, samples_default=1000):
     sp.add_argument("--box", type=_finite_float, nargs="+", metavar="B",
                     help="box bounds: 'lo hi' for every axis, or one pair "
                          "per axis (default -1 1)")
-    sp.add_argument("--samples", type=int, default=samples_default,
+    sp.add_argument("--samples", type=_sample_count, default=samples_default,
                     help=f"sample count (default {samples_default})")
     sp.add_argument("--seed", type=_seed_value, default=42,
                     help="PRNG seed (default 42)")
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flag(sp, "base point with n-1 coordinates (repeatable)")
     sp.add_argument("--box", type=_finite_float, nargs="+", metavar="B",
                     help="run the defect grid over this n-axis box instead")
-    sp.add_argument("--samples", type=int, default=21,
+    sp.add_argument("--samples", type=_grid_count, default=21,
                     help="grid points per axis for --box mode (default 21)")
     sp.add_argument("--tol", type=_finite_float, default=1e-9,
                     help="defect tolerance for --box mode (default 1e-9)")
@@ -251,14 +255,11 @@ def _field(text: str, dim: int) -> ScalarField:
     return ScalarField.from_expression(text, dim)
 
 
-def _sigma_fields(text: str, n: Optional[int]) -> list:
+def _sigma_fields(text: str, n: int) -> list:
     parts = [s.strip() for s in text.split(",")]
     _require(all(parts), "--sigma has an empty expression")
-    if n is None:
-        n = len(parts)
     _require(len(parts) == n,
              f"--sigma needs {n} comma-separated expressions, got {len(parts)}")
-    _require(n >= 2, "--sigma needs at least 2 expressions")
     return [_field(s, n) for s in parts]
 
 
@@ -698,16 +699,30 @@ def handle_morse_reduce(args) -> _Report:
 
 # -- entry points ----------------------------------------------------------------
 
+def _argv_format(argv: Sequence[str]) -> str:
+    """The format an argv that failed to parse asks for: its last valid
+    --format X or --format=X, else json."""
+    fmt = "json"
+    for flag, value in zip(argv, [*argv[1:], ""]):
+        if flag.startswith("--format="):
+            flag, value = flag.split("=", 1)
+        if flag == "--format" and value in FORMATS:
+            fmt = value
+    return fmt
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, run the handler, emit its report and return the exit code.
 
     wall_ms times the whole handler; the exit code is 1 iff the report's
     pass flag is False.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
-        _emit("json", _Report(_payload("usage", error=str(exc))), sys.stdout)
+        _emit(_argv_format(argv), _Report(_payload("usage", error=str(exc))),
+              sys.stdout)
         return 2
     try:
         sink = (open(args.out, "w", newline="") if args.out

@@ -14,6 +14,9 @@ Builtins: sqrt, exp, sin, cos. Bare 'x' is accepted as an alias for 'x1'
 and normalized at parse time. Every error reports a byte offset into the
 input string.
 
+The AST has six frozen node types: Const, Var, Bin (one binary node for
+'+', '-', '*' and '/', left-associative), Neg, Pow and Call.
+
 ``evaluate`` gives the full 2-jet in all n variables, or with
 ``fiber=True`` the fiber jet along y alone: (f, f_y, f_yy) as a ``Jet2``
 with n = 1. Both run one recursion whose first jet variable is x1 or y.
@@ -27,6 +30,7 @@ fiber jet's f, f_y and f_yy are the full jet's, up to the sign of a zero.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -38,7 +42,7 @@ from .jet import (Jet2, _constant, broadcast_jet, coordinate_jet, divide,
 
 __all__ = [
     "ExpressionError",
-    "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call",
+    "Const", "Var", "Bin", "Neg", "Pow", "Call",
     "Expr",
     "parse_expression",
     "evaluate",
@@ -48,7 +52,8 @@ __all__ = [
 
 MAX_EXPONENT = 64
 
-_BUILTINS = ("sqrt", "exp", "sin", "cos")
+# the grammar's builtins, on plain values with the jet rules' domain checks
+_PLAIN_CALLS = {"sqrt": sqrt, "exp": np.exp, "sin": np.sin, "cos": np.cos}
 
 
 class ExpressionError(ValueError):
@@ -74,25 +79,8 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
+class Bin:
+    op: str      # one of + - * /
     left: "Expr"
     right: "Expr"
 
@@ -114,7 +102,7 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow, Call]
+Expr = Union[Const, Var, Bin, Neg, Pow, Call]
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -177,27 +165,21 @@ class _Parser:
             raise ExpressionError(f"unexpected token {text!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def chain(self, ops: str, operand) -> Expr:
+        """operand() (op operand())*, for op in ops, as a left-leaning tree."""
+        left = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right = self.term()
-                left = Add(left, right) if text == "+" else Sub(left, right)
-            else:
+            if kind != "op" or text not in ops:
                 return left
+            self.advance()
+            left = Bin(text, left, operand())
+
+    def expr(self) -> Expr:
+        return self.chain("+-", self.term)
 
     def term(self) -> Expr:
-        left = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                right = self.unary()
-                left = Mul(left, right) if text == "*" else Div(left, right)
-            else:
-                return left
+        return self.chain("*/", self.unary)
 
     def unary(self) -> Expr:
         kind, text, _ = self.peek()
@@ -266,7 +248,7 @@ class _Parser:
                     f"variable {name} out of range for n={self.n} "
                     f"(valid variables {valid})", pos)
             return Var(k, name)
-        if name in _BUILTINS:
+        if name in _PLAIN_CALLS:
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
@@ -299,8 +281,9 @@ def evaluate(e: Expr, p: Sequence[float], fiber: bool = False) -> Jet2:
     return broadcast_jet(jet, p.shape[:-1])
 
 
-# the builtins on plain values, with the jet rules' domain checks
-_PLAIN_CALLS = {"sqrt": sqrt, "exp": np.exp, "sin": np.sin, "cos": np.cos}
+# a binary node's operation on jets and plain values alike
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 
 def _power(x, k: int):
@@ -329,17 +312,11 @@ def _evaluate(node, p: np.ndarray, first: int, coords: dict):
                 p[..., i - 1] if i < first
                 else coordinate_jet(i - first + 1, p[..., first - 1:]))
         return value
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, Bin):
         left = _evaluate(node.left, p, first, coords)
         right = _evaluate(node.right, p, first, coords)
-        if isinstance(node, Add):
-            return left + right
-        if isinstance(node, Sub):
-            return left - right
-        if isinstance(node, Mul):
-            return left * right
-        if isinstance(left, Jet2) or isinstance(right, Jet2):
-            return left / right
+        if node.op != "/" or isinstance(left, Jet2) or isinstance(right, Jet2):
+            return _BINARY[node.op](left, right)
         return divide(left, right)
     if isinstance(node, Neg):
         return -_evaluate(node.operand, p, first, coords)
@@ -368,14 +345,8 @@ def format_expression(e: Expr) -> str:
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Add):
-        return f"({format_expression(e.left)}+{format_expression(e.right)})"
-    if isinstance(e, Sub):
-        return f"({format_expression(e.left)}-{format_expression(e.right)})"
-    if isinstance(e, Mul):
-        return f"({format_expression(e.left)}*{format_expression(e.right)})"
-    if isinstance(e, Div):
-        return f"({format_expression(e.left)}/{format_expression(e.right)})"
+    if isinstance(e, Bin):
+        return f"({format_expression(e.left)}{e.op}{format_expression(e.right)})"
     if isinstance(e, Neg):
         return f"(-{format_expression(e.operand)})"
     if isinstance(e, Pow):

@@ -188,8 +188,6 @@ class OperatorField:
                 for j, e in enumerate(row):
                     try:
                         x = e(p)
-                    except SingularEntry:
-                        raise
                     except SingularPointError as exc:
                         raise SingularEntry(i + 1, j + 1, p, exc) from exc
                     value[..., i, j], grad[..., i, j, :] = x.value, x.gradient

@@ -4,7 +4,7 @@ chunk of points to evaluate one at."""
 import numpy as np
 from hypothesis import strategies as st
 
-from nijenhuis.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+from nijenhuis.expr import Bin, Call, Const, Neg, Pow, Var
 
 CONSTANTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3])
 
@@ -20,8 +20,7 @@ def expressions(n: int, constants=CONSTANTS):
     def extend(sub):
         pair = st.tuples(sub, sub)
         return st.one_of(
-            pair.map(lambda t: Add(*t)), pair.map(lambda t: Sub(*t)),
-            pair.map(lambda t: Mul(*t)), pair.map(lambda t: Div(*t)),
+            *(pair.map(lambda t, op=op: Bin(op, *t)) for op in "+-*/"),
             sub.map(Neg),
             st.tuples(sub, st.integers(-3, 4)).map(lambda t: Pow(*t)),
             st.tuples(st.sampled_from(["sqrt", "exp", "sin", "cos"]),

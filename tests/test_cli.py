@@ -18,6 +18,7 @@ import nijenhuis
 from nijenhuis import cli
 from nijenhuis.cli import _csv_text, run
 from nijenhuis.field import ScalarField
+from nijenhuis.singularity import verify_morse_normal_form
 
 
 def invoke(capsys, *argv):
@@ -217,8 +218,14 @@ def test_morse_reduce_box_rejects_a_degenerate_grid(capsys, samples):
                             "--n", "2", "--box", "-1", "1",
                             "--samples", samples)
     assert code == 2
-    assert doc["error"] == ("grid must be >= 2 points per axis, "
-                            f"got {samples}")
+    assert doc["error"] == ("argument --samples: expected an integer >= 2, "
+                            f"got '{samples}'")
+    # the library keeps its own check, for callers without the flag
+    f = ScalarField.from_expression("y^2 + x1*y", 2)
+    with pytest.raises(ValueError) as err:
+        verify_morse_normal_form(f, 2, (-1.0, 1.0), grid=int(samples))
+    assert str(err.value) == ("grid must be >= 2 points per axis, "
+                              f"got {samples}")
 
 
 def test_morse_reduce_non_morse_exits_three(capsys):
@@ -287,6 +294,32 @@ def test_usage_errors_exit_two(capsys):
     code, doc = invoke_json(capsys, "verify", "--family", "theorem1",
                             "--n", "2", "--f", "y", "--matrix", "diag:y,x")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", [("--format", "text"), ("--format=text",),
+                                 ("--format", "csv"), ("--format=csv",)])
+def test_a_flag_error_is_written_in_the_requested_format(capsys, fmt):
+    # an error report has no rows: its csv view is its text view
+    code, out = invoke(capsys, "verify", "--family", "theorem1", "--n", "2",
+                       "--f", "y", "--seed", "-1", *fmt)
+    assert (code, out) == (2, "usage\nerror: argument --seed: expected a "
+                              "non-negative integer, got '-1'\n")
+
+
+def test_a_flag_error_without_a_valid_format_is_json(capsys):
+    code, doc = invoke_json(capsys, "construct", "--family", "theorem1",
+                            "--format", "xml")
+    assert code == 2
+    assert doc["error"].startswith("argument --format: invalid choice")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_an_error_report_reads_as_text(capsys, fmt):
+    code, out = invoke(capsys, "construct", "--family", "theorem1",
+                       "--n", "2", "--f", "x1+", "--point", "0.1", "0.2",
+                       "--format", fmt)
+    assert (code, out) == (2, "construct\nerror: unexpected end of input "
+                              "(at offset 3)\nposition: 3\n")
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -597,6 +630,18 @@ def test_a_negative_seed_is_a_flag_error(capsys, argv, seed):
     code, doc = invoke_json(capsys, *argv, "--seed", seed)
     assert (code, doc["error"]) == (
         2, f"argument --seed: expected a non-negative integer, got '{seed}'")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "theorem1", "--n", "2", "--f", "y^2"),
+    ("pde-check", "--R", "0", "--n", "3"),
+    # with --point no sample is drawn, but the flag is still checked
+    ("pde-check", "--R", "0", "--n", "3", "--point", "0", "0"),
+], ids=["verify", "pde-check", "pde-check-point"])
+def test_a_sample_count_below_one_is_a_flag_error(capsys, argv):
+    code, doc = invoke_json(capsys, *argv, "--samples", "0")
+    assert (code, doc["error"]) == (
+        2, "argument --samples: expected a positive integer, got '0'")
 
 
 # Point-list subcommands, the dimension of their points, and each JSON

@@ -1,12 +1,14 @@
 """Expression grammar: round-trips, evaluation, and error positions."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nijenhuis.expr import (_PLAIN_CALLS, Add, Call, Const, Div,
-                            ExpressionError, Mul, Neg, Pow, Sub, Var, _power,
-                            evaluate, format_expression, parse_expression)
+from nijenhuis.expr import (_PLAIN_CALLS, Bin, Call, Const, ExpressionError,
+                            Neg, Pow, Var, _power, evaluate,
+                            format_expression, parse_expression)
 from nijenhuis.field import JET_ERRSTATE
 from nijenhuis.jet import (Jet2, SingularPointError, _constant,
                            broadcast_jet, coordinate_jet, divide)
@@ -16,6 +18,9 @@ from expr_strategies import expression_and_points, expressions
 
 SEED = 73
 
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
 
 def num_eval(e, p):
     """Independent plain-float evaluator mirroring jet operation order."""
@@ -23,14 +28,8 @@ def num_eval(e, p):
         return e.value
     if isinstance(e, Var):
         return float(p[e.index - 1])
-    if isinstance(e, Add):
-        return num_eval(e.left, p) + num_eval(e.right, p)
-    if isinstance(e, Sub):
-        return num_eval(e.left, p) - num_eval(e.right, p)
-    if isinstance(e, Mul):
-        return num_eval(e.left, p) * num_eval(e.right, p)
-    if isinstance(e, Div):
-        return num_eval(e.left, p) / num_eval(e.right, p)
+    if isinstance(e, Bin):
+        return BINARY[e.op](num_eval(e.left, p), num_eval(e.right, p))
     if isinstance(e, Neg):
         return -num_eval(e.operand, p)
     if isinstance(e, Pow):
@@ -192,6 +191,14 @@ def test_builtin_requires_call():
     error_position("sqrt + 1", 2)
 
 
+@pytest.mark.parametrize("text, error", [
+    ("x1+", "unexpected end of input (at offset 3)"),
+    ("x1+)", "unexpected token ')' (at offset 3)"),
+])
+def test_a_missing_operand_is_named_where_it_is_missing(text, error):
+    assert str(error_position(text, 2)) == error
+
+
 def test_const_round_trip_value():
     ast = parse_expression("2", 2)
     assert ast == Const(2.0)
@@ -219,17 +226,11 @@ def _reference(node, p, coords, fiber):
                 value = p[..., node.index - 1]
             coords[node.index] = value
         return value
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, Bin):
         left = _reference(node.left, p, coords, fiber)
         right = _reference(node.right, p, coords, fiber)
-        if isinstance(node, Add):
-            return left + right
-        if isinstance(node, Sub):
-            return left - right
-        if isinstance(node, Mul):
-            return left * right
-        if isinstance(left, Jet2) or isinstance(right, Jet2):
-            return left / right
+        if node.op != "/" or isinstance(left, Jet2) or isinstance(right, Jet2):
+            return BINARY[node.op](left, right)
         return divide(left, right)
     if isinstance(node, Neg):
         return -_reference(node.operand, p, coords, fiber)
