@@ -150,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "torsion, verify their defining identities, and "
                             "diagnose determinant singularities.")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices   # subcommand name -> its parser
 
     sp = sub.add_parser("construct", help="evaluate a family at points")
     _add_operator_flags(sp)
@@ -701,12 +702,23 @@ def handle_morse_reduce(args) -> _Report:
 
 def _argv_format(argv: Sequence[str]) -> str:
     """The format an argv that failed to parse asks for: its last valid
-    --format X or --format=X, else json."""
+    --format X or --format=X, else json. The flag may be abbreviated as
+    argparse reads it: to a prefix that no other flag of argv's
+    subcommand starts with (--fo, or --f where no --f flag is)."""
+    commands = build_parser().commands
+    flags = (commands[argv[0]]._option_string_actions
+             if argv and argv[0] in commands else {})
+
+    def is_format(flag: str) -> bool:
+        return flag == "--format" or (
+            flag.startswith("--") and flag not in flags
+            and [f for f in flags if f.startswith(flag)] == ["--format"])
+
     fmt = "json"
     for flag, value in zip(argv, [*argv[1:], ""]):
-        if flag.startswith("--format="):
+        if flag.startswith("--") and "=" in flag:
             flag, value = flag.split("=", 1)
-        if flag == "--format" and value in FORMATS:
+        if is_format(flag) and value in FORMATS:
             fmt = value
     return fmt
 

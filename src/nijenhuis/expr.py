@@ -22,9 +22,11 @@ The AST has six frozen node types: Const, Var, Bin (one binary node for
 with n = 1. Both run one recursion whose first jet variable is x1 or y.
 Constants and the coordinates before it are plain numpy floats and arrays,
 a node whose operands are all plain runs plain numpy (with the jet rules'
-division and sqrt checks, and integer powers as left-to-right products),
-and a jet drops only the terms that are products with an exact zero: the
-fiber jet's f, f_y and f_yy are the full jet's, up to the sign of a zero.
+division and sqrt checks), and a jet drops only the terms that are
+products with an exact zero: the fiber jet's f, f_y and f_yy are the full
+jet's, up to the sign of a zero. An integer power is a left-to-right
+product, as ``Jet2.__pow__`` forms it, and powers of one variable share
+their products within an evaluation: y^2 is the first product of y^3.
 """
 
 from __future__ import annotations
@@ -286,16 +288,35 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 
 
-def _power(x, k: int):
-    """x ** k of plain values, as Jet2.__pow__ forms it."""
+def _power(x, k: int, products: list | None = None):
+    """x ** k of a jet or plain values, as Jet2.__pow__ forms it: a
+    left-to-right product that extends products = [x, x^2, ...], the
+    powers of x formed so far, and 1/x^|k| for k < 0."""
+    jet = isinstance(x, Jet2)
     if k == 0:
-        return np.float64(1.0)
+        return _constant(1.0, x.dim) if jet else np.float64(1.0)
     if k < 0:
-        return divide(np.float64(1.0), _power(x, -k))
-    acc = x
-    for _ in range(k - 1):
-        acc = acc * x
-    return acc
+        den = _power(x, -k, products)
+        if jet:
+            return _constant(1.0, x.dim) / den
+        return divide(np.float64(1.0), den)
+    if products is None:
+        products = [x]
+    while len(products) < k:
+        products.append(products[-1] * x)
+    return products[k - 1]
+
+
+def _powers(var: Var, p: np.ndarray, first: int, coords: dict) -> list:
+    """The powers [x, x^2, ...] of variable var that this evaluation has
+    formed: x is its coordinate jet, or its plain column before first."""
+    i = var.index
+    powers = coords.get(i)
+    if powers is None:
+        powers = coords[i] = [
+            p[..., i - 1] if i < first
+            else coordinate_jet(i - first + 1, p[..., first - 1:])]
+    return powers
 
 
 def _evaluate(node, p: np.ndarray, first: int, coords: dict):
@@ -305,13 +326,7 @@ def _evaluate(node, p: np.ndarray, first: int, coords: dict):
     if isinstance(node, Const):
         return np.float64(node.value)
     if isinstance(node, Var):
-        i = node.index
-        value = coords.get(i)
-        if value is None:
-            value = coords[i] = (
-                p[..., i - 1] if i < first
-                else coordinate_jet(i - first + 1, p[..., first - 1:]))
-        return value
+        return _powers(node, p, first, coords)[0]
     if isinstance(node, Bin):
         left = _evaluate(node.left, p, first, coords)
         right = _evaluate(node.right, p, first, coords)
@@ -321,10 +336,10 @@ def _evaluate(node, p: np.ndarray, first: int, coords: dict):
     if isinstance(node, Neg):
         return -_evaluate(node.operand, p, first, coords)
     if isinstance(node, Pow):
-        base = _evaluate(node.base, p, first, coords)
-        if isinstance(base, Jet2):
-            return base ** node.exponent
-        return _power(base, node.exponent)
+        if isinstance(node.base, Var):   # shares the variable's products
+            powers = _powers(node.base, p, first, coords)
+            return _power(powers[0], node.exponent, powers)
+        return _power(_evaluate(node.base, p, first, coords), node.exponent)
     if isinstance(node, Call):
         arg = _evaluate(node.arg, p, first, coords)
         if isinstance(arg, Jet2):

@@ -341,23 +341,32 @@ def morse_reduce(f: ScalarField, n: int, x, y0: float = 0.0) -> MorseData:
                      fyy=fyy_at_c, iters=iters)
 
 
-def quadratic_factor(f: ScalarField, data: MorseData, y):
-    """The factor g(x, y) with f(x, y) = data.R + g * (y - c)^2 (y of
-    data's batch shape).
-
-    Away from the critical point this is the raw quotient. Within
-    |y - c| < DELTA_TAYLOR the quotient cancels catastrophically, so g is
-    evaluated as f_yy(x, c + (y - c)/3) / 2: probing the second derivative
-    a third of the way toward y matches the exact factor to second order
-    in (y - c).
-    """
+def _straighten(f: ScalarField, data: MorseData, y):
+    """quadratic_factor's g at y, from one evaluation of f's fiber jet at
+    probe points: y itself where far = |y - c| >= DELTA_TAYLOR, and
+    c + (y - c)/3 elsewhere. Returns g, that jet's values (f at y where
+    far) and far."""
     d = np.asarray(np.subtract(y, data.c))
     far = np.abs(d) >= DELTA_TAYLOR
     probe = np.where(far, y, data.c + d / 3.0)
     jet = f(np.concatenate([data.x, probe[..., None]], axis=-1), fiber=True)
     # the quotient runs on the far points only: near ones may have d = 0
-    return np.divide(jet.value - data.R, d * d, where=far,
-                     out=np.asarray(jet.hessian[..., -1, -1] / 2.0))[()]
+    g = np.divide(jet.value - data.R, d * d, where=far,
+                  out=np.asarray(jet.hessian[..., -1, -1] / 2.0))[()]
+    return g, jet.value, far
+
+
+def quadratic_factor(f: ScalarField, data: MorseData, y):
+    """The factor g(x, y) with f(x, y) = data.R + g * (y - c)^2 (y of
+    data's batch shape), from one evaluation of f's fiber jet.
+
+    Away from the critical point this is the raw quotient, which reads f
+    at y itself. Within |y - c| < DELTA_TAYLOR the quotient cancels
+    catastrophically, so g is evaluated as f_yy(x, c + (y - c)/3) / 2:
+    probing the second derivative a third of the way toward y matches the
+    exact factor to second order in (y - c).
+    """
+    return _straighten(f, data, y)[0]
 
 
 def morse_coordinate(f: ScalarField, data: MorseData, y):
@@ -377,7 +386,11 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
 
     The box covers all n axes; the grid runs over x1..x(n-1), y in C
     order through run_sweep, which reduces, straightens and measures each
-    chunk; every step reads f's fiber jet only. The defect is gated
+    chunk; every step reads f's fiber jet only. Beyond Newton's
+    evaluations, a chunk straightens with one evaluation of f, which the
+    defect reuses for f at the grid points away from c(x) (|y - c| >=
+    DELTA_TAYLOR), and evaluates f once more at the near points, if there
+    are any (the straightening probed those off y). The defect is gated
     relative to 1 + max(|f|, |sign * ytilde^2|, |R|), the size of its
     terms, so a large f does not fail on rounding. A failing chunk is
     replayed point by point (``first_failure``): the first failing grid
@@ -393,8 +406,12 @@ def verify_morse_normal_form(f: ScalarField, n: int, box,
 
     def defect(P):
         data = morse_reduce(f, n, P[..., :-1], y0=y0)
-        ytil = morse_coordinate(f, data, P[..., -1])
-        fv = f(P, fiber=True).value
+        y = P[..., -1]
+        g, fv, far = _straighten(f, data, y)
+        ytil = np.subtract(y, data.c) * np.sqrt(np.abs(g))
+        if not far.all():   # the near points were probed off y
+            fv = np.array(fv)   # a copy: the jet's value may be a view
+            fv[~far] = f(P[~far], fiber=True).value
         quad = data.sign * ytil * ytil
         return (np.abs(fv - (quad + data.R)),
                 1.0 + np.max(np.abs([fv, quad, data.R]), axis=0))

@@ -297,13 +297,32 @@ def test_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize("fmt", [("--format", "text"), ("--format=text",),
-                                 ("--format", "csv"), ("--format=csv",)])
+                                 ("--format", "csv"), ("--format=csv",),
+                                 # each prefix argparse resolves to --format
+                                 ("--fo", "text"), ("--for=text",),
+                                 ("--form", "text"), ("--forma=csv",),
+                                 ("--fo=csv",), ("--forma", "text")])
 def test_a_flag_error_is_written_in_the_requested_format(capsys, fmt):
     # an error report has no rows: its csv view is its text view
     code, out = invoke(capsys, "verify", "--family", "theorem1", "--n", "2",
                        "--f", "y", "--seed", "-1", *fmt)
     assert (code, out) == (2, "usage\nerror: argument --seed: expected a "
                               "non-negative integer, got '-1'\n")
+
+
+@pytest.mark.parametrize("argv, first", [
+    # pde-check has no --f flag: argparse reads --f as --format there
+    (("pde-check", "--R", "0", "--n", "3", "--seed", "-1", "--f", "text"),
+     "usage"),
+    (("verify", "--family", "theorem1", "--n", "2", "--seed", "-1",
+      "--f", "text"), "{"),
+    # no subcommand: only --format spelled out
+    (("bogus", "--fo", "text"), "{"),
+    (("bogus", "--format", "text"), "usage"),
+], ids=["pde-check-f", "verify-f", "bogus-fo", "bogus-format"])
+def test_a_flag_error_reads_format_as_argparse_does(capsys, argv, first):
+    code, out = invoke(capsys, *argv)
+    assert (code, out.splitlines()[0]) == (2, first)
 
 
 def test_a_flag_error_without_a_valid_format_is_json(capsys):
@@ -612,6 +631,24 @@ def test_morse_reduce_grid_and_points_name_the_first_failing_point(
                             "--samples", samples)
     assert (code, doc["error"]) == (3, error.replace(
         f"x=[{float(points[0])}]", f"x=[{float(lo)}]"))
+
+
+def test_the_defect_grid_evaluates_f_at_its_near_points(capsys):
+    # c(x1) = x1 + 5e-4, so the grid's diagonal y = x1 lies within
+    # DELTA_TAYLOR of c: the straightening probes f off y there, where it
+    # is finite, and the defect evaluates f at y, whose denominator
+    # vanishes at (0.5, 0.5) alone; the near points before it pass when
+    # the chunk is replayed point by point
+    f = "(y - x1 - 5e-4)^2 + 1e-30/(y - x1 + (x1 - 0.5)^2)"
+    args = ("morse-reduce", "--f", f, "--n", "2", "--y0", "0.37")
+    code, doc = invoke_json(capsys, *args, "--box", "-1", "1",
+                            "--samples", "5")
+    assert (code, doc["error"]) == (
+        3, "denominator vanishes (value 0.000000e+00)")
+    # off the diagonal the same f passes
+    code, doc = invoke_json(capsys, *args, "--box", "-1", "1", "0.1", "2.1",
+                            "--samples", "5")
+    assert (code, doc["accepted"]) == (0, 25)
 
 
 def test_an_overflow_in_the_remainder_s_newton_aborts_a_pde_sweep(capsys):

@@ -262,28 +262,69 @@ def _outcome(evaluator, ast, p, fiber):
         return type(exc), getattr(exc, "mask", None)
 
 
+def assert_matches_reference(ast, p, fiber):
+    """evaluate against the reference at points p: the value bit for bit,
+    derivatives under == (a plain constant drops products with its zero
+    derivatives, which may flip the sign of a zero), or the same error
+    class and mask."""
+    got = _outcome(evaluate, ast, p, fiber)
+    want = _outcome(reference_evaluate, ast, p, fiber)
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert isinstance(got, tuple) and isinstance(want, tuple)
+        assert got[0] is want[0]
+        assert (got[1] is None) == (want[1] is None)
+        assert np.array_equal(got[1], want[1])
+        return
+    value = np.asarray(got.value)
+    assert value.shape == np.shape(want.value)
+    assert value.tobytes() == np.asarray(want.value).tobytes()
+    assert np.array_equal(got.gradient, want.gradient)
+    assert np.array_equal(got.hessian, want.hessian)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(expression_and_points(5))
 def test_evaluation_matches_the_two_mode_reference(case):
-    # the value bit for bit, derivatives under == (a plain constant drops
-    # products with its zero derivatives, which may flip the sign of a zero)
     ast, n, P = case
     for p in (P, P[0], P[1]):
         for fiber in (False, True):
-            got = _outcome(evaluate, ast, p, fiber)
-            want = _outcome(reference_evaluate, ast, p, fiber)
-            if isinstance(got, tuple) or isinstance(want, tuple):
-                assert isinstance(got, tuple) and isinstance(want, tuple)
-                assert got[0] is want[0]
-                assert (got[1] is None) == (want[1] is None)
-                assert np.array_equal(got[1], want[1])
-                continue
-            value = np.asarray(got.value)
-            assert value.shape == np.shape(want.value)
-            assert value.tobytes() == np.asarray(want.value).tobytes()
-            assert np.array_equal(got.gradient, want.gradient)
-            assert np.array_equal(got.hessian, want.hessian)
+            assert_matches_reference(ast, p, fiber)
+
+
+@pytest.mark.parametrize("text, P", [
+    ("y^3/3 + y^2", [[0.3, 0.7], [-1.2, -0.4]]),
+    # 1/y^2 from y's product y*y, and the denominator vanishing at y = 0
+    ("y^-2 + y^3", [[0.3, 0.7], [0.5, 0.0], [-1.2, -0.4]]),
+    # in the fiber jet x1's powers are plain columns
+    ("x1^3 + x1^2*y", [[0.3, 0.7], [-1.2, -0.4]]),
+    # a base that is not a variable forms its own products
+    ("(x1+y)^2 + (x1+y)^3", [[0.3, 0.7], [-1.2, -0.4]]),
+    # y^3's second product overflows before y^2 is read
+    ("y^3 + y^2", [[0.3, 0.7], [0.5, 1e103]]),
+])
+def test_powers_of_a_variable_match_the_reference(text, P):
+    ast = parse_expression(text, 2)
+    P = np.array(P)
+    for p in (P, *P):
+        for fiber in (False, True):
+            assert_matches_reference(ast, p, fiber)
+
+
+@pytest.mark.parametrize("fiber", [False, True])
+def test_powers_of_a_variable_share_their_products(monkeypatch, fiber):
+    # y^2 is the first product of y^3: two jet products, not three
+    calls = []
+    original = Jet2.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Jet2, "__mul__", counted)
+    jet = evaluate(parse_expression("y^3/3 + y^2", 2), [0.3, 0.7], fiber)
+    assert len(calls) == 2
+    assert jet.value == 0.7 * 0.7 * 0.7 / 3 + 0.7 * 0.7
 
 
 def _differences(ast, p, s):

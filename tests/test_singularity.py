@@ -311,17 +311,25 @@ def test_normal_form_sweep_nontrivial_remainder():
 
 
 def test_normal_form_grid_evaluates_f_per_chunk(monkeypatch):
-    # 125 grid points in one chunk: the batched Newton steps, the quotient
-    # and Taylor probes, and the defect (one call per point made 345)
+    # 125 grid points in one chunk: six batched Newton steps, then one
+    # straightening evaluation at the probe points, whose values at the far
+    # points are the defect's f there (one call per point made 345). On the
+    # box (-0.5, 0.5), 7 grid points lie at their critical point c(x) (c = 0
+    # at x1 = 0, and c = -x1/2 at x2 = 0), within DELTA_TAYLOR of it, so the
+    # defect evaluates f once more at those near points; y in (0.5, 1) has
+    # none.
     f = ScalarField.from_expression("y^2 + x1*y + x2*y^3", 3)
-    calls = []
+    newton = [(125, 3), (100, 3), (80, 3), (80, 3), (80, 3), (10, 3)]
     original = ScalarField.__call__
+    for box, tail in [((-0.5, 0.5), [(125, 3), (7, 3)]),
+                      ([(-0.5, 0.5), (-0.5, 0.5), (0.5, 1.0)], [(125, 3)])]:
+        calls = []
 
-    def counted(field, p, **kw):
-        calls.append(np.shape(p))
-        return original(field, p, **kw)
+        def counted(field, p, **kw):
+            calls.append(np.shape(p))
+            return original(field, p, **kw)
 
-    monkeypatch.setattr(ScalarField, "__call__", counted)
-    rep = verify_morse_normal_form(f, 3, (-0.5, 0.5), grid=5)
-    assert rep.passed and rep.accepted == 125
-    assert len(calls) <= 10
+        monkeypatch.setattr(ScalarField, "__call__", counted)
+        rep = verify_morse_normal_form(f, 3, box, grid=5)
+        assert rep.passed and rep.accepted == 125
+        assert calls == newton + tail, box
